@@ -206,10 +206,6 @@ def grad_needed(t: Tensor) -> bool:
     return t.requires_grad or t._node is not None
 
 
-def is_recording(*inputs: Tensor) -> bool:
-    return active_tape() is not None and any(t.requires_grad for t in inputs)
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
@@ -271,13 +267,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: g * b.data, lambda g: g * a.data, "mul")
 
 
-# optional sink used by tests to verify probe points sit away from relu kinks
-relu_input_sink: list | None = None
-
-
 def relu(x: Tensor) -> Tensor:
-    if relu_input_sink is not None:
-        relu_input_sink.append(x.data.copy())
     out = np.maximum(x.data, 0)
 
     def bwd(g):
@@ -294,20 +284,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
         return (g * factor,)
 
     return record((x,), out, bwd, "scale")
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op_kind: str, *operands) -> Tensor:
-    """Dispatch {add, sub, mul, relu, scale} by name."""
-    if op_kind in _ELEMENTWISE:
-        return _ELEMENTWISE[op_kind](*operands)
-    if op_kind == "relu":
-        return relu(*operands)
-    if op_kind == "scale":
-        return scale(*operands)
-    raise ValueError(f"unknown elementwise op {op_kind!r}")
 
 
 def sum_all(x: Tensor) -> Tensor:

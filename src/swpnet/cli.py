@@ -11,6 +11,7 @@ flag; an explicit flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -21,10 +22,13 @@ class UsageError(ValueError):
 
 
 def _env_seed(default: int = 0) -> int:
-    try:
-        return int(os.environ.get("SWPNET_SEED", default))
-    except ValueError:
+    raw = os.environ.get("SWPNET_SEED")
+    if raw is None:
         return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"SWPNET_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_seed(parser, default: int = 0):
@@ -146,21 +150,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_preprocess(args):
-    from .datasynth import PreprocessConfig
+def _train_preprocess(crop_size: int, args):
+    """Train-time rescale+crop at crop_size, sharing the eval config's scale."""
+    from .evaluation import default_eval_config
 
-    eval_scale = max(args.input_size, round(args.input_size * 256 / 224))
-    return PreprocessConfig(crop_size=args.input_size, eval_scale=eval_scale,
-                            scale_range=(args.scale_min, args.scale_max), seed=args.seed)
+    return dataclasses.replace(default_eval_config(crop_size),
+                               scale_range=(args.scale_min, args.scale_max), seed=args.seed)
 
 
 def cmd_train(args) -> int:
     from .datasynth import load_manifest
-    from .models import (ModelConfig, build_localisation_model, build_model,
-                         load_checkpoint, save_checkpoint)
+    from .models import ModelConfig, build_model, feature_map_extent, load_checkpoint, save_checkpoint
     from .swp import SWPSpec
-    from .models import feature_map_extent
-    from .training import (TrainConfig, history_to_csv, train_classifier, train_localiser)
+    from .training import TrainConfig, history_rows, history_to_csv, train_classifier, train_localiser
 
     if args.swp and args.task == "loc":
         print("warning: an SWP head on the localiser reduced accuracy in earlier runs; "
@@ -173,27 +175,17 @@ def cmd_train(args) -> int:
             raise UsageError(f"--resume checkpoint head {model.config.head!r} "
                              f"does not fit task {args.task!r}")
     else:
-        if args.task == "loc":
-            config = ModelConfig(depth_variant=args.arch, num_classes=manifest.n_classes,
-                                 width_multiplier=args.width, input_size=args.input_size,
-                                 head="loc_head")
-            extent = feature_map_extent(config)
-            swp = SWPSpec(args.swp_masks, extent, extent) if args.swp else None
-            model = build_localisation_model(config, seed=args.seed, swp_spec=swp,
-                                             fc_nodes=args.fc_nodes)
-        else:
-            head = "swp_head" if args.swp else "plain_avgpool_fc"
-            config = ModelConfig(depth_variant=args.arch, num_classes=manifest.n_classes,
-                                 width_multiplier=args.width, input_size=args.input_size,
-                                 head=head)
-            extent = feature_map_extent(config)
-            swp = SWPSpec(args.swp_masks, extent, extent) if args.swp else None
-            model = build_model(config, seed=args.seed, swp_spec=swp, fc_nodes=args.fc_nodes)
+        head = "loc_head" if args.task == "loc" else "swp_head" if args.swp else "plain_avgpool_fc"
+        config = ModelConfig(depth_variant=args.arch, num_classes=manifest.n_classes,
+                             width_multiplier=args.width, input_size=args.input_size, head=head)
+        extent = feature_map_extent(config)
+        swp = SWPSpec(args.swp_masks, extent, extent) if args.swp else None
+        model = build_model(config, seed=args.seed, swp_spec=swp, fc_nodes=args.fc_nodes)
 
     train_config = TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
                                batch_size=args.batch_size, max_epochs=args.epochs, seed=args.seed,
                                early_stop_accuracy=args.early_stop)
-    preprocess = _train_preprocess(args)
+    preprocess = _train_preprocess(args.input_size, args)
     if args.task == "loc":
         history = train_localiser(model, manifest, train_config, preprocess)
     else:
@@ -203,8 +195,7 @@ def cmd_train(args) -> int:
     history_path = Path(str(args.out) + ".history.csv")
     if args.resume and history_path.exists():
         old = history_path.read_text(encoding="utf-8").rstrip("\n").splitlines()
-        body = [f"{h.epoch},{h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
-        history_path.write_text("\n".join(old + body) + "\n", encoding="utf-8")
+        history_path.write_text("\n".join(old + history_rows(history)) + "\n", encoding="utf-8")
     else:
         history_to_csv(history, history_path)
     last = history[-1]
@@ -297,14 +288,10 @@ def cmd_heatmap(args) -> int:
 
 def cmd_analyze_bins(args) -> int:
     from .binning import LOCATION_BINS, SIZE_BINS
-    from .datasynth import PreprocessConfig, bin_histogram, load_manifest, save_histograms
+    from .datasynth import bin_histogram, load_manifest, save_histograms
 
     manifest = load_manifest(args.manifest)
-    preprocess = None
-    if args.preprocess:
-        eval_scale = max(args.crop, round(args.crop * 256 / 224))
-        preprocess = PreprocessConfig(crop_size=args.crop, eval_scale=eval_scale,
-                                      scale_range=(args.scale_min, args.scale_max), seed=args.seed)
+    preprocess = _train_preprocess(args.crop, args) if args.preprocess else None
     counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS, preprocess=preprocess)
     paths = save_histograms(counts, args.out_prefix)
     for key, path in zip(("cx", "cy", "w", "h"), paths):
@@ -324,7 +311,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except UsageError as err:  # a malformed SWPNET_SEED breaks every --seed default
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

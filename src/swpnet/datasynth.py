@@ -230,18 +230,29 @@ def load_manifest(path) -> DatasetManifest:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataSynthError(f"empty manifest {path}")
-    header = dict(tok.split("=", 1) for tok in lines[0].split())
+    try:
+        header = dict(tok.split("=", 1) for tok in lines[0].split())
+        n_classes = int(header["classes"])
+    except (KeyError, ValueError):
+        raise DataSynthError(f"{path}:1: header must read 'classes=<n> split=<tag>', "
+                             f"got {lines[0]!r}") from None
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rel, cid, cx, cy, w, h = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise DataSynthError(f"{path}:{lineno}: expected 6 fields 'path,class_id,cx,cy,w,h', "
+                                 f"got {len(fields)}")
+        rel, cid, cx, cy, w, h = fields
+        try:
+            class_id, box = int(cid), BoundingBox(float(cx), float(cy), float(w), float(h))
+        except ValueError as err:
+            raise DataSynthError(f"{path}:{lineno}: {err}") from None
         img_path = (path.parent / rel).resolve()
         if not img_path.exists():
             raise DataSynthError(f"manifest references missing image {img_path}")
-        records.append(ManifestRecord(str(img_path), int(cid),
-                                      BoundingBox(float(cx), float(cy), float(w), float(h))))
-    n_classes = int(header["classes"])
+        records.append(ManifestRecord(str(img_path), class_id, box))
     ids = {r.class_id for r in records}
     if ids and (min(ids) < 0 or max(ids) >= n_classes):
         raise DataSynthError(f"class ids {sorted(ids)} not dense in [0, {n_classes})")
@@ -377,10 +388,6 @@ def center_crop_transform(image: np.ndarray, config: PreprocessConfig
     oy = (new_h - config.crop_size) // 2
     crop = np.ascontiguousarray(resized[oy:oy + config.crop_size, ox:ox + config.crop_size])
     return crop, new_w / w, new_h / h, float(ox), float(oy)
-
-
-def preprocess_eval_center(image: np.ndarray, config: PreprocessConfig) -> np.ndarray:
-    return center_crop_transform(image, config)[0]
 
 
 def to_network_input(images) -> np.ndarray:

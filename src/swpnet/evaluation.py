@@ -48,9 +48,12 @@ class MetricsReport:
     top5: float | None = None
     per_output_accuracy: tuple[float, float, float, float] | None = None
     mean_accuracy: float | None = None
+    skipped: int = 0        # records left out of sample_count
 
     def summary(self) -> str:
         lines = [f"samples: {self.sample_count}"]
+        if self.skipped:
+            lines.append(f"skipped: {self.skipped}")
         if self.top1 is not None:
             lines.append(f"top-1: {self.top1:.3f}%")
         if self.top5 is not None:
@@ -117,12 +120,14 @@ def topk_hits(logits: np.ndarray, targets: np.ndarray, k: int) -> int:
     return int((preds == np.asarray(targets).reshape(-1, 1)).any(axis=1).sum())
 
 
-def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -> np.ndarray:
-    rows = []
+def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -> list[np.ndarray]:
+    """Inference in batches; one array of stacked rows per model output."""
+    chunks = []
     for start in range(0, len(rasters), batch_size):
         batch = Tensor(to_network_input(rasters[start:start + batch_size]))
-        rows.append(model.forward(batch, train=False).data)
-    return np.concatenate(rows, axis=0)
+        out = model.forward(batch, train=False)
+        chunks.append([o.data for o in out] if isinstance(out, list) else [out.data])
+    return [np.concatenate(rows, axis=0) for rows in zip(*chunks)]
 
 
 def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
@@ -136,7 +141,7 @@ def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
     else:
         cfg = eval_config or default_eval_config(target.config.input_size)
         rasters = [center_crop_transform(load_image(r), cfg)[0] for r in manifest.records]
-        logits = _forward_batched(target, rasters, batch_size)
+        logits = _forward_batched(target, rasters, batch_size)[0]
     report = MetricsReport(sample_count=len(labels))
     accs = {k: 100.0 * topk_hits(logits, labels, k) / len(labels) for k in ks}
     report.top1 = accs.get(1)
@@ -154,8 +159,9 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
     """Per-output bin accuracy via argmax against encoded ground truth.
 
     preprocess='center' runs the eval centre crop and transforms boxes with
-    it; preprocess='none' feeds the raw image resized largest-side-to-input
-    (boxes scaled by the same factor).
+    it; a record whose box the crop loses is skipped and counted in the
+    report's `skipped`.  preprocess='none' feeds the raw image resized
+    largest-side-to-input (boxes scaled by the same factor).
     """
     if model.config.head != "loc_head":
         raise ModelBuildError("evaluate_localisation needs a loc_head model")
@@ -166,12 +172,15 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
     input_size = model.config.input_size
     cfg = eval_config or default_eval_config(input_size)
     rasters, boxes = [], []
+    skipped = 0
     for rec in manifest.records:
         image = load_image(rec)
         if preprocess == "center":
             crop, sx, sy, ox, oy = center_crop_transform(image, cfg)
-            box = transform_box(rec.box, sx, sy, ox, oy)
-            box = clip_box(box, cfg.crop_size, cfg.crop_size) or box
+            box = clip_box(transform_box(rec.box, sx, sy, ox, oy), cfg.crop_size, cfg.crop_size)
+            if box is None:
+                skipped += 1
+                continue
         else:
             from .binning import largest_side_scale
             s = largest_side_scale(image, input_size)
@@ -179,22 +188,19 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
             box = transform_box(rec.box, s, s, 0.0, 0.0)
         rasters.append(crop)
         boxes.append(box)
+    if not rasters:
+        raise ValueError(f"no record to evaluate: the eval crop lost {skipped} of "
+                         f"{len(manifest.records)} boxes")
 
     targets = np.array([[t.bx, t.by, t.bw, t.bh]
                         for t in (encode_box(b, loc_spec, size_spec) for b in boxes)], dtype=np.int64)
-    preds = np.zeros_like(targets)
-    row = 0
-    for start in range(0, len(rasters), batch_size):
-        batch = Tensor(to_network_input(rasters[start:start + batch_size]))
-        outputs = model.forward(batch, train=False)
-        n = outputs[0].shape[0]
-        for col, out in enumerate(outputs):
-            # stable argmax: ties break to the lower bin id
-            preds[row:row + n, col] = topk_predictions(out.data, 1)[:, 0]
-        row += n
+    # stable argmax: ties break to the lower bin id
+    preds = np.stack([topk_predictions(out, 1)[:, 0]
+                      for out in _forward_batched(model, rasters, batch_size)], axis=1)
 
     per_output = tuple(100.0 * float((preds[:, c] == targets[:, c]).mean()) for c in range(4))
     report = loc_metrics(per_output, len(rasters))
+    report.skipped = skipped
     max_bins = max(loc_spec.n_bins, size_spec.n_bins)
     counts = {}
     for col, name in enumerate(LOC_OUTPUT_NAMES):
@@ -303,14 +309,6 @@ class TwoStagePipeline:
         return np.concatenate(rows, axis=0)
 
 
-def two_stage_predict(loc_model: Model, cls_model: Model, image: np.ndarray,
-                      loc_eval_config: PreprocessConfig | None = None,
-                      enlarge_factor: float = 1.10, return_details: bool = False):
-    """One-shot wrapper around TwoStagePipeline.predict."""
-    pipeline = TwoStagePipeline(loc_model, cls_model, loc_eval_config, enlarge_factor)
-    return pipeline.predict(image, return_details=return_details)
-
-
 # -- throughput benchmark --------------------------------------------------------
 
 @dataclass
@@ -378,28 +376,8 @@ def bench_fps(target, batch_sizes=(1, 32), n_images: int = 10000, seed: int = 0,
               warmup_batches: int = 2, pool_batches: int = 16) -> BenchReport:
     """Wall-clock images/second per batch size over pre-generated in-memory
     batches; warm-up runs and input generation are excluded from timing."""
-    if n_images < 1:
-        raise ValueError("n_images must be positive")
-    is_pipeline = isinstance(target, TwoStagePipeline)
-    entries = {}
-    for bs in batch_sizes:
-        n_batches = (n_images + bs - 1) // bs
-        run, pool_size = _make_runner(target, bs, seed, n_batches, pool_batches)
-        # fallback warnings on synthetic noise inputs would flood the log
-        prev_level = log.level
-        log.setLevel(logging.ERROR)
-        try:
-            with numerics_checks(False):
-                for i in range(min(warmup_batches, pool_size)):
-                    run(i)
-                start = time.perf_counter()
-                for i in range(n_batches):
-                    run(i)
-                elapsed = time.perf_counter() - start
-        finally:
-            log.setLevel(prev_level)
-        entries[bs] = BenchEntry(bs, n_batches * bs, elapsed)
-    return BenchReport(entries, _bench_echo(target, is_pipeline, n_images))
+    return bench_fps_paired({"target": target}, batch_sizes, n_images, seed, chunks=1,
+                            warmup_batches=warmup_batches, pool_batches=pool_batches)["target"]
 
 
 def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: int = 10000,
@@ -415,6 +393,7 @@ def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: 
         n_batches = (n_images + bs - 1) // bs
         per_chunk = max(1, n_batches // chunks)
         runners = {}
+        # fallback warnings on synthetic noise inputs would flood the log
         prev_level = log.level
         log.setLevel(logging.ERROR)
         try:

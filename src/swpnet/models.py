@@ -1,4 +1,4 @@
-"""Declarative residual-network builders with three head kinds, a named
+"""Declarative residual-network builders with one table-driven head, a named
 parameter registry, and a bit-exact binary checkpoint format.
 
 Blocks use pre-activation ordering (batch norm and relu before each conv);
@@ -22,9 +22,17 @@ from .autodiff import DEFAULT_DTYPE, Tensor
 from .layers import BatchNorm, Conv2d, Dense, Pool2d, relu
 from .swp import SWPLayer, SWPSpec
 
-HEAD_KINDS = ("plain_avgpool_fc", "swp_head", "loc_head")
 # localisation outputs: centre-x and centre-y bins, then width and height bins
 LOC_HEAD_NODES = (25, 25, 40, 40)
+# head kind -> (front, named Dense outputs).  The front is "avgpool", "swp"
+# (swp -> bn -> dense), or "either" (swp only when given an SWPSpec); an
+# output node count of None means the config's class count.
+HEAD_TABLE = {
+    "plain_avgpool_fc": ("avgpool", (("fc", None),)),
+    "swp_head": ("swp", (("classifier", None),)),
+    "loc_head": ("either", tuple(zip(("cx", "cy", "w", "h"), LOC_HEAD_NODES))),
+}
+HEAD_KINDS = tuple(HEAD_TABLE)
 
 _STAGE_BLOCKS = {18: (2, 2, 2, 2), 34: (3, 4, 6, 3), 50: (3, 4, 6, 3)}
 _STAGE_CHANNELS = (64, 128, 256, 512)
@@ -189,108 +197,51 @@ class BottleneckBlock:
     buffers = BasicBlock.buffers
 
 
-class PlainHead:
-    """Global average pool over the final map, then a single classifier."""
+class Head:
+    """A front -- global average pool, or swp -> bn -> dense -- then named
+    Dense outputs in parallel over the front's vector.  A single output
+    returns its tensor; several return a list in table order."""
 
-    kind = "plain_avgpool_fc"
-
-    def __init__(self, channels: int, map_extent: int, num_classes: int,
-                 rng: np.random.Generator, dtype):
-        self.pool = Pool2d("average", map_extent, stride=1)
-        self.fc = Dense(channels, num_classes, rng=rng, dtype=dtype)
+    def __init__(self, kind: str, channels: int, map_extent: int, num_classes: int,
+                 rng: np.random.Generator, dtype, swp_spec: SWPSpec | None = None,
+                 fc_nodes: int = 1024):
+        front, outputs = HEAD_TABLE[kind]
+        if front == "swp":
+            swp_spec = swp_spec or SWPSpec(9, map_extent, map_extent)
+        elif front == "avgpool":
+            swp_spec = None
         self.channels = channels
-
-    def forward(self, feats: Tensor, train: bool) -> Tensor:
-        pooled = self.pool(feats)
-        return self.fc(ad.reshape(pooled, (feats.shape[0], self.channels)))
-
-    def parameters(self):
-        return _named(self.fc.parameters(), "fc")
-
-    def buffers(self):
-        return []
-
-    def extras(self):
-        return {}
-
-
-class SWPHead:
-    """Spatially-weighted pooling, batch norm over the pooled vector, a
-    hidden dense layer, then the classifier."""
-
-    kind = "swp_head"
-
-    def __init__(self, channels: int, swp_spec: SWPSpec, fc_nodes: int,
-                 num_classes: int, rng: np.random.Generator, dtype):
-        self.swp = SWPLayer(swp_spec, dtype=dtype)
-        width = swp_spec.num_masks * channels
-        self.bn = BatchNorm(width, dtype=dtype)
-        self.fc = Dense(width, fc_nodes, rng=rng, dtype=dtype)
-        self.classifier = Dense(fc_nodes, num_classes, rng=rng, dtype=dtype)
         self.fc_nodes = fc_nodes
-
-    def forward(self, feats: Tensor, train: bool) -> Tensor:
-        pooled = self.swp(feats)
-        return self.classifier(self.fc(self.bn(pooled, train)))
-
-    def pooled_vector(self, feats: Tensor) -> Tensor:
-        return self.swp(feats)
-
-    def parameters(self):
-        return (_named(self.swp.parameters(), "swp") + _named(self.bn.parameters(), "bn")
-                + _named(self.fc.parameters(), "fc") + _named(self.classifier.parameters(), "classifier"))
-
-    def buffers(self):
-        return _named(self.bn.buffers(), "bn")
-
-    def extras(self):
-        s = self.swp.spec
-        return {"swp": {"num_masks": s.num_masks, "mask_h": s.mask_h, "mask_w": s.mask_w,
-                        "fc_nodes": self.fc_nodes}}
-
-
-class LocHead:
-    """Four parallel classifiers over one shared pooled vector: centre-x
-    (25 bins), centre-y (25), width (40), height (40).  With an SWP front
-    the shared vector is swp -> bn -> dense instead of the average pool."""
-
-    kind = "loc_head"
-
-    def __init__(self, channels: int, map_extent: int, rng: np.random.Generator, dtype,
-                 swp_spec: SWPSpec | None = None, fc_nodes: int = 1024):
-        self.channels = channels
-        self.swp = self.bn = self.fc = None
+        self.pool = self.swp = self.bn = self.hidden = None
         if swp_spec is None:
             self.pool = Pool2d("average", map_extent, stride=1)
-            shared = channels
+            width = channels
         else:
-            self.pool = None
+            if (swp_spec.mask_h, swp_spec.mask_w) != (map_extent, map_extent):
+                raise ModelBuildError(f"masks {swp_spec.mask_h}x{swp_spec.mask_w} do not match the "
+                                      f"{map_extent}x{map_extent} feature map")
             self.swp = SWPLayer(swp_spec, dtype=dtype)
-            width = swp_spec.num_masks * channels
-            self.bn = BatchNorm(width, dtype=dtype)
-            self.fc = Dense(width, fc_nodes, rng=rng, dtype=dtype)
-            shared = fc_nodes
-        self.fc_nodes = fc_nodes if swp_spec is not None else None
-        self.outputs = [Dense(shared, nodes, rng=rng, dtype=dtype) for nodes in LOC_HEAD_NODES]
+            self.bn = BatchNorm(swp_spec.num_masks * channels, dtype=dtype)
+            self.hidden = Dense(swp_spec.num_masks * channels, fc_nodes, rng=rng, dtype=dtype)
+            width = fc_nodes
+        self.output_names = [name for name, _ in outputs]
+        self.outputs = [Dense(width, nodes or num_classes, rng=rng, dtype=dtype)
+                        for _, nodes in outputs]
 
-    def forward(self, feats: Tensor, train: bool) -> list[Tensor]:
-        if self.pool is not None:
+    def forward(self, feats: Tensor, train: bool):
+        if self.swp is None:
             shared = ad.reshape(self.pool(feats), (feats.shape[0], self.channels))
         else:
-            shared = self.fc(self.bn(self.swp(feats), train))
-        return [out(shared) for out in self.outputs]
+            shared = self.hidden(self.bn(self.swp(feats), train))
+        outs = [layer(shared) for layer in self.outputs]
+        return outs[0] if len(outs) == 1 else outs
 
-    def parameters(self):
-        out = []
-        if self.swp is not None:
-            out += (_named(self.swp.parameters(), "swp") + _named(self.bn.parameters(), "bn")
-                    + _named(self.fc.parameters(), "fc"))
-        for name, layer in zip(("cx", "cy", "w", "h"), self.outputs):
-            out += _named(layer.parameters(), name)
-        return out
+    def _parts(self):
+        front = [] if self.swp is None else [("swp", self.swp), ("bn", self.bn), ("fc", self.hidden)]
+        return front + list(zip(self.output_names, self.outputs))
 
-    def buffers(self):
-        return _named(self.bn.buffers(), "bn") if self.bn is not None else []
+    parameters = BasicBlock.parameters
+    buffers = BasicBlock.buffers
 
     def extras(self):
         if self.swp is None:
@@ -329,18 +280,8 @@ class Model:
             self.stages.append(blocks)
 
         self.final_bn = BatchNorm(in_ch, dtype=dtype)
-        map_extent = feature_map_extent(config)
-
-        if config.head == "plain_avgpool_fc":
-            self.head = PlainHead(in_ch, map_extent, config.num_classes, rng, dtype)
-        elif config.head == "swp_head":
-            spec = swp_spec or SWPSpec(9, map_extent, map_extent)
-            _check_mask_extent(spec, map_extent)
-            self.head = SWPHead(in_ch, spec, fc_nodes, config.num_classes, rng, dtype)
-        else:
-            if swp_spec is not None:
-                _check_mask_extent(swp_spec, map_extent)
-            self.head = LocHead(in_ch, map_extent, rng, dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
+        self.head = Head(config.head, in_ch, feature_map_extent(config), config.num_classes,
+                         rng, dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
 
     # -- running the network -------------------------------------------------
 
@@ -361,9 +302,9 @@ class Model:
 
     def swp_vector(self, x: Tensor) -> Tensor:
         """Raw spatially-weighted pooling output, for heatmap export."""
-        if not isinstance(self.head, SWPHead):
+        if self.head.swp is None:
             raise ModelBuildError("model has no spatially-weighted pooling head")
-        return self.head.pooled_vector(self.backbone(x, train=False))
+        return self.head.swp(self.backbone(x, train=False))
 
     # -- registry -------------------------------------------------------------
 
@@ -395,30 +336,16 @@ class Model:
             for block in blocks:
                 states += [part for _, part in block._parts() if isinstance(part, BatchNorm)]
         states.append(self.final_bn)
-        head_bn = getattr(self.head, "bn", None)
-        if head_bn is not None:
-            states.append(head_bn)
+        if self.head.bn is not None:
+            states.append(self.head.bn)
         return states
 
     def all_blocks(self):
         return [block for blocks in self.stages for block in blocks]
 
 
-def _check_mask_extent(spec: SWPSpec, map_extent: int) -> None:
-    if (spec.mask_h, spec.mask_w) != (map_extent, map_extent):
-        raise ModelBuildError(f"masks {spec.mask_h}x{spec.mask_w} do not match the "
-                              f"{map_extent}x{map_extent} feature map")
-
-
 def build_model(config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
                 swp_spec: SWPSpec | None = None, fc_nodes: int = 1024) -> Model:
-    return Model(config, seed=seed, dtype=dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
-
-
-def build_localisation_model(config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
-                             swp_spec: SWPSpec | None = None, fc_nodes: int = 1024) -> Model:
-    if config.head != "loc_head":
-        raise ModelBuildError(f"localisation model needs head='loc_head', got {config.head!r}")
     return Model(config, seed=seed, dtype=dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
 
 
@@ -427,12 +354,10 @@ def attach_swp_head(model: Model, swp_spec: SWPSpec, fc_nodes: int = 1024, seed:
     keeping every backbone parameter."""
     if model.config.head != "plain_avgpool_fc":
         raise ModelBuildError(f"can only attach to a plain head, model has {model.config.head!r}")
-    map_extent = feature_map_extent(model.config)
-    _check_mask_extent(swp_spec, map_extent)
-    channels = model.head.channels
-    rng = np.random.default_rng(seed)
-    model.head = SWPHead(channels, swp_spec, fc_nodes, model.config.num_classes, rng, model.dtype)
-    model.config = dataclasses.replace(model.config, head="swp_head")
+    config = dataclasses.replace(model.config, head="swp_head")
+    model.head = Head(config.head, model.head.channels, feature_map_extent(config), config.num_classes,
+                      np.random.default_rng(seed), model.dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
+    model.config = config
     return model
 
 

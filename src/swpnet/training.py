@@ -56,9 +56,13 @@ class EpochStats:
     lr: float
 
 
+def history_rows(history: list[EpochStats]) -> list[str]:
+    """CSV body rows matching the `epoch,steps,loss,accuracy,lr` header."""
+    return [f"{h.epoch},{h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
+
+
 def history_to_csv(history: list[EpochStats], path) -> None:
-    lines = ["epoch,steps,loss,accuracy,lr"]
-    lines += [f"{h.epoch},{h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
+    lines = ["epoch,steps,loss,accuracy,lr"] + history_rows(history)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -208,13 +212,9 @@ def transfer_head(model: Model, new_class_count: int, freeze_backbone: bool = Fa
         raise ModelBuildError("transfer needs at least 2 target classes")
     if model.config.head == "loc_head":
         raise ModelBuildError("transfer_head applies to classification models")
-    rng = np.random.default_rng(seed)
-    if model.config.head == "plain_avgpool_fc":
-        in_features = model.head.fc.in_features
-        model.head.fc = Dense(in_features, new_class_count, rng=rng, dtype=model.dtype)
-    else:
-        in_features = model.head.classifier.in_features
-        model.head.classifier = Dense(in_features, new_class_count, rng=rng, dtype=model.dtype)
+    last = model.head.outputs[-1]
+    model.head.outputs[-1] = Dense(last.in_features, new_class_count,
+                                   rng=np.random.default_rng(seed), dtype=model.dtype)
     model.config = dataclasses.replace(model.config, num_classes=new_class_count)
     if freeze_backbone:
         head_params = {id(t) for _, t in model.head.parameters()}

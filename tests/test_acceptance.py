@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from swpnet import autodiff as ad
-from swpnet.autodiff import Tensor, grad_check
+from swpnet.autodiff import GradTape, Tensor, grad_check
 from swpnet.binning import (
     LOCATION_BINS,
     SIZE_BINS,
@@ -43,7 +43,6 @@ from swpnet.models import (
     BottleneckBlock,
     ModelConfig,
     attach_swp_head,
-    build_localisation_model,
     build_model,
     feature_map_extent,
     load_checkpoint,
@@ -90,14 +89,16 @@ def _square_loss(y):
     return ad.sum_all(ad.mul(y, y))
 
 
-def _min_relu_margin(fn):
-    sink = []
-    ad.relu_input_sink = sink
-    try:
+def _relu_inputs(fn):
+    """Inputs of every relu that one probe evaluation records on a tape."""
+    with GradTape() as tape:
         fn()
-    finally:
-        ad.relu_input_sink = None
-    return min(np.abs(v).min() for v in sink) if sink else np.inf
+    return [node.inputs[0].data for node in tape.nodes if node.name == "relu"]
+
+
+def _min_relu_margin(fn):
+    inputs = _relu_inputs(fn)
+    return min(np.abs(v).min() for v in inputs) if inputs else np.inf
 
 
 def _scan_seed(build, margin=1e-3, tries=30):
@@ -159,7 +160,7 @@ def test_criterion_1_gradient_correctness():
         def build_loc(seed):
             cfg = ModelConfig(depth_variant=18, num_classes=2, width_multiplier=1 / 64,
                               input_size=24, head="loc_head")
-            model = build_localisation_model(cfg, seed=300 + seed, dtype=np.float64)
+            model = build_model(cfg, seed=300 + seed, dtype=np.float64)
             lrng = np.random.default_rng(400 + seed)
             xin = Tensor(lrng.uniform(0, 1, size=(2, 3, 24, 24)), dtype=np.float64)
             targets = [np.array([1, 3]), np.array([0, 2]), np.array([4, 1]), np.array([2, 0])]
@@ -181,13 +182,7 @@ def test_criterion_1_gradient_correctness():
 
         for seed in range(30):
             fn = build_loc(seed)
-            sink = []
-            ad.relu_input_sink = sink
-            try:
-                fn()
-            finally:
-                ad.relu_input_sink = None
-            final_relu_margin = np.abs(sink[-1]).min()
+            final_relu_margin = np.abs(_relu_inputs(fn)[-1]).min()
             if final_relu_margin > 1e-3:
                 break
         else:
@@ -349,7 +344,7 @@ def two_stage_bundle(tmp_path_factory):
 
     loc_cfg = ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
                           input_size=64, head="loc_head")
-    loc = build_localisation_model(loc_cfg, seed=4)
+    loc = build_model(loc_cfg, seed=4)
     train_localiser(loc, train_m,
                     TrainConfig(lr=0.025, batch_size=8, max_epochs=50, seed=14,
                                 loss_weights=(1, 1, 2, 2)), TRAIN_PRE)
@@ -432,9 +427,9 @@ def test_criterion_9_bench_directionality():
         swp = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 16,
                                       input_size=64, head="swp_head"),
                           seed=1, swp_spec=SWPSpec(9, extent, extent), fc_nodes=64)
-        loc = build_localisation_model(ModelConfig(depth_variant=18, num_classes=10,
-                                                   width_multiplier=1 / 16, input_size=64,
-                                                   head="loc_head"), seed=2)
+        loc = build_model(ModelConfig(depth_variant=18, num_classes=10,
+                                      width_multiplier=1 / 16, input_size=64,
+                                      head="loc_head"), seed=2)
         pipeline = TwoStagePipeline(loc, plain)
         reports = bench_fps_paired({"plain": plain, "swp": swp, "pipeline": pipeline},
                                    batch_sizes=(1, 32), n_images=10000, seed=0)

@@ -208,6 +208,13 @@ class TestHelpContract:
             assert ("default" in entry) or ("required" not in entry.lower()), \
                 f"{command} {flag} lacks a documented default"
 
+    def test_non_integer_seed_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SWPNET_SEED", "abc")
+        code = main(["gen-data", "--out-dir", str(tmp_path / "d")])
+        assert code == 2
+        assert "SWPNET_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_seed_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SWPNET_SEED", "99")
         main(["gen-data", "--help"])

@@ -17,7 +17,6 @@ from swpnet.datasynth import (
     load_image,
     load_manifest,
     make_class_specs,
-    preprocess_eval_center,
     preprocess_train,
     save_histograms,
     subset_classes,
@@ -102,6 +101,24 @@ class TestManifests:
         Path(manifest.records[0].path).unlink()
         with pytest.raises(DataSynthError):
             load_manifest(tmp_path / "train.txt")
+
+    def test_short_record_line_names_file_and_line(self, tmp_path):
+        generate_dataset(2, 1, 64, tmp_path, seed=1)
+        path = tmp_path / "train.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "images/x.ppm,0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataSynthError, match=r"train\.txt:3: expected 6 fields"):
+            load_manifest(path)
+
+    def test_header_without_classes_names_file_and_line(self, tmp_path):
+        generate_dataset(2, 1, 64, tmp_path, seed=1)
+        path = tmp_path / "train.txt"
+        lines = path.read_text().splitlines()
+        lines[0] = "split=train"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataSynthError, match=r"train\.txt:1: header"):
+            load_manifest(path)
 
     def test_subset_remaps_ids(self, tmp_path):
         manifest = generate_dataset(8, 2, 64, tmp_path, seed=2, similarity_margin=0.2)
@@ -193,7 +210,7 @@ class TestPreprocessEval:
     def test_central_crop_of_256(self):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 255, size=(256, 256, 3), dtype=np.uint8)
-        out = preprocess_eval_center(img, PreprocessConfig())
+        out = center_crop_transform(img, PreprocessConfig())[0]
         npt.assert_array_equal(out, img[16:240, 16:240])
 
     def test_shortest_side_rule_wide_image(self):
@@ -207,8 +224,8 @@ class TestPreprocessEval:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         img = rng.integers(0, 255, size=(300, 270, 3), dtype=np.uint8)
-        a = preprocess_eval_center(img, PreprocessConfig())
-        b = preprocess_eval_center(img, PreprocessConfig())
+        a = center_crop_transform(img, PreprocessConfig())[0]
+        b = center_crop_transform(img, PreprocessConfig())[0]
         assert a.tobytes() == b.tobytes()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
 from swpnet.binning import BoundingBox
-from swpnet.datasynth import PreprocessConfig
+from swpnet.datasynth import DatasetManifest, ManifestRecord, PreprocessConfig
 from swpnet.evaluation import (
     BinErrorStats,
     TwoStagePipeline,
@@ -15,9 +15,9 @@ from swpnet.evaluation import (
     mean_output_accuracy,
     topk_hits,
     topk_predictions,
-    two_stage_predict,
 )
-from swpnet.models import build_localisation_model, build_model
+from swpnet.imgio import write_ppm
+from swpnet.models import build_model
 
 
 class TestTopK:
@@ -82,20 +82,39 @@ class TestEvaluateEndToEnd:
         assert 0.0 <= report.top1 <= report.top5 <= 100.0
 
     def test_localisation_report_consistent(self, tiny_dataset):
-        model = build_localisation_model(tiny_loc_config(), seed=2)
+        model = build_model(tiny_loc_config(), seed=2)
         report, stats = evaluate_localisation(model, tiny_dataset)
         assert report.mean_accuracy == pytest.approx(np.mean(report.per_output_accuracy), abs=1e-9)
         for name in ("cx", "cy", "w", "h"):
             total = stats.counts[name].sum()
             assert total == report.sample_count
+        assert report.skipped == 0
+        assert "skipped" not in report.summary()
+
+    def test_localisation_skips_box_lost_by_centre_crop(self, tmp_path):
+        # a 4x20 box at x=3 on a 112 px image maps to centre-x -2.04 under
+        # the 64 px eval crop, leaving nothing inside the crop
+        rng = np.random.default_rng(0)
+        records = []
+        boxes = [BoundingBox(56, 56, 40, 30), BoundingBox(3, 56, 4, 20), BoundingBox(60, 50, 50, 24)]
+        for i, box in enumerate(boxes):
+            path = tmp_path / f"{i}.ppm"
+            write_ppm(path, rng.integers(0, 256, size=(112, 112, 3), dtype=np.uint8))
+            records.append(ManifestRecord(str(path), 0, box))
+        model = build_model(tiny_loc_config(input_size=64), seed=2)
+        report, stats = evaluate_localisation(model, DatasetManifest(records, 2, "eval"))
+        assert report.sample_count == 2
+        assert report.skipped == 1
+        assert stats.counts["cx"].sum() == 2
+        assert "skipped: 1" in report.summary().splitlines()
 
     def test_localisation_raw_mode(self, tiny_dataset):
-        model = build_localisation_model(tiny_loc_config(), seed=2)
+        model = build_model(tiny_loc_config(), seed=2)
         report, _ = evaluate_localisation(model, tiny_dataset, preprocess="none")
         assert report.sample_count == len(tiny_dataset)
 
     def test_localisation_rejects_bad_mode(self, tiny_dataset):
-        model = build_localisation_model(tiny_loc_config(), seed=2)
+        model = build_model(tiny_loc_config(), seed=2)
         with pytest.raises(ValueError):
             evaluate_localisation(model, tiny_dataset, preprocess="sideways")
 
@@ -129,7 +148,7 @@ class TestTwoStagePipeline:
     def test_unusable_box_falls_back_to_central_crop(self, caplog):
         # rig the localiser to predict the far corner with a tiny box, which
         # maps fully outside a small image
-        loc_model = build_localisation_model(tiny_loc_config(), seed=5)
+        loc_model = build_model(tiny_loc_config(), seed=5)
         for layer, hot in zip(model_outputs(loc_model), (24, 24, 0, 0)):
             layer.weight.data[:] = 0.0
             layer.bias.data[:] = 0.0
@@ -143,12 +162,12 @@ class TestTwoStagePipeline:
         assert details.used_fallback
         assert probs.shape == (2,)
 
-    def test_two_stage_predict_wrapper(self):
-        loc_model = build_localisation_model(tiny_loc_config(), seed=8)
+    def test_single_image_predict(self):
+        loc_model = build_model(tiny_loc_config(), seed=8)
         cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
         rng = np.random.default_rng(10)
         image = rng.integers(0, 255, size=(64, 64, 3), dtype=np.uint8)
-        probs = two_stage_predict(loc_model, cls_model, image)
+        probs = TwoStagePipeline(loc_model, cls_model).predict(image)
         assert probs.shape == (2,)
         assert np.isfinite(probs).all()
 
@@ -178,7 +197,7 @@ class TestBench:
         assert "batch 1:" in report.summary()
 
     def test_pipeline_bench_runs(self):
-        loc_model = build_localisation_model(tiny_loc_config(), seed=13)
+        loc_model = build_model(tiny_loc_config(), seed=13)
         cls_model = build_model(tiny_cls_config(input_size=32), seed=14)
         pipeline = TwoStagePipeline(loc_model, cls_model)
         report = bench_fps(pipeline, batch_sizes=(4,), n_images=8, seed=1)

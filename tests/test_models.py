@@ -1,3 +1,7 @@
+import json
+import threading
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +13,6 @@ from swpnet.models import (
     ModelBuildError,
     ModelConfig,
     attach_swp_head,
-    build_localisation_model,
     build_model,
     feature_map_extent,
     load_checkpoint,
@@ -76,18 +79,18 @@ class TestForwardShapes:
 
     def test_loc_head_output_shapes(self):
         cfg = toy_config(depth_variant=50, head="loc_head", width_multiplier=1 / 8)
-        model = build_localisation_model(cfg)
+        model = build_model(cfg)
         outs = model.forward(rand_images(3, 64))
         assert [o.shape for o in outs] == [(3, 25), (3, 25), (3, 40), (3, 40)]
 
     def test_loc_head_zero_image_finite(self):
-        model = build_localisation_model(toy_config(head="loc_head"))
+        model = build_model(toy_config(head="loc_head"))
         outs = model.forward(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
         for o in outs:
             assert np.isfinite(o.data).all()
 
     def test_loc_head_shapes_independent_of_width(self):
-        model = build_localisation_model(toy_config(head="loc_head", width_multiplier=1 / 8))
+        model = build_model(toy_config(head="loc_head", width_multiplier=1 / 8))
         outs = model.forward(rand_images(1, 64))
         assert [o.shape[1] for o in outs] == [25, 25, 40, 40]
 
@@ -106,7 +109,7 @@ class TestSWPHead:
         assert model.config.head == "swp_head"
         out = model.forward(rand_images(1, 64))
         assert out.shape == (1, 4)
-        assert model.head.classifier.in_features == 32
+        assert model.head.outputs[-1].in_features == 32
 
     def test_mask_size_gate(self):
         model = build_model(toy_config())
@@ -115,7 +118,7 @@ class TestSWPHead:
             attach_swp_head(model, SWPSpec(9, extent + 1, extent + 1))
 
     def test_attach_requires_plain_head(self):
-        model = build_localisation_model(toy_config(head="loc_head"))
+        model = build_model(toy_config(head="loc_head"))
         with pytest.raises(ModelBuildError):
             attach_swp_head(model, SWPSpec(9, 2, 2))
 
@@ -212,7 +215,7 @@ class TestCheckpoint:
     def test_swp_loc_head_roundtrip(self, tmp_path):
         cfg = toy_config(head="loc_head")
         extent = feature_map_extent(cfg)
-        model = build_localisation_model(cfg, swp_spec=SWPSpec(3, extent, extent), fc_nodes=16)
+        model = build_model(cfg, swp_spec=SWPSpec(3, extent, extent), fc_nodes=16)
         path = tmp_path / "loc.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -247,3 +250,72 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _registry_variants():
+    extent = feature_map_extent(toy_config())
+    return {
+        "plain": lambda: build_model(toy_config(), seed=7),
+        "swp_head": lambda: build_model(toy_config(head="swp_head"), seed=7,
+                                        swp_spec=SWPSpec(4, extent, extent), fc_nodes=16),
+        "loc_head": lambda: build_model(toy_config(head="loc_head"), seed=7),
+        "loc_head_swp": lambda: build_model(toy_config(head="loc_head"), seed=7,
+                                            swp_spec=SWPSpec(3, extent, extent), fc_nodes=16),
+        "plain_attach": lambda: attach_swp_head(build_model(toy_config(), seed=7),
+                                                SWPSpec(4, extent, extent), fc_nodes=16, seed=3),
+    }
+
+
+class TestRegistryContract:
+    """Registry names, shapes and order fix the checkpoint layout; the golden
+    lists were written by the release that had one class per head kind."""
+
+    @pytest.mark.parametrize("variant", sorted(_registry_variants()))
+    def test_names_and_shapes_match_golden(self, variant):
+        golden = json.loads((DATA / "registry_golden.json").read_text())[variant]
+        model = _registry_variants()[variant]()
+        assert [[n, list(t.shape)] for n, t in model.parameters()] == golden["parameters"]
+        assert [[n, list(b.shape)] for n, b in model.buffers()] == golden["buffers"]
+
+    @pytest.mark.parametrize("name", ["swp_head", "loc_head", "loc_head_swp"])
+    def test_v1_checkpoint_loads_with_identical_logits(self, name, tmp_path):
+        path = DATA / f"tiny_{name}_v1.ckpt"
+        expected = np.load(DATA / f"tiny_{name}_v1_logits.npz")
+        model = load_checkpoint(path)
+        x = np.random.default_rng(11).uniform(0, 1, size=(2, 3, 64, 64)).astype(np.float32)
+        out = model.forward(Tensor(x), train=False)
+        outs = out if isinstance(out, list) else [out]
+        assert len(outs) == len(expected.files)
+        for i, o in enumerate(outs):
+            assert o.data.tobytes() == expected[f"out{i}"].tobytes()
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(model, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+
+class TestSharedInference:
+    def test_two_threads_match_single_thread(self):
+        extent = feature_map_extent(toy_config())
+        model = build_model(toy_config(head="swp_head"), seed=12,
+                            swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
+        model.forward(rand_images(4, 64, seed=1), train=True)   # non-trivial running stats
+        inputs = [rand_images(2, 64, seed=20 + i) for i in range(6)]
+        expected = [model.forward(x, train=False).data.tobytes() for x in inputs]
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def worker(slot):
+            start.wait()
+            for _ in range(3):
+                results[slot] += [model.forward(x, train=False).data.tobytes() for x in inputs]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert results == [expected * 3, expected * 3]

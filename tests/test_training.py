@@ -7,7 +7,6 @@ from swpnet.binning import BoundingBox, encode_box
 from swpnet.datasynth import generate_dataset
 from swpnet.models import (
     ModelBuildError,
-    build_localisation_model,
     build_model,
     save_checkpoint,
 )
@@ -93,7 +92,7 @@ class TestTrainClassifier:
 
 class TestTrainLocaliser:
     def test_zero_weight_heads_receive_no_update(self, tiny_dataset):
-        model = build_localisation_model(tiny_loc_config(), seed=4)
+        model = build_model(tiny_loc_config(), seed=4)
         before = params_bytes(model)
         train_localiser(model, tiny_dataset,
                         TrainConfig(max_epochs=1, seed=2, loss_weights=(1, 1, 0, 0)),
@@ -110,7 +109,7 @@ class TestTrainLocaliser:
         # every box is identical, so the localiser only has to learn constants
         manifest = generate_dataset(2, 5, 32, tmp_path, seed=21,
                                     scale_range=(0.6, 0.6), center_jitter=0.0, clutter=0)
-        model = build_localisation_model(tiny_loc_config(), seed=6)
+        model = build_model(tiny_loc_config(), seed=6)
         cfg = TrainConfig(lr=0.05, max_epochs=30, seed=3, early_stop_accuracy=100.0)
         pre = tiny_preprocess(crop=32, eval_scale=36, scale_range=(1.0, 1.0))
         history = train_localiser(model, manifest, cfg, pre)
