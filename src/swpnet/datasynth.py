@@ -404,8 +404,8 @@ def load_image(record: ManifestRecord) -> np.ndarray:
 
 # -- histograms ---------------------------------------------------------------
 
-def _record_rng(seed: int, path: str) -> np.random.Generator:
-    digest = hashlib.sha256(path.encode("utf-8")).digest()
+def _record_rng(seed: int, image: np.ndarray) -> np.random.Generator:
+    digest = hashlib.sha256(repr(image.shape).encode("ascii") + image.tobytes()).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
@@ -414,7 +414,8 @@ def bin_histogram(manifest: DatasetManifest, loc_spec: BinSpec, size_spec: BinSp
                   preprocess: PreprocessConfig | None = None) -> dict[str, np.ndarray]:
     """Occupancy counts per bin for cx, cy (loc_spec) and w, h (size_spec),
     optionally after train pre-processing.  Per-record rng streams derive from
-    the image path, so totals are invariant under manifest reordering."""
+    the image content, so totals are invariant under manifest reordering and
+    do not depend on where the dataset lives."""
     counts = {
         "cx": np.zeros(loc_spec.n_bins, dtype=np.int64),
         "cy": np.zeros(loc_spec.n_bins, dtype=np.int64),
@@ -424,8 +425,8 @@ def bin_histogram(manifest: DatasetManifest, loc_spec: BinSpec, size_spec: BinSp
     for rec in manifest.records:
         box = rec.box
         if preprocess is not None:
-            rng = _record_rng(preprocess.seed, rec.path)
-            _, box = preprocess_train(load_image(rec), rec.box, preprocess, rng)
+            image = load_image(rec)
+            _, box = preprocess_train(image, rec.box, preprocess, _record_rng(preprocess.seed, image))
         counts["cx"][encode_value(box.cx, loc_spec)] += 1
         counts["cy"][encode_value(box.cy, loc_spec)] += 1
         counts["w"][encode_value(box.w, size_spec)] += 1

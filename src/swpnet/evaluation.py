@@ -4,7 +4,6 @@ the inference throughput benchmark."""
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ from .datasynth import (
 )
 from .models import Model, ModelBuildError
 
-log = logging.getLogger(__name__)
-
 
 def default_eval_config(input_size: int) -> PreprocessConfig:
     """Centre-crop config scaled from the 256-to-224 eval ratio."""
@@ -49,11 +46,14 @@ class MetricsReport:
     per_output_accuracy: tuple[float, float, float, float] | None = None
     mean_accuracy: float | None = None
     skipped: int = 0        # records left out of sample_count
+    fallbacks: int = 0      # pipeline images classified from the central-crop fallback
 
     def summary(self) -> str:
         lines = [f"samples: {self.sample_count}"]
         if self.skipped:
             lines.append(f"skipped: {self.skipped}")
+        if self.fallbacks:
+            lines.append(f"fallbacks: {self.fallbacks}")
         if self.top1 is not None:
             lines.append(f"top-1: {self.top1:.3f}%")
         if self.top5 is not None:
@@ -136,13 +136,14 @@ def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
     """Top-k accuracy of a classification model (central-crop preprocessing)
     or a TwoStagePipeline (its own preprocessing)."""
     labels = np.array([r.class_id for r in manifest.records], dtype=np.int64)
+    fallbacks = 0
     if isinstance(target, TwoStagePipeline):
-        logits = target.predict_manifest(manifest, batch_size=batch_size)
+        logits, fallbacks = target.predict_manifest(manifest, batch_size=batch_size)
     else:
         cfg = eval_config or default_eval_config(target.config.input_size)
         rasters = [center_crop_transform(load_image(r), cfg)[0] for r in manifest.records]
         logits = _forward_batched(target, rasters, batch_size)[0]
-    report = MetricsReport(sample_count=len(labels))
+    report = MetricsReport(sample_count=len(labels), fallbacks=fallbacks)
     accs = {k: 100.0 * topk_hits(logits, labels, k) / len(labels) for k in ks}
     report.top1 = accs.get(1)
     report.top5 = accs.get(5)
@@ -256,8 +257,7 @@ class TwoStagePipeline:
             crop, sx, sy, ox, oy = center_crop_transform(image, self.loc_eval_config)
             crops.append(crop)
             transforms.append((sx, sy, ox, oy))
-        outputs = self.loc_model.forward(Tensor(to_network_input(crops)), train=False)
-        bins = [topk_predictions(o.data, 1)[:, 0] for o in outputs]
+        bins = [topk_predictions(o, 1)[:, 0] for o in _forward_batched(self.loc_model, crops, len(crops))]
         return [(LocTarget(int(bins[0][i]), int(bins[1][i]), int(bins[2][i]), int(bins[3][i])),
                  *transforms[i]) for i in range(len(images))]
 
@@ -272,7 +272,6 @@ class TwoStagePipeline:
         try:
             crop = crop_to_box(image, grown)
         except ValueError:
-            log.warning("decoded box %s misses the image; falling back to a central crop", grown)
             used_fallback = True
             h, w = image.shape[:2]
             side = min(h, w)
@@ -282,31 +281,33 @@ class TwoStagePipeline:
         details = PipelineDetails(decoded, image_box, grown, crop.shape, used_fallback)
         return resized, details
 
-    def predict_batch(self, images: list[np.ndarray], gt_boxes=None) -> np.ndarray:
-        """Logit rows for a batch of raw images, batching both stages."""
+    def predict_batch(self, images: list[np.ndarray], gt_boxes=None
+                      ) -> tuple[np.ndarray, list[PipelineDetails]]:
+        """Logit rows for a batch of raw images, batching both stages, and
+        each image's crop details."""
         stage_one = self._stage_one(images, gt_boxes)
-        crops = [self._stage_two_crop(img, s1)[0] for img, s1 in zip(images, stage_one)]
-        batch = Tensor(to_network_input(crops))
-        return self.cls_model.forward(batch, train=False).data
+        crops, details = zip(*(self._stage_two_crop(img, s1) for img, s1 in zip(images, stage_one)))
+        return _forward_batched(self.cls_model, list(crops), len(crops))[0], list(details)
 
     def predict(self, image: np.ndarray, gt_box: BoundingBox | None = None,
                 return_details: bool = False):
         """Class probability distribution for one raw image."""
         from .layers import softmax
-        stage_one = self._stage_one([image], [gt_box] if gt_box is not None else None)
-        resized, details = self._stage_two_crop(image, stage_one[0])
-        logits = self.cls_model.forward(Tensor(to_network_input([resized])), train=False).data
+        logits, details = self.predict_batch([image], None if gt_box is None else [gt_box])
         probs = softmax(logits)[0]
-        return (probs, details) if return_details else probs
+        return (probs, details[0]) if return_details else probs
 
-    def predict_manifest(self, manifest: DatasetManifest, batch_size: int = 32) -> np.ndarray:
-        """Logit rows for every record; oracle mode reads manifest boxes."""
-        rows = []
+    def predict_manifest(self, manifest: DatasetManifest, batch_size: int = 32) -> tuple[np.ndarray, int]:
+        """Logit rows for every record, and how many of them fell back to the
+        central crop; oracle mode reads manifest boxes."""
+        rows, fallbacks = [], 0
         for start in range(0, len(manifest.records), batch_size):
             chunk = manifest.records[start:start + batch_size]
             images = [load_image(r) for r in chunk]
-            rows.append(self.predict_batch(images, gt_boxes=[r.box for r in chunk]))
-        return np.concatenate(rows, axis=0)
+            logits, details = self.predict_batch(images, gt_boxes=[r.box for r in chunk])
+            rows.append(logits)
+            fallbacks += sum(d.used_fallback for d in details)
+        return np.concatenate(rows, axis=0), fallbacks
 
 
 # -- throughput benchmark --------------------------------------------------------
@@ -393,28 +394,22 @@ def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: 
         n_batches = (n_images + bs - 1) // bs
         per_chunk = max(1, n_batches // chunks)
         runners = {}
-        # fallback warnings on synthetic noise inputs would flood the log
-        prev_level = log.level
-        log.setLevel(logging.ERROR)
-        try:
-            with numerics_checks(False):
-                for name, target in targets.items():
-                    run, pool_size = _make_runner(target, bs, seed, n_batches, pool_batches)
-                    for i in range(min(warmup_batches, pool_size)):
-                        run(i)
-                    runners[name] = {"run": run, "done": 0, "seconds": 0.0}
-                while any(r["done"] < n_batches for r in runners.values()):
-                    for r in runners.values():
-                        todo = min(per_chunk, n_batches - r["done"])
-                        if todo == 0:
-                            continue
-                        start = time.perf_counter()
-                        for i in range(r["done"], r["done"] + todo):
-                            r["run"](i)
-                        r["seconds"] += time.perf_counter() - start
-                        r["done"] += todo
-        finally:
-            log.setLevel(prev_level)
+        with numerics_checks(False):
+            for name, target in targets.items():
+                run, pool_size = _make_runner(target, bs, seed, n_batches, pool_batches)
+                for i in range(min(warmup_batches, pool_size)):
+                    run(i)
+                runners[name] = {"run": run, "done": 0, "seconds": 0.0}
+            while any(r["done"] < n_batches for r in runners.values()):
+                for r in runners.values():
+                    todo = min(per_chunk, n_batches - r["done"])
+                    if todo == 0:
+                        continue
+                    start = time.perf_counter()
+                    for i in range(r["done"], r["done"] + todo):
+                        r["run"](i)
+                    r["seconds"] += time.perf_counter() - start
+                    r["done"] += todo
         for name, r in runners.items():
             reports[name][bs] = BenchEntry(bs, r["done"] * bs, r["seconds"])
     return {name: BenchReport(per_bs, _bench_echo(targets[name],

@@ -151,39 +151,30 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
             raise ValueError("batchnorm train mode needs at least 2 elements per channel")
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mean) * inv
-        out = gamma * xhat + beta
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean.reshape(-1)).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var.reshape(-1)).astype(state.running_var.dtype)
-
-        need_x = grad_needed(x)
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            gx = None
-            if need_x:
-                dxhat = g * gamma
-                gx = (inv / n) * (n * dxhat
-                                  - dxhat.sum(axis=axes, keepdims=True)
-                                  - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-                gx = gx.astype(x.data.dtype)
-            return gx, dgamma.astype(state.gamma.data.dtype), dbeta.astype(state.beta.data.dtype)
-
-        return record((x, state.gamma, state.beta), out.astype(x.data.dtype), bwd, "batchnorm")
-
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = (x.data - state.running_mean.reshape(pshape)) * inv.reshape(pshape)
+    else:
+        mean = state.running_mean.reshape(pshape)
+        var = state.running_var.reshape(pshape)
+    inv = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x.data - mean) * inv
     out = gamma * xhat + beta
     need_x = grad_needed(x)
 
-    def bwd_infer(g):
-        gx = (g * gamma * inv.reshape(pshape)).astype(x.data.dtype) if need_x else None
+    def bwd(g):
+        gx = None
+        if need_x and train:
+            dxhat = g * gamma
+            gx = (inv / n) * (n * dxhat
+                              - dxhat.sum(axis=axes, keepdims=True)
+                              - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+            gx = gx.astype(x.data.dtype)
+        elif need_x:
+            gx = (g * gamma * inv).astype(x.data.dtype)
         return gx, (g * xhat).sum(axis=axes).astype(state.gamma.data.dtype), g.sum(axis=axes).astype(state.beta.data.dtype)
 
-    return record((x, state.gamma, state.beta), out.astype(x.data.dtype), bwd_infer, "batchnorm")
+    return record((x, state.gamma, state.beta), out.astype(x.data.dtype), bwd, "batchnorm")
 
 
 class Pool2d:

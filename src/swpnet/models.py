@@ -1,5 +1,6 @@
-"""Declarative residual-network builders with one table-driven head, a named
-parameter registry, and a bit-exact binary checkpoint format.
+"""Declarative residual-network builders with one planned block type, one
+table-driven head, a named parameter registry walked from one module tree,
+and a bit-exact binary checkpoint format.
 
 Blocks use pre-activation ordering (batch norm and relu before each conv);
 depth 18/34 use basic blocks, depth 50 uses bottlenecks.  A width multiplier
@@ -94,110 +95,82 @@ def feature_map_extent(config: ModelConfig) -> int:
 
 
 def final_channels(config: ModelConfig) -> int:
-    expansion = 4 if config.depth_variant == 50 else 1
-    return stage_plan(config)[-1][1] * expansion
+    """Channels of the pre-head feature map: the last conv of the last block."""
+    return block_plan(stage_plan(config)[-1][1], 1, config.depth_variant == 50)[-1][2]
 
 
-def _named(pairs, prefix):
-    return [(f"{prefix}.{name}", obj) for name, obj in pairs]
+class Module:
+    """A node of the model tree.  Each subclass lists its children, layers or
+    modules, in registry order with `_parts()`; parameter, buffer and
+    batch-norm lists all derive from the one walk in `layers()`."""
+
+    def _parts(self) -> list[tuple[str, object]]:
+        raise NotImplementedError
+
+    def layers(self, prefix: str = ""):
+        """(registry path, leaf layer) pairs in registry order."""
+        for name, part in self._parts():
+            if isinstance(part, Module):
+                yield from part.layers(f"{prefix}{name}.")
+            else:
+                yield f"{prefix}{name}", part
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [(f"{path}.{name}", t) for path, layer in self.layers() for name, t in layer.parameters()]
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [(f"{path}.{name}", b) for path, bn in self.layers() if isinstance(bn, BatchNorm)
+                for name, b in bn.buffers()]
+
+    def batchnorms(self) -> list[BatchNorm]:
+        return [layer for _, layer in self.layers() if isinstance(layer, BatchNorm)]
 
 
-class BasicBlock:
-    """Two 3x3 convs with a shortcut; projection 1x1 conv only when the
-    shape changes.  The very first block after the stem skips its leading
-    bn-relu (the stem already applied one)."""
+def block_plan(channels: int, stride: int, bottleneck: bool) -> tuple[tuple[int, int, int], ...]:
+    """(kernel, stride, out channels) per conv: two 3x3 convs, or the
+    bottleneck's 1x1 reduce (carrying the stride), 3x3 and 1x1 expand by 4."""
+    if bottleneck:
+        return (1, stride, channels), (3, 1, channels), (1, 1, 4 * channels)
+    return (3, stride, channels), (3, 1, channels)
 
-    def __init__(self, in_ch: int, out_ch: int, stride: int, skip_preact: bool,
-                 rng: np.random.Generator, dtype):
-        self.bn1 = None if skip_preact else BatchNorm(in_ch, dtype=dtype)
-        self.conv1 = Conv2d(in_ch, out_ch, 3, stride, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm(out_ch, dtype=dtype)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, 1, 1, bias=False, rng=rng, dtype=dtype)
+
+class Block(Module):
+    """Pre-activation residual block: bn -> relu -> conv for each conv of its
+    plan, plus a shortcut that is a projection 1x1 conv only when the shape
+    changes.  The very first block after the stem skips its leading bn-relu
+    (the stem already applied one)."""
+
+    def __init__(self, in_ch: int, channels: int, stride: int, skip_preact: bool,
+                 rng: np.random.Generator, dtype, bottleneck: bool = False):
+        self.steps = []     # (bn or None, conv) per conv, as attributes bn1, conv1, ...
+        ch = in_ch
+        for i, (kernel, conv_stride, out_ch) in enumerate(block_plan(channels, stride, bottleneck), 1):
+            bn = None if i == 1 and skip_preact else BatchNorm(ch, dtype=dtype)
+            conv = Conv2d(ch, out_ch, kernel, conv_stride, kernel // 2, bias=False, rng=rng, dtype=dtype)
+            setattr(self, f"bn{i}", bn)
+            setattr(self, f"conv{i}", conv)
+            self.steps.append((bn, conv))
+            ch = out_ch
         self.shortcut = None
-        if stride != 1 or in_ch != out_ch:
-            self.shortcut = Conv2d(in_ch, out_ch, 1, stride, 0, bias=False, rng=rng, dtype=dtype)
-        self.out_channels = out_ch
+        if stride != 1 or in_ch != ch:
+            self.shortcut = Conv2d(in_ch, ch, 1, stride, 0, bias=False, rng=rng, dtype=dtype)
+        self.out_channels = ch
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = x if self.bn1 is None else relu(self.bn1(x, train))
-        y = self.conv1(h)
-        y = self.conv2(relu(self.bn2(y, train)))
+        y = x
+        for bn, conv in self.steps:
+            y = conv(y if bn is None else relu(bn(y, train)))
         sc = x if self.shortcut is None else self.shortcut(x)
         return ad.add(y, sc)
 
-    def conv_layers(self):
-        convs = [self.conv1, self.conv2]
-        if self.shortcut is not None:
-            convs.append(self.shortcut)
-        return convs
-
     def _parts(self):
-        parts = [] if self.bn1 is None else [("bn1", self.bn1)]
-        parts += [("conv1", self.conv1), ("bn2", self.bn2), ("conv2", self.conv2)]
-        if self.shortcut is not None:
-            parts.append(("shortcut", self.shortcut))
-        return parts
-
-    def parameters(self):
-        out = []
-        for name, part in self._parts():
-            out += _named(part.parameters(), name)
-        return out
-
-    def buffers(self):
-        out = []
-        for name, part in self._parts():
-            if isinstance(part, BatchNorm):
-                out += _named(part.buffers(), name)
-        return out
+        parts = []
+        for i, (bn, conv) in enumerate(self.steps, 1):
+            parts += ([] if bn is None else [(f"bn{i}", bn)]) + [(f"conv{i}", conv)]
+        return parts + ([] if self.shortcut is None else [("shortcut", self.shortcut)])
 
 
-class BottleneckBlock:
-    """1x1 reduce (carries the stride), 3x3, 1x1 expand by 4."""
-
-    expansion = 4
-
-    def __init__(self, in_ch: int, mid_ch: int, stride: int, skip_preact: bool,
-                 rng: np.random.Generator, dtype):
-        out_ch = mid_ch * self.expansion
-        self.bn1 = None if skip_preact else BatchNorm(in_ch, dtype=dtype)
-        self.conv1 = Conv2d(in_ch, mid_ch, 1, stride, 0, bias=False, rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm(mid_ch, dtype=dtype)
-        self.conv2 = Conv2d(mid_ch, mid_ch, 3, 1, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn3 = BatchNorm(mid_ch, dtype=dtype)
-        self.conv3 = Conv2d(mid_ch, out_ch, 1, 1, 0, bias=False, rng=rng, dtype=dtype)
-        self.shortcut = None
-        if stride != 1 or in_ch != out_ch:
-            self.shortcut = Conv2d(in_ch, out_ch, 1, stride, 0, bias=False, rng=rng, dtype=dtype)
-        self.out_channels = out_ch
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = x if self.bn1 is None else relu(self.bn1(x, train))
-        y = self.conv1(h)
-        y = self.conv2(relu(self.bn2(y, train)))
-        y = self.conv3(relu(self.bn3(y, train)))
-        sc = x if self.shortcut is None else self.shortcut(x)
-        return ad.add(y, sc)
-
-    def conv_layers(self):
-        convs = [self.conv1, self.conv2, self.conv3]
-        if self.shortcut is not None:
-            convs.append(self.shortcut)
-        return convs
-
-    def _parts(self):
-        parts = [] if self.bn1 is None else [("bn1", self.bn1)]
-        parts += [("conv1", self.conv1), ("bn2", self.bn2), ("conv2", self.conv2),
-                  ("bn3", self.bn3), ("conv3", self.conv3)]
-        if self.shortcut is not None:
-            parts.append(("shortcut", self.shortcut))
-        return parts
-
-    parameters = BasicBlock.parameters
-    buffers = BasicBlock.buffers
-
-
-class Head:
+class Head(Module):
     """A front -- global average pool, or swp -> bn -> dense -- then named
     Dense outputs in parallel over the front's vector.  A single output
     returns its tensor; several return a list in table order."""
@@ -240,9 +213,6 @@ class Head:
         front = [] if self.swp is None else [("swp", self.swp), ("bn", self.bn), ("fc", self.hidden)]
         return front + list(zip(self.output_names, self.outputs))
 
-    parameters = BasicBlock.parameters
-    buffers = BasicBlock.buffers
-
     def extras(self):
         if self.swp is None:
             return {}
@@ -251,7 +221,7 @@ class Head:
                         "fc_nodes": self.fc_nodes}}
 
 
-class Model:
+class Model(Module):
     """Stem, four residual stages, final bn-relu, and one head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
@@ -266,7 +236,7 @@ class Model:
         self.stem_bn = BatchNorm(stem_ch, dtype=dtype)
         self.stem_pool = Pool2d("max", 3, stride=2)
 
-        block_cls = BottleneckBlock if config.depth_variant == 50 else BasicBlock
+        bottleneck = config.depth_variant == 50
         self.stages: list[list] = []
         in_ch = stem_ch
         for stage_idx, (count, channels, first_stride) in enumerate(stage_plan(config)):
@@ -274,7 +244,7 @@ class Model:
             for block_idx in range(count):
                 stride = first_stride if block_idx == 0 else 1
                 skip = stage_idx == 0 and block_idx == 0
-                block = block_cls(in_ch, channels, stride, skip, rng, dtype)
+                block = Block(in_ch, channels, stride, skip, rng, dtype, bottleneck)
                 in_ch = block.out_channels
                 blocks.append(block)
             self.stages.append(blocks)
@@ -308,37 +278,11 @@ class Model:
 
     # -- registry -------------------------------------------------------------
 
-    def _components(self):
-        parts = [("stem.conv", self.stem_conv), ("stem.bn", self.stem_bn)]
-        for i, blocks in enumerate(self.stages):
-            for j, block in enumerate(blocks):
-                parts.append((f"stages.{i}.blocks.{j}", block))
-        parts.append(("final_bn", self.final_bn))
-        parts.append(("head", self.head))
-        return parts
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, part in self._components():
-            out += _named(part.parameters(), prefix) if hasattr(part, "parameters") else []
-        return out
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for prefix, part in self._components():
-            if hasattr(part, "buffers"):
-                out += _named(part.buffers(), prefix)
-        return out
-
-    def batchnorms(self) -> list[BatchNorm]:
-        states = [self.stem_bn]
-        for blocks in self.stages:
-            for block in blocks:
-                states += [part for _, part in block._parts() if isinstance(part, BatchNorm)]
-        states.append(self.final_bn)
-        if self.head.bn is not None:
-            states.append(self.head.bn)
-        return states
+    def _parts(self):
+        blocks = [(f"stages.{i}.blocks.{j}", block)
+                  for i, blocks in enumerate(self.stages) for j, block in enumerate(blocks)]
+        return [("stem.conv", self.stem_conv), ("stem.bn", self.stem_bn), *blocks,
+                ("final_bn", self.final_bn), ("head", self.head)]
 
     def all_blocks(self):
         return [block for blocks in self.stages for block in blocks]
@@ -376,17 +320,16 @@ CHECKPOINT_VERSION = 1
 
 
 def _config_echo(model: Model) -> dict:
-    cfg = model.config
-    return {
-        "depth_variant": cfg.depth_variant,
-        "num_classes": cfg.num_classes,
-        "width_multiplier": cfg.width_multiplier,
-        "input_size": cfg.input_size,
-        "head": cfg.head,
-        "pre_activation": cfg.pre_activation,
-        "head_extras": model.head.extras(),
-        "trained_epochs": model.trained_epochs,
-    }
+    return {**dataclasses.asdict(model.config), "head_extras": model.head.extras(),
+            "trained_epochs": model.trained_epochs}
+
+
+def _require(mapping, keys, where: str) -> list:
+    """The values of keys, or a CheckpointError naming the missing ones."""
+    missing = [k for k in keys if k not in mapping] if isinstance(mapping, dict) else list(keys)
+    if missing:
+        raise CheckpointError(f"{where} lacks {', '.join(map(repr, missing))}")
+    return [mapping[k] for k in keys]
 
 
 def _write_array(f, name: str, data: np.ndarray) -> None:
@@ -458,18 +401,20 @@ def load_checkpoint(path) -> Model:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    echo = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        echo = json.loads(r.take(r.u32()).decode("utf-8"))
+    except ValueError as err:
+        raise CheckpointError(f"unreadable config echo: {err}") from None
 
-    config = ModelConfig(depth_variant=echo["depth_variant"], num_classes=echo["num_classes"],
-                         width_multiplier=echo["width_multiplier"], input_size=echo["input_size"],
-                         head=echo["head"], pre_activation=echo["pre_activation"])
+    fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    config = ModelConfig(**dict(zip(fields, _require(echo, fields, "config echo"))))
     extras = echo.get("head_extras", {})
     swp_spec = None
     fc_nodes = 1024
     if "swp" in extras:
-        s = extras["swp"]
-        swp_spec = SWPSpec(s["num_masks"], s["mask_h"], s["mask_w"])
-        fc_nodes = s["fc_nodes"]
+        keys = ("num_masks", "mask_h", "mask_w", "fc_nodes")
+        masks, mask_h, mask_w, fc_nodes = _require(extras["swp"], keys, "config echo head_extras.swp")
+        swp_spec = SWPSpec(masks, mask_h, mask_w)
     model = Model(config, seed=0, swp_spec=swp_spec, fc_nodes=fc_nodes)
     model.trained_epochs = echo.get("trained_epochs", 0)
 
@@ -489,6 +434,8 @@ def load_checkpoint(path) -> Model:
             tshape = target.shape if isinstance(target, np.ndarray) else target.data.shape
             if data.shape != tshape:
                 raise CheckpointError(f"shape mismatch for {name!r}: {data.shape} vs {tshape}")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"non-finite values in array {name!r}")
             setter(name, target, data)
 
     apply(stored_params, model.parameters(), lambda n, t, d: t.data.__setitem__(Ellipsis, d))

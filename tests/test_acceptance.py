@@ -39,8 +39,7 @@ from swpnet.evaluation import (
 )
 from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, softmax_cross_entropy
 from swpnet.models import (
-    BasicBlock,
-    BottleneckBlock,
+    Block,
     ModelConfig,
     attach_swp_head,
     build_model,
@@ -140,12 +139,12 @@ def test_criterion_1_gradient_correctness():
         assert grad_check(lambda: _square_loss(swp_forward(xs, swp)), [xs, swp.masks]) < GRAD_TOL
 
         # full residual blocks, probe point scanned away from relu kinks
-        for block_cls, ch in ((BasicBlock, 3), (BottleneckBlock, 2)):
-            def build(seed, block_cls=block_cls, ch=ch):
+        for bottleneck, ch in ((False, 3), (True, 2)):
+            def build(seed, bottleneck=bottleneck, ch=ch):
                 srng = np.random.default_rng(100 + seed)
-                block = block_cls(ch * (4 if block_cls is BottleneckBlock else 1), ch,
-                                  stride=1, skip_preact=False, rng=srng, dtype=np.float64)
-                in_ch = ch * 4 if block_cls is BottleneckBlock else ch
+                in_ch = ch * 4 if bottleneck else ch
+                block = Block(in_ch, ch, stride=1, skip_preact=False, rng=srng, dtype=np.float64,
+                              bottleneck=bottleneck)
                 xr = Tensor(srng.normal(size=(2, in_ch, 4, 4)), requires_grad=True, dtype=np.float64)
                 params = [xr] + [t for _, t in block.parameters()]
                 fn = lambda: _square_loss(block.forward(xr, train=True))

@@ -192,6 +192,16 @@ class TestBenchHeatmapBins:
             body = (tmp_path / f"hist_{key}.csv").read_text().splitlines()
             assert sum(int(r.split(",")[1]) for r in body[1:]) == 12
 
+    def test_preprocess_histograms_independent_of_dataset_directory(self, tmp_path):
+        tables = []
+        for where in ("a", "b/nested"):
+            manifest = gen_tiny(tmp_path / where)
+            prefix = tmp_path / where / "hist"
+            assert main(["analyze-bins", "--manifest", str(manifest), "--preprocess",
+                         "--crop", "32", "--out-prefix", str(prefix)]) == 0
+            tables.append([Path(f"{prefix}_{key}.csv").read_text() for key in ("cx", "cy", "w", "h")])
+        assert tables[0] == tables[1]
+
 
 class TestHelpContract:
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "pipeline",

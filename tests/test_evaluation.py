@@ -145,22 +145,28 @@ class TestTwoStagePipeline:
         assert details.enlarged_box.w == pytest.approx(1.10 * details.predicted_box.w, rel=1e-6)
         assert details.enlarged_box.h == pytest.approx(1.10 * details.predicted_box.h, rel=1e-6)
 
-    def test_unusable_box_falls_back_to_central_crop(self, caplog):
-        # rig the localiser to predict the far corner with a tiny box, which
-        # maps fully outside a small image
-        loc_model = build_model(tiny_loc_config(), seed=5)
-        for layer, hot in zip(model_outputs(loc_model), (24, 24, 0, 0)):
-            layer.weight.data[:] = 0.0
-            layer.bias.data[:] = 0.0
-            layer.bias.data[hot] = 10.0
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=6)
-        pipeline = TwoStagePipeline(loc_model, cls_model)
+    def test_unusable_box_falls_back_to_central_crop(self):
+        pipeline = corner_box_pipeline()
         rng = np.random.default_rng(7)
         image = rng.integers(0, 255, size=(100, 100, 3), dtype=np.uint8)
-        with caplog.at_level("WARNING"):
-            probs, details = pipeline.predict(image, return_details=True)
+        probs, details = pipeline.predict(image, return_details=True)
         assert details.used_fallback
         assert probs.shape == (2,)
+
+    def test_fallbacks_counted_in_report_not_logged(self, tmp_path, caplog):
+        rng = np.random.default_rng(7)
+        records = []
+        for i in range(5):
+            path = tmp_path / f"{i}.ppm"
+            write_ppm(path, rng.integers(0, 255, size=(100, 100, 3), dtype=np.uint8))
+            records.append(ManifestRecord(str(path), i % 2, BoundingBox(50, 50, 40, 40)))
+        with caplog.at_level("DEBUG"):
+            report = evaluate_topk(corner_box_pipeline(), DatasetManifest(records, 2, "eval"),
+                                   ks=(1,), batch_size=2)
+        assert report.sample_count == 5
+        assert report.fallbacks == 5
+        assert "fallbacks: 5" in report.summary().splitlines()
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     def test_single_image_predict(self):
         loc_model = build_model(tiny_loc_config(), seed=8)
@@ -183,6 +189,18 @@ class TestTwoStagePipeline:
 
 def model_outputs(loc_model):
     return loc_model.head.outputs
+
+
+def corner_box_pipeline():
+    """A pipeline whose localiser is rigged to predict the far corner with a
+    tiny box, which maps fully outside a small image."""
+    loc_model = build_model(tiny_loc_config(), seed=5)
+    for layer, hot in zip(model_outputs(loc_model), (24, 24, 0, 0)):
+        layer.weight.data[:] = 0.0
+        layer.bias.data[:] = 0.0
+        layer.bias.data[hot] = 10.0
+    cls_model = build_model(tiny_cls_config(input_size=32), seed=6)
+    return TwoStagePipeline(loc_model, cls_model)
 
 
 class TestBench:

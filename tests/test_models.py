@@ -8,6 +8,7 @@ import pytest
 
 from swpnet import models
 from swpnet.autodiff import Tensor
+from swpnet.layers import Conv2d
 from swpnet.models import (
     CheckpointError,
     ModelBuildError,
@@ -150,8 +151,9 @@ class TestResidualIdentity:
             for block in model.all_blocks():
                 if block.shortcut is not None:
                     continue
-                for conv in block.conv_layers():
-                    conv.weight.data[:] = 0.0
+                for _, conv in block.layers():
+                    if isinstance(conv, Conv2d):
+                        conv.weight.data[:] = 0.0
             y = feats_in
             for block in model.all_blocks():
                 y_next = block.forward(y, train=False)
@@ -251,13 +253,53 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_missing_config_key_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(toy_config()), path)
+        # rename the key in place so every length field stays valid
+        data = path.read_bytes().replace(b'"depth_variant"', b'"depth_varianX"', 1)
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match="'depth_variant'"):
+            load_checkpoint(path)
+
+    def test_unreadable_config_echo_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(toy_config()), path)
+        data = bytearray(path.read_bytes())
+        data[16] = 0xFF      # first echo byte, after magic, version and length: no longer UTF-8
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="config echo"):
+            load_checkpoint(path)
+
+    def test_non_finite_array_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = build_model(toy_config())
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        name = b"stages.1.blocks.0.conv1.weight"
+        at = data.index(name) + len(name) + 1 + 4 * model.stages[1][0].conv1.weight.data.ndim
+        data[at:at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"non-finite.*'stages\.1\.blocks\.0\.conv1\.weight'"):
+            load_checkpoint(path)
+
 
 DATA = Path(__file__).parent / "data"
 
 
 def _registry_variants():
     extent = feature_map_extent(toy_config())
-    return {
+    bottleneck = {
+        f"d{depth}_{name}": make
+        for depth in (34, 50)
+        for name, make in (
+            ("plain", lambda depth=depth: build_model(toy_config(depth_variant=depth), seed=7)),
+            ("loc_head_swp", lambda depth=depth: build_model(toy_config(depth_variant=depth, head="loc_head"),
+                                                             seed=7, swp_spec=SWPSpec(3, extent, extent),
+                                                             fc_nodes=16)),
+        )
+    }
+    return bottleneck | {
         "plain": lambda: build_model(toy_config(), seed=7),
         "swp_head": lambda: build_model(toy_config(head="swp_head"), seed=7,
                                         swp_spec=SWPSpec(4, extent, extent), fc_nodes=16),
@@ -271,7 +313,8 @@ def _registry_variants():
 
 class TestRegistryContract:
     """Registry names, shapes and order fix the checkpoint layout; the golden
-    lists were written by the release that had one class per head kind."""
+    lists were written by the releases that had one class per head kind and
+    one class per block kind."""
 
     @pytest.mark.parametrize("variant", sorted(_registry_variants()))
     def test_names_and_shapes_match_golden(self, variant):
@@ -280,12 +323,13 @@ class TestRegistryContract:
         assert [[n, list(t.shape)] for n, t in model.parameters()] == golden["parameters"]
         assert [[n, list(b.shape)] for n, b in model.buffers()] == golden["buffers"]
 
-    @pytest.mark.parametrize("name", ["swp_head", "loc_head", "loc_head_swp"])
+    @pytest.mark.parametrize("name", ["swp_head", "loc_head", "loc_head_swp", "d50_loc_head"])
     def test_v1_checkpoint_loads_with_identical_logits(self, name, tmp_path):
         path = DATA / f"tiny_{name}_v1.ckpt"
         expected = np.load(DATA / f"tiny_{name}_v1_logits.npz")
         model = load_checkpoint(path)
-        x = np.random.default_rng(11).uniform(0, 1, size=(2, 3, 64, 64)).astype(np.float32)
+        size = model.config.input_size
+        x = np.random.default_rng(11).uniform(0, 1, size=(2, 3, size, size)).astype(np.float32)
         out = model.forward(Tensor(x), train=False)
         outs = out if isinstance(out, list) else [out]
         assert len(outs) == len(expected.files)
