@@ -7,8 +7,10 @@ verification, where finite differences need the extra headroom.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -71,7 +73,7 @@ def _check_finite(data: np.ndarray, op_name: str) -> None:
 class Tensor:
     """A dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -85,7 +87,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._node = None
-        self._tape = None
 
     @property
     def shape(self) -> tuple:
@@ -150,19 +151,33 @@ def tensor_create(shape: Sequence[int], fill, requires_grad: bool = False, dtype
     return Tensor(data.astype(dtype), requires_grad=requires_grad)
 
 
+_record_index = itertools.count()
+
+
 class _OpNode:
-    __slots__ = ("out", "inputs", "backward_fn", "name")
+    """One recorded op.  Nodes point back only at their inputs, and at their
+    output weakly, so a step's graph is freed by reference counting as soon
+    as its last tensor goes."""
+
+    __slots__ = ("_out", "inputs", "backward_fn", "name", "index")
 
     def __init__(self, out: Tensor, inputs: tuple, backward_fn: Callable, name: str):
-        self.out = out
+        self._out = weakref.ref(out)
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.name = name
+        self.index = next(_record_index)
+
+    @property
+    def out(self) -> Tensor | None:
+        """The tensor this op produced, or None once nothing holds it."""
+        return self._out()
 
 
 class GradTape:
-    """Ordered record of differentiable ops; appended in forward order, so
-    the node list is topologically sorted by construction."""
+    """Switches recording on for its `with` block and lists the ops recorded
+    in it, in forward order.  Tensors do not point back at their tape, so
+    the graph lives as long as the tape or the tensors do, not longer."""
 
     def __init__(self):
         self._nodes: list[_OpNode] = []
@@ -197,7 +212,6 @@ def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable
         node = _OpNode(out, inputs, backward_fn, name)
         tape._nodes.append(node)
         out._node = node
-        out._tape = tape
     return out
 
 
@@ -312,6 +326,21 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _reverse_record_order(root: _OpNode) -> list:
+    """Every node that root depends on, root included, latest first.  Record
+    order is a topological order, and walking it backwards sums each
+    tensor's incoming gradients in the same order on every call."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for t in stack.pop().inputs:
+            node = t._node
+            if node is not None and node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return sorted(seen, key=lambda node: node.index, reverse=True)
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
@@ -320,12 +349,11 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise AutodiffError(f"loss must be a scalar, got shape {list(loss.shape)}")
-    tape = loss._tape
-    if tape is None:
+    if loss._node is None:
         raise AutodiffError("loss is detached: it was not recorded on any tape")
-    transient: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape._nodes):
-        g = transient.pop(id(node.out), None)
+    transient: dict[_OpNode, np.ndarray] = {loss._node: np.ones_like(loss.data)}
+    for node in _reverse_record_order(loss._node):
+        g = transient.pop(node, None)
         if g is None:
             continue
         grads = node.backward_fn(g)
@@ -337,8 +365,8 @@ def backward(loss: Tensor) -> None:
                     continue
                 t.grad = gt.copy() if t.grad is None else t.grad + gt
             else:
-                prev = transient.get(id(t))
-                transient[id(t)] = gt if prev is None else prev + gt
+                prev = transient.get(t._node)
+                transient[t._node] = gt if prev is None else prev + gt
 
 
 def grad_check(function: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-4) -> float:

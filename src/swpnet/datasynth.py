@@ -227,7 +227,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise DataSynthError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     if not lines:
         raise DataSynthError(f"empty manifest {path}")
     try:

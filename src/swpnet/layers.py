@@ -72,26 +72,36 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
 
+    # im2col: one row per output pixel, one column per (channel, kernel
+    # offset); the same copy np.tensordot would make, kept for backward.
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    out = np.tensordot(windows, spec.weight.data, axes=([1, 4, 5], [1, 2, 3]))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * oh * ow, channels * kh * kw)
+    wmat = spec.weight.data.reshape(spec.out_channels, -1)
+    out = (cols @ wmat.T).reshape(batch, oh, ow, spec.out_channels)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 
     inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
     need_x = grad_needed(x)
-    wdata = spec.weight.data
 
     def bwd(g):
-        gw = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+        gw = (g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1) @ cols).reshape(spec.weight.shape)
         gx = None
         if need_x:
-            gx_pad = np.zeros_like(xp)
+            # GEMM rows in (y, x, b) order and a channels-last col2im buffer,
+            # so each kernel offset's add runs over long spans, not rows of
+            # ow; every element still sums its offsets in (i, j) order.  gx
+            # is handed on as a slice of a padded NCHW array, because the
+            # reductions downstream sum in an order that follows the layout.
+            gcols = g.transpose(2, 3, 0, 1).reshape(-1, spec.out_channels) @ wmat
+            gcols = gcols.reshape(oh, ow, batch, channels, kh, kw)
+            acc = np.zeros((hp, wp, batch, channels), dtype=cols.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    part = np.tensordot(g, wdata[:, :, i, j], axes=([1], [0]))
-                    gx_pad[:, :, i:i + s * oh:s, j:j + s * ow:s] += part.transpose(0, 3, 1, 2)
+                    acc[i:i + s * oh:s, j:j + s * ow:s] += gcols[..., i, j]
+            gx_pad = np.ascontiguousarray(acc.transpose(2, 3, 0, 1))
             gx = gx_pad[:, :, p:p + h, p:p + w] if p else gx_pad
         if spec.bias is None:
             return gx, gw

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +334,18 @@ def _require(mapping, keys, where: str) -> list:
     return [mapping[k] for k in keys]
 
 
+# a field's declared type -> the JSON values the config echo may hold for it
+_ECHO_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _typed(value, kind: type, where: str):
+    """value, or a CheckpointError naming where when it is not a `kind`
+    (a bool counts only as a bool, an int also as a float)."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ECHO_KINDS[kind]):
+        raise CheckpointError(f"{where} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _write_array(f, name: str, data: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     f.write(struct.pack("<H", len(encoded)))
@@ -386,11 +400,16 @@ class _Reader:
 
 
 def _read_array(r: _Reader) -> tuple[str, np.ndarray]:
-    name = r.take(r.u16()).decode("utf-8")
+    try:
+        name = r.take(r.u16()).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"array name at byte {r.pos} is not UTF-8") from None
     shape = tuple(r.u32() for _ in range(r.u8()))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(r.take(count * 4), dtype="<f4").reshape(shape)
-    return name, data.astype(np.float32)
+    data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4")
+    try:
+        return name, data.reshape(shape).astype(np.float32)
+    except ValueError:
+        raise CheckpointError(f"array {name!r} has an unusable shape {shape}") from None
 
 
 def load_checkpoint(path) -> Model:
@@ -406,17 +425,24 @@ def load_checkpoint(path) -> Model:
     except ValueError as err:
         raise CheckpointError(f"unreadable config echo: {err}") from None
 
+    kinds = typing.get_type_hints(ModelConfig)
     fields = [f.name for f in dataclasses.fields(ModelConfig)]
-    config = ModelConfig(**dict(zip(fields, _require(echo, fields, "config echo"))))
+    values = _require(echo, fields, "config echo")
+    config = {f: _typed(v, kinds[f], f"config echo {f!r}") for f, v in zip(fields, values)}
     extras = echo.get("head_extras", {})
-    swp_spec = None
-    fc_nodes = 1024
-    if "swp" in extras:
-        keys = ("num_masks", "mask_h", "mask_w", "fc_nodes")
-        masks, mask_h, mask_w, fc_nodes = _require(extras["swp"], keys, "config echo head_extras.swp")
-        swp_spec = SWPSpec(masks, mask_h, mask_w)
-    model = Model(config, seed=0, swp_spec=swp_spec, fc_nodes=fc_nodes)
-    model.trained_epochs = echo.get("trained_epochs", 0)
+    if not isinstance(extras, dict):
+        raise CheckpointError(f"config echo 'head_extras' must be an object, got {extras!r}")
+    swp_spec, fc_nodes = None, 1024
+    try:
+        if "swp" in extras:
+            keys = ("num_masks", "mask_h", "mask_w", "fc_nodes")
+            *spec, fc_nodes = (_typed(v, int, f"config echo head_extras.swp {k!r}") for k, v in
+                               zip(keys, _require(extras["swp"], keys, "config echo head_extras.swp")))
+            swp_spec = SWPSpec(*spec)
+        model = Model(ModelConfig(**config), seed=0, swp_spec=swp_spec, fc_nodes=fc_nodes)
+    except (ValueError, ad.AutodiffError) as err:
+        raise CheckpointError(f"config echo describes no buildable model: {err}") from None
+    model.trained_epochs = _typed(echo.get("trained_epochs", 0), int, "config echo 'trained_epochs'")
 
     stored_params = [_read_array(r) for _ in range(r.u32())]
     stored_buffers = [_read_array(r) for _ in range(r.u32())]

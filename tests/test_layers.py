@@ -1,8 +1,12 @@
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from swpnet import autodiff as ad
 from swpnet import layers
@@ -29,6 +33,26 @@ def conv_loop_oracle(x, w, b, stride, padding):
                                 acc += xp[n, c, i * stride + u, j * stride + v] * float(w[o, c, u, v])
                     out[n, o, i, j] = acc + (float(b[o]) if b is not None else 0.0)
     return out
+
+
+def conv_tensordot_reference(x, w, stride, padding, g):
+    """conv2d forward, gx and gw as computed before im2col: a tensordot over
+    the sliding-window view, and one tensordot per kernel offset for gx."""
+    kh, kw = w.shape[2:]
+    _, _, h, wd = x.shape
+    p, s = padding, stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    oh = (xp.shape[2] - kh) // s + 1
+    ow = (xp.shape[3] - kw) // s + 1
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    out = np.ascontiguousarray(np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2))
+    gw = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+    gx_pad = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            part = np.tensordot(g, w[:, :, i, j], axes=([1], [0]))
+            gx_pad[:, :, i:i + s * oh:s, j:j + s * ow:s] += part.transpose(0, 3, 1, 2)
+    return out, gx_pad[:, :, p:p + h, p:p + wd], gw
 
 
 class TestConv2d:
@@ -71,6 +95,31 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True, dtype=np.float64)
         err = grad_check(lambda: ad.sum_all(ad.mul(y := spec(x), y)), [x, spec.weight, spec.bias])
         assert err < 1e-5
+
+    @pytest.mark.parametrize("kernel, stride, padding", [(1, 2, 0), (7, 2, 3)],
+                             ids=["shortcut_1x1_s2", "stem_7x7_s2_p3"])
+    def test_grad_check_block_shapes(self, kernel, stride, padding):
+        rng = np.random.default_rng(9)
+        spec = Conv2d(2, 3, kernel=kernel, stride=stride, padding=padding, bias=False,
+                      rng=rng, dtype=np.float64)
+        x = Tensor(rng.normal(size=(2, 2, 7, 7)), requires_grad=True, dtype=np.float64)
+        err = grad_check(lambda: ad.sum_all(ad.mul(y := spec(x), y)), [x, spec.weight])
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("kernel, stride, padding, batch",
+                             list(itertools.product((1, 3, 7), (1, 2), (0, 1, 3), (1, 8))))
+    def test_bit_equal_to_tensordot_reference(self, kernel, stride, padding, batch):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + batch)
+        spec = Conv2d(5, 6, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
+        x = Tensor(rng.normal(size=(batch, 5, 9, 9)).astype(np.float32), requires_grad=True)
+        with GradTape():
+            out = spec(x)
+            g = rng.normal(size=out.shape).astype(np.float32)
+            gx, gw = out._node.backward_fn(g)
+        ref_out, ref_gx, ref_gw = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(gx, ref_gx)
+        assert np.array_equal(gw, ref_gw)
 
 
 class TestBatchNorm:
@@ -275,3 +324,27 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(15)
         logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
         assert grad_check(lambda: softmax_cross_entropy(logits, [1, 0, 3]), [logits]) < 1e-5
+
+
+class TestGraphLifetime:
+    def test_step_graph_freed_without_cyclic_gc(self):
+        rng = np.random.default_rng(4)
+        conv = Conv2d(2, 3, kernel=3, padding=1, bias=False, rng=rng)
+        bn = BatchNorm(3)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)).astype(np.float32))
+        gc.collect()
+        gc.disable()
+        try:
+            with GradTape():
+                feats = conv(x)
+                normed = bn(feats, train=True)
+                act = ad.relu(normed)
+                flat = ad.reshape(act, (2, 75))
+                loss = softmax_cross_entropy(flat, [0, 1])
+                backward(loss)
+            refs = [weakref.ref(t) for t in (feats, normed, act, flat, loss)]
+            del feats, normed, act, flat, loss
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+        assert conv.weight.grad is not None and bn.gamma.grad is not None

@@ -1,4 +1,5 @@
 import json
+import struct
 import threading
 from pathlib import Path
 
@@ -281,6 +282,48 @@ class TestCheckpoint:
         data[at:at + 4] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=r"non-finite.*'stages\.1\.blocks\.0\.conv1\.weight'"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _with_echo(path, edit):
+        """Rewrite the checkpoint's config echo through edit(echo dict),
+        with its length field to match."""
+        data = path.read_bytes()
+        start = len(models.CHECKPOINT_MAGIC) + 4
+        (length,) = struct.unpack("<I", data[start:start + 4])
+        echo = json.loads(data[start + 4:start + 4 + length])
+        edit(echo)
+        encoded = json.dumps(echo).encode("utf-8")
+        path.write_bytes(data[:start] + struct.pack("<I", len(encoded)) + encoded
+                         + data[start + 4 + length:])
+
+    @pytest.mark.parametrize("field, value", [
+        ("width_multiplier", "a"),
+        ("input_size", None),
+        ("num_classes", "3"),
+        ("depth_variant", [18]),
+    ])
+    def test_wrong_config_echo_type_is_named(self, tmp_path, field, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(toy_config()), path)
+        self._with_echo(path, lambda echo: echo.__setitem__(field, value))
+        with pytest.raises(CheckpointError, match=f"config echo '{field}' must be"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["num_masks", "mask_h", "mask_w", "fc_nodes"])
+    def test_wrong_swp_extras_type_is_named(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        model = build_model(toy_config(head="swp_head"), swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
+        save_checkpoint(model, path)
+        self._with_echo(path, lambda echo: echo["head_extras"]["swp"].__setitem__(key, 2.5))
+        with pytest.raises(CheckpointError, match=f"head_extras.swp '{key}' must be int"):
+            load_checkpoint(path)
+
+    def test_unbuildable_config_echo_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(toy_config()), path)
+        self._with_echo(path, lambda echo: echo.__setitem__("depth_variant", 19))
+        with pytest.raises(CheckpointError, match="no buildable model.*depth"):
             load_checkpoint(path)
 
 
