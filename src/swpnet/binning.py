@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,10 @@ class BinSpec:
 # 25 bins of 7 px cover locations 0..175; 40 bins of 7 px cover sizes 0..280.
 LOCATION_BINS = BinSpec(25, 7.0)
 SIZE_BINS = BinSpec(40, 7.0)
+# The localiser's outputs in head order: each names a BoundingBox field and
+# the bins it is classified into.  Head sizes and every per-output loop
+# derive from this table.
+LOC_OUTPUTS = (("cx", LOCATION_BINS), ("cy", LOCATION_BINS), ("w", SIZE_BINS), ("h", SIZE_BINS))
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,9 @@ class BoundingBox:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
 
-@dataclass(frozen=True)
-class LocTarget:
+class LocTarget(NamedTuple):
+    """One bin id per LOC_OUTPUTS entry, in table order."""
+
     bx: int
     by: int
     bw: int
@@ -70,16 +76,12 @@ def decode_bin(b: int, spec: BinSpec) -> float:
     return b * spec.bin_size + spec.bin_size / 2.0
 
 
-def encode_box(box: BoundingBox, loc_spec: BinSpec = LOCATION_BINS,
-               size_spec: BinSpec = SIZE_BINS) -> LocTarget:
-    return LocTarget(encode_value(box.cx, loc_spec), encode_value(box.cy, loc_spec),
-                     encode_value(box.w, size_spec), encode_value(box.h, size_spec))
+def encode_box(box: BoundingBox) -> LocTarget:
+    return LocTarget(*(encode_value(getattr(box, name), spec) for name, spec in LOC_OUTPUTS))
 
 
-def decode_box(target: LocTarget, loc_spec: BinSpec = LOCATION_BINS,
-               size_spec: BinSpec = SIZE_BINS) -> BoundingBox:
-    return BoundingBox(decode_bin(target.bx, loc_spec), decode_bin(target.by, loc_spec),
-                       decode_bin(target.bw, size_spec), decode_bin(target.bh, size_spec))
+def decode_box(target: LocTarget) -> BoundingBox:
+    return BoundingBox(*(decode_bin(b, spec) for b, (_, spec) in zip(target, LOC_OUTPUTS)))
 
 
 def enlarge_box(box: BoundingBox, factor: float = 1.10) -> BoundingBox:

@@ -239,7 +239,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .evaluation import TwoStagePipeline, bench_fps
+    from .evaluation import TwoStagePipeline, bench_fps_paired
     from .models import load_checkpoint
 
     try:
@@ -252,7 +252,8 @@ def cmd_bench(args) -> int:
     target = cls_model
     if args.loc_ckpt:
         target = TwoStagePipeline(load_checkpoint(args.loc_ckpt), cls_model)
-    report = bench_fps(target, batch_sizes=batch_sizes, n_images=args.images, seed=args.seed)
+    report = bench_fps_paired({"target": target}, batch_sizes=batch_sizes, n_images=args.images,
+                              seed=args.seed)["target"]
     print(report.summary())
     return 0
 
@@ -287,15 +288,14 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_analyze_bins(args) -> int:
-    from .binning import LOCATION_BINS, SIZE_BINS
     from .datasynth import bin_histogram, load_manifest, save_histograms
 
     manifest = load_manifest(args.manifest)
     preprocess = _train_preprocess(args.crop, args) if args.preprocess else None
-    counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS, preprocess=preprocess)
+    counts = bin_histogram(manifest, preprocess=preprocess)
     paths = save_histograms(counts, args.out_prefix)
-    for key, path in zip(("cx", "cy", "w", "h"), paths):
-        print(f"{key}: {path} (total {int(counts[key].sum())})")
+    for (key, counted), path in zip(counts.items(), paths):
+        print(f"{key}: {path} (total {int(counted.sum())})")
     return 0
 
 

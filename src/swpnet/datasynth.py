@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BinSpec, BoundingBox, bilinear_resize, encode_value
+from .binning import LOC_OUTPUTS, BoundingBox, bilinear_resize, encode_value
 from .imgio import read_ppm, write_ppm
 
 
@@ -239,6 +239,8 @@ def load_manifest(path) -> DatasetManifest:
     except (KeyError, ValueError):
         raise DataSynthError(f"{path}:1: header must read 'classes=<n> split=<tag>', "
                              f"got {lines[0]!r}") from None
+    if n_classes < 1:
+        raise DataSynthError(f"{path}:1: class count must be at least 1, got {n_classes}")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -331,13 +333,17 @@ def transform_box(box: BoundingBox, sx: float, sy: float, ox: float, oy: float) 
     return BoundingBox(box.cx * sx - ox, box.cy * sy - oy, box.w * sx, box.h * sy)
 
 
-def clip_box(box: BoundingBox, width: int, height: int, min_side: float = 2.0) -> BoundingBox | None:
+# a clipped box with a side below this many pixels counts as lost
+MIN_BOX_SIDE = 2.0
+
+
+def clip_box(box: BoundingBox, width: int, height: int) -> BoundingBox | None:
     """Intersect the box with [0, width) x [0, height); None when degenerate."""
     x0 = max(0.0, box.cx - box.w / 2.0)
     x1 = min(float(width), box.cx + box.w / 2.0)
     y0 = max(0.0, box.cy - box.h / 2.0)
     y1 = min(float(height), box.cy + box.h / 2.0)
-    if x1 - x0 < min_side or y1 - y0 < min_side:
+    if x1 - x0 < MIN_BOX_SIDE or y1 - y0 < MIN_BOX_SIDE:
         return None
     return BoundingBox((x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0)
 
@@ -413,27 +419,20 @@ def _record_rng(seed: int, image: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-def bin_histogram(manifest: DatasetManifest, loc_spec: BinSpec, size_spec: BinSpec,
+def bin_histogram(manifest: DatasetManifest,
                   preprocess: PreprocessConfig | None = None) -> dict[str, np.ndarray]:
-    """Occupancy counts per bin for cx, cy (loc_spec) and w, h (size_spec),
-    optionally after train pre-processing.  Per-record rng streams derive from
-    the image content, so totals are invariant under manifest reordering and
-    do not depend on where the dataset lives."""
-    counts = {
-        "cx": np.zeros(loc_spec.n_bins, dtype=np.int64),
-        "cy": np.zeros(loc_spec.n_bins, dtype=np.int64),
-        "w": np.zeros(size_spec.n_bins, dtype=np.int64),
-        "h": np.zeros(size_spec.n_bins, dtype=np.int64),
-    }
+    """Occupancy counts per bin for each LOC_OUTPUTS entry, optionally after
+    train pre-processing.  Per-record rng streams derive from the image
+    content, so totals are invariant under manifest reordering and do not
+    depend on where the dataset lives."""
+    counts = {name: np.zeros(spec.n_bins, dtype=np.int64) for name, spec in LOC_OUTPUTS}
     for rec in manifest.records:
         box = rec.box
         if preprocess is not None:
             image = load_image(rec)
             _, box = preprocess_train(image, rec.box, preprocess, _record_rng(preprocess.seed, image))
-        counts["cx"][encode_value(box.cx, loc_spec)] += 1
-        counts["cy"][encode_value(box.cy, loc_spec)] += 1
-        counts["w"][encode_value(box.w, size_spec)] += 1
-        counts["h"][encode_value(box.h, size_spec)] += 1
+        for name, spec in LOC_OUTPUTS:
+            counts[name][encode_value(getattr(box, name), spec)] += 1
     return counts
 
 
@@ -442,7 +441,7 @@ def save_histograms(counts: dict[str, np.ndarray], prefix) -> list[Path]:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = []
-    for key in ("cx", "cy", "w", "h"):
+    for key, _ in LOC_OUTPUTS:
         p = prefix.parent / f"{prefix.name}_{key}.csv"
         lines = ["bin,count"] + [f"{i},{int(c)}" for i, c in enumerate(counts[key])]
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -453,8 +452,7 @@ def save_histograms(counts: dict[str, np.ndarray], prefix) -> list[Path]:
 # -- derived datasets ---------------------------------------------------------
 
 def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
-                          enlarge_factor: float = 1.10, split: str | None = None,
-                          quantize_boxes: bool = False) -> DatasetManifest:
+                          split: str | None = None, quantize_boxes: bool = False) -> DatasetManifest:
     """Write a derived dataset of per-record box crops (enlarged, cropped,
     resized largest-side-to-target) for training the second-stage classifier.
 
@@ -469,7 +467,7 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
     records = []
     for idx, rec in enumerate(manifest.records):
         box = decode_box(encode_box(rec.box)) if quantize_boxes else rec.box
-        crop = crop_to_box(load_image(rec), enlarge_box(box, enlarge_factor))
+        crop = crop_to_box(load_image(rec), enlarge_box(box))
         image = resize_largest_side(crop, target_size)
         name = f"{split}_{idx:05d}_c{rec.class_id}.ppm"
         img_path = out_dir / "images" / name

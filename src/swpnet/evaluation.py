@@ -11,23 +11,24 @@ import numpy as np
 
 from .autodiff import Tensor, numerics_checks
 from .binning import (
-    LOCATION_BINS,
-    SIZE_BINS,
-    BinSpec,
+    LOC_OUTPUTS,
     BoundingBox,
     LocTarget,
     crop_to_box,
     decode_box,
     encode_box,
     enlarge_box,
+    largest_side_scale,
     resize_largest_side,
 )
 from .datasynth import (
     DatasetManifest,
     PreprocessConfig,
     center_crop_transform,
+    clip_box,
     load_image,
     to_network_input,
+    transform_box,
 )
 from .models import Model, ModelBuildError
 
@@ -65,9 +66,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-LOC_OUTPUT_NAMES = ("cx", "cy", "w", "h")
-
-
 @dataclass
 class BinErrorStats:
     """Distribution of |predicted bin - true bin| per output."""
@@ -86,7 +84,7 @@ class BinErrorStats:
 
     def summary(self) -> str:
         lines = []
-        for name in LOC_OUTPUT_NAMES:
+        for name, _ in LOC_OUTPUTS:
             lines.append(f"{name}: dist0 {self.fraction_at(name, 0):.3f}  "
                          f"dist1 {self.fraction_at(name, 1):.3f}  "
                          f"dist>=3 {self.fraction_at_least(name, 3):.3f}")
@@ -95,8 +93,8 @@ class BinErrorStats:
 
 def mean_output_accuracy(per_output) -> float:
     values = tuple(float(v) for v in per_output)
-    if len(values) != 4:
-        raise ValueError("expected four per-output accuracies")
+    if len(values) != len(LOC_OUTPUTS):
+        raise ValueError(f"expected {len(LOC_OUTPUTS)} per-output accuracies")
     return float(np.mean(values))
 
 
@@ -131,7 +129,6 @@ def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -
 
 
 def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
-                  eval_config: PreprocessConfig | None = None,
                   batch_size: int = 32) -> MetricsReport:
     """Top-k accuracy of a classification model (central-crop preprocessing)
     or a TwoStagePipeline (its own preprocessing)."""
@@ -140,7 +137,7 @@ def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
     if isinstance(target, TwoStagePipeline):
         logits, fallbacks = target.predict_manifest(manifest, batch_size=batch_size)
     else:
-        cfg = eval_config or default_eval_config(target.config.input_size)
+        cfg = default_eval_config(target.config.input_size)
         rasters = [center_crop_transform(load_image(r), cfg)[0] for r in manifest.records]
         logits = _forward_batched(target, rasters, batch_size)[0]
     report = MetricsReport(sample_count=len(labels), fallbacks=fallbacks)
@@ -152,11 +149,8 @@ def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
 
 # -- localisation evaluation ----------------------------------------------------
 
-def evaluate_localisation(model: Model, manifest: DatasetManifest,
-                          eval_config: PreprocessConfig | None = None,
-                          preprocess: str = "center", batch_size: int = 32,
-                          loc_spec: BinSpec = LOCATION_BINS,
-                          size_spec: BinSpec = SIZE_BINS) -> tuple[MetricsReport, BinErrorStats]:
+def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: str = "center",
+                          batch_size: int = 32) -> tuple[MetricsReport, BinErrorStats]:
     """Per-output bin accuracy via argmax against encoded ground truth.
 
     preprocess='center' runs the eval centre crop and transforms boxes with
@@ -168,10 +162,8 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
         raise ModelBuildError("evaluate_localisation needs a loc_head model")
     if preprocess not in ("center", "none"):
         raise ValueError(f"preprocess must be 'center' or 'none', got {preprocess!r}")
-    from .datasynth import clip_box, transform_box
-
     input_size = model.config.input_size
-    cfg = eval_config or default_eval_config(input_size)
+    cfg = default_eval_config(input_size)
     rasters, boxes = [], []
     skipped = 0
     for rec in manifest.records:
@@ -183,7 +175,6 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
                 skipped += 1
                 continue
         else:
-            from .binning import largest_side_scale
             s = largest_side_scale(image, input_size)
             crop = resize_largest_side(image, input_size)
             box = transform_box(rec.box, s, s, 0.0, 0.0)
@@ -193,21 +184,17 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest,
         raise ValueError(f"no record to evaluate: the eval crop lost {skipped} of "
                          f"{len(manifest.records)} boxes")
 
-    targets = np.array([[t.bx, t.by, t.bw, t.bh]
-                        for t in (encode_box(b, loc_spec, size_spec) for b in boxes)], dtype=np.int64)
+    targets = np.array([encode_box(b) for b in boxes], dtype=np.int64)
     # stable argmax: ties break to the lower bin id
     preds = np.stack([topk_predictions(out, 1)[:, 0]
                       for out in _forward_batched(model, rasters, batch_size)], axis=1)
 
-    per_output = tuple(100.0 * float((preds[:, c] == targets[:, c]).mean()) for c in range(4))
-    report = loc_metrics(per_output, len(rasters))
+    report = loc_metrics(100.0 * (preds == targets).mean(axis=0), len(rasters))
     report.skipped = skipped
-    max_bins = max(loc_spec.n_bins, size_spec.n_bins)
-    counts = {}
-    for col, name in enumerate(LOC_OUTPUT_NAMES):
-        dist = np.abs(preds[:, col] - targets[:, col])
-        counts[name] = np.bincount(dist, minlength=max_bins)
-    return report, BinErrorStats(counts)
+    max_bins = max(spec.n_bins for _, spec in LOC_OUTPUTS)
+    dists = np.abs(preds - targets)
+    return report, BinErrorStats({name: np.bincount(dists[:, col], minlength=max_bins)
+                                  for col, (name, _) in enumerate(LOC_OUTPUTS)})
 
 
 # -- two-stage pipeline ---------------------------------------------------------
@@ -230,9 +217,7 @@ class TwoStagePipeline:
     """
 
     def __init__(self, loc_model: Model | None, cls_model: Model,
-                 loc_eval_config: PreprocessConfig | None = None,
-                 enlarge_factor: float = 1.10,
-                 loc_spec: BinSpec = LOCATION_BINS, size_spec: BinSpec = SIZE_BINS):
+                 loc_eval_config: PreprocessConfig | None = None):
         if loc_model is not None and loc_model.config.head != "loc_head":
             raise ModelBuildError("two-stage pipeline needs a loc_head localiser")
         if cls_model.config.head == "loc_head":
@@ -241,33 +226,29 @@ class TwoStagePipeline:
         self.cls_model = cls_model
         size = loc_model.config.input_size if loc_model is not None else cls_model.config.input_size
         self.loc_eval_config = loc_eval_config or default_eval_config(size)
-        self.enlarge_factor = enlarge_factor
-        self.loc_spec = loc_spec
-        self.size_spec = size_spec
 
     def _stage_one(self, images: list[np.ndarray], gt_boxes) -> list[tuple]:
         """(LocTarget, sx, sy, ox, oy) per image."""
         if self.loc_model is None:
             if gt_boxes is None or any(b is None for b in gt_boxes):
                 raise ValueError("oracle mode needs a ground-truth box per image")
-            return [(encode_box(b, self.loc_spec, self.size_spec), 1.0, 1.0, 0.0, 0.0)
-                    for b in gt_boxes]
+            return [(encode_box(b), 1.0, 1.0, 0.0, 0.0) for b in gt_boxes]
         crops, transforms = [], []
         for image in images:
             crop, sx, sy, ox, oy = center_crop_transform(image, self.loc_eval_config)
             crops.append(crop)
             transforms.append((sx, sy, ox, oy))
-        bins = [topk_predictions(o, 1)[:, 0] for o in _forward_batched(self.loc_model, crops, len(crops))]
-        return [(LocTarget(int(bins[0][i]), int(bins[1][i]), int(bins[2][i]), int(bins[3][i])),
-                 *transforms[i]) for i in range(len(images))]
+        bins = np.stack([topk_predictions(o, 1)[:, 0]
+                         for o in _forward_batched(self.loc_model, crops, len(crops))], axis=1)
+        return [(LocTarget(*map(int, row)), *t) for row, t in zip(bins, transforms)]
 
     def _stage_two_crop(self, image: np.ndarray, stage_one: tuple
                         ) -> tuple[np.ndarray, PipelineDetails]:
         target, sx, sy, ox, oy = stage_one
-        decoded = decode_box(target, self.loc_spec, self.size_spec)
+        decoded = decode_box(target)
         image_box = BoundingBox((decoded.cx + ox) / sx, (decoded.cy + oy) / sy,
                                 decoded.w / sx, decoded.h / sy)
-        grown = enlarge_box(image_box, self.enlarge_factor)
+        grown = enlarge_box(image_box)
         used_fallback = False
         try:
             crop = crop_to_box(image, grown)
@@ -348,10 +329,16 @@ def _bench_echo(target, is_pipeline: bool, n_images: int) -> list[str]:
             f"input: {cfg.input_size}  dtype: float32  images: {n_images}"]
 
 
-def _make_runner(target, bs: int, seed: int, n_batches: int, pool_batches: int):
+# timing chunks per batch size, untimed warm-up batches, distinct input batches
+BENCH_CHUNKS = 10
+BENCH_WARMUP_BATCHES = 2
+BENCH_POOL_BATCHES = 16
+
+
+def _make_runner(target, bs: int, seed: int, n_batches: int):
     """Pre-generated input pool plus a callable that runs one batch."""
     is_pipeline = isinstance(target, TwoStagePipeline)
-    pool_size = min(n_batches, pool_batches)
+    pool_size = min(n_batches, BENCH_POOL_BATCHES)
     if is_pipeline:
         side = (target.loc_model.config.input_size if target.loc_model is not None
                 else target.cls_model.config.input_size)
@@ -373,31 +360,24 @@ def _make_runner(target, bs: int, seed: int, n_batches: int, pool_batches: int):
     return run, pool_size
 
 
-def bench_fps(target, batch_sizes=(1, 32), n_images: int = 10000, seed: int = 0,
-              warmup_batches: int = 2, pool_batches: int = 16) -> BenchReport:
-    """Wall-clock images/second per batch size over pre-generated in-memory
-    batches; warm-up runs and input generation are excluded from timing."""
-    return bench_fps_paired({"target": target}, batch_sizes, n_images, seed, chunks=1,
-                            warmup_batches=warmup_batches, pool_batches=pool_batches)["target"]
-
-
 def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: int = 10000,
-                     seed: int = 0, chunks: int = 10, warmup_batches: int = 2,
-                     pool_batches: int = 16) -> dict[str, BenchReport]:
-    """Benchmark several targets with interleaved timing chunks so slow clock
-    or load drift cancels out of their FPS ratios.  Each target still covers
+                     seed: int = 0) -> dict[str, BenchReport]:
+    """Wall-clock images/second per target and batch size over pre-generated
+    in-memory batches; warm-up runs and input generation are excluded from
+    timing.  Targets are timed in interleaved chunks so slow clock or load
+    drift cancels out of their FPS ratios.  Each target still covers
     n_images per batch size."""
     if n_images < 1:
         raise ValueError("n_images must be positive")
     reports = {name: {} for name in targets}
     for bs in batch_sizes:
         n_batches = (n_images + bs - 1) // bs
-        per_chunk = max(1, n_batches // chunks)
+        per_chunk = max(1, n_batches // BENCH_CHUNKS)
         runners = {}
         with numerics_checks(False):
             for name, target in targets.items():
-                run, pool_size = _make_runner(target, bs, seed, n_batches, pool_batches)
-                for i in range(min(warmup_batches, pool_size)):
+                run, pool_size = _make_runner(target, bs, seed, n_batches)
+                for i in range(min(BENCH_WARMUP_BATCHES, pool_size)):
                     run(i)
                 runners[name] = {"run": run, "done": 0, "seconds": 0.0}
             while any(r["done"] < n_batches for r in runners.values()):

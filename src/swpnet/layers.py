@@ -188,18 +188,18 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
 
 
 class Pool2d:
-    """Max or average pooling; windows that do not fully fit are dropped.
+    """Max or average pooling over square windows; windows that do not fully
+    fit are dropped.
 
     Max backward routes the gradient to the window's argmax with
     lowest-flat-index tie-break; average backward distributes uniformly.
     """
 
-    def __init__(self, kind: str, pool_h: int, pool_w: int | None = None, stride: int = 1):
+    def __init__(self, kind: str, size: int, stride: int = 1):
         if kind not in ("max", "average"):
             raise ValueError(f"pool kind must be 'max' or 'average', got {kind!r}")
         self.kind = kind
-        self.pool_h = pool_h
-        self.pool_w = pool_w if pool_w is not None else pool_h
+        self.size = size
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -210,7 +210,7 @@ def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"pool2d expects [batch, C, H, W], got {x.shape}")
     batch, channels, h, w = x.shape
-    ph, pw, s = spec.pool_h, spec.pool_w, spec.stride
+    ph, pw, s = spec.size, spec.size, spec.stride
     if ph > h or pw > w:
         raise ShapeMismatch(f"pool2d: {ph}x{pw} window overruns {h}x{w} input")
     oh = (h - ph) // s + 1

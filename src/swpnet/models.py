@@ -22,18 +22,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DEFAULT_DTYPE, Tensor
+from .binning import LOC_OUTPUTS
 from .layers import BatchNorm, Conv2d, Dense, Pool2d, relu
 from .swp import SWPLayer, SWPSpec
 
-# localisation outputs: centre-x and centre-y bins, then width and height bins
-LOC_HEAD_NODES = (25, 25, 40, 40)
 # head kind -> (front, named Dense outputs).  The front is "avgpool", "swp"
 # (swp -> bn -> dense), or "either" (swp only when given an SWPSpec); an
 # output node count of None means the config's class count.
 HEAD_TABLE = {
     "plain_avgpool_fc": ("avgpool", (("fc", None),)),
     "swp_head": ("swp", (("classifier", None),)),
-    "loc_head": ("either", tuple(zip(("cx", "cy", "w", "h"), LOC_HEAD_NODES))),
+    "loc_head": ("either", tuple((name, spec.n_bins) for name, spec in LOC_OUTPUTS)),
 }
 HEAD_KINDS = tuple(HEAD_TABLE)
 

@@ -11,16 +11,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor
-from .binning import LOCATION_BINS, SIZE_BINS, BinSpec, encode_box
+from .binning import LOC_OUTPUTS, encode_box
 from .datasynth import DatasetManifest, PreprocessConfig, load_image, preprocess_train, to_network_input
 from .layers import Dense, softmax_cross_entropy
 from .models import Model, ModelBuildError
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, message: str):
-        super().__init__(f"training diverged at epoch {epoch}: {message}")
+    """`step` is the cumulative optimiser step that failed, counted from 1."""
+
+    def __init__(self, epoch: int, step: int, message: str):
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: {message}")
         self.epoch = epoch
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,8 @@ class TrainConfig:
     batch_size: int = 8
     max_epochs: int = 30
     seed: int = 0
-    # per-output weights for the localiser loss: cx, cy, w, h
-    loss_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    decay_milestones: tuple[float, ...] = (0.5, 0.75)
-    decay_factor: float = 0.1
+    # per-output weights for the localiser loss, one per LOC_OUTPUTS entry
+    loss_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     early_stop_accuracy: float | None = None
 
     def __post_init__(self):
@@ -43,6 +44,9 @@ class TrainConfig:
             raise ValueError(f"lr must not be negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if len(self.loss_weights) != len(LOC_OUTPUTS):
+            raise ValueError(f"loss weights need one value per localiser output "
+                             f"({len(LOC_OUTPUTS)}), got {len(self.loss_weights)}")
         if any(w < 0 for w in self.loss_weights) or not any(w > 0 for w in self.loss_weights):
             raise ValueError("loss weights must be non-negative with at least one positive")
 
@@ -89,11 +93,16 @@ class MomentumSGD:
             p.grad = None
 
 
+# the learning rate drops tenfold at half and again at three quarters of max_epochs
+DECAY_MILESTONES = (0.5, 0.75)
+DECAY_FACTOR = 0.1
+
+
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     lr = config.lr
-    for milestone in config.decay_milestones:
+    for milestone in DECAY_MILESTONES:
         if epoch >= int(config.max_epochs * milestone):
-            lr *= config.decay_factor
+            lr *= DECAY_FACTOR
     return lr
 
 
@@ -127,15 +136,15 @@ def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
                 crops.append(crop)
                 crop_boxes.append(box)
             batch = Tensor(to_network_input(crops))
+            steps += 1
             try:
                 loss_val, batch_hits = step_fn(model, opt, batch, labels[idx], crop_boxes, lr)
             except ad.NumericsError as err:
-                raise TrainingDiverged(epoch, str(err)) from err
+                raise TrainingDiverged(epoch, steps, str(err)) from err
             if not np.isfinite(loss_val):
-                raise TrainingDiverged(epoch, f"loss became {loss_val}")
+                raise TrainingDiverged(epoch, steps, f"loss became {loss_val}")
             epoch_loss += loss_val * len(idx)
             hits += batch_hits
-            steps += 1
         acc = 100.0 * hits / n
         history.append(EpochStats(epoch_base + epoch, steps, epoch_loss / n, acc, lr))
         model.trained_epochs += 1
@@ -170,11 +179,10 @@ def train_classifier(model: Model, manifest: DatasetManifest, config: TrainConfi
 
 
 def train_localiser(model: Model, manifest: DatasetManifest, config: TrainConfig,
-                    preprocess: PreprocessConfig, loc_spec: BinSpec = LOCATION_BINS,
-                    size_spec: BinSpec = SIZE_BINS) -> list[EpochStats]:
-    """Weighted sum of the four per-output cross-entropies against binned
-    box targets; outputs with zero weight are skipped entirely, so their
-    heads see no gradient."""
+                    preprocess: PreprocessConfig) -> list[EpochStats]:
+    """Weighted sum of the per-output cross-entropies against binned box
+    targets; outputs with zero weight are skipped entirely, so their heads
+    see no gradient."""
     if model.config.head != "loc_head":
         raise ModelBuildError("train_localiser needs a loc_head model")
     if preprocess.crop_size != model.config.input_size:
@@ -182,9 +190,7 @@ def train_localiser(model: Model, manifest: DatasetManifest, config: TrainConfig
     weights = config.loss_weights
 
     def step(model, opt, batch, _targets, crop_boxes, lr):
-        encoded = [encode_box(b, loc_spec, size_spec) for b in crop_boxes]
-        target_cols = [np.array([getattr(t, f) for t in encoded], dtype=np.int64)
-                       for f in ("bx", "by", "bw", "bh")]
+        target_cols = np.array([encode_box(b) for b in crop_boxes], dtype=np.int64).T
         with GradTape():
             outputs = model.forward(batch, train=True)
             total = None

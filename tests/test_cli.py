@@ -2,6 +2,7 @@ import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swpnet.cli import main
@@ -106,6 +107,22 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")])
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_divergence_exits_1_without_checkpoint(self, tmp_path, capsys):
+        manifest = gen_tiny(tmp_path)
+        capsys.readouterr()
+        ckpt = tmp_path / "m.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--task", "cls", "--arch", "18", "--width", "0.0625",
+                         "--input-size", "32", "--manifest", str(manifest), "--out", str(ckpt),
+                         "--epochs", "2", "--batch-size", "4", "--scale-min", "0.70",
+                         "--scale-max", "0.80", "--lr", "1e18"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "training diverged at epoch 0" in captured.err
+        assert captured.out == ""
+        assert not ckpt.exists()
+        assert not Path(str(ckpt) + ".history.csv").exists()
 
     def test_train_bit_reproducible(self, tmp_path):
         manifest = gen_tiny(tmp_path)

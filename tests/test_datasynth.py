@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from swpnet.binning import LOCATION_BINS, SIZE_BINS, BoundingBox
+from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
     DataSynthError,
     DatasetManifest,
@@ -19,6 +19,7 @@ from swpnet.datasynth import (
     make_class_specs,
     preprocess_train,
     save_histograms,
+    save_manifest,
     subset_classes,
     synthesize,
     transform_box,
@@ -119,6 +120,20 @@ class TestManifests:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataSynthError, match=r"train\.txt:1: header"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("classes", [-3, 0])
+    def test_class_count_below_one_names_file_and_line(self, tmp_path, classes):
+        path = tmp_path / "train.txt"
+        path.write_text(f"classes={classes} split=train\n")
+        with pytest.raises(DataSynthError, match=r"train\.txt:1: class count must be at least 1"):
+            load_manifest(path)
+
+    def test_single_class_subset_round_trips(self, tmp_path):
+        manifest = generate_dataset(2, 2, 64, tmp_path / "src", seed=1)
+        save_manifest(subset_classes(manifest, [1]), tmp_path / "one.txt")
+        loaded = load_manifest(tmp_path / "one.txt")
+        assert loaded.n_classes == 1
+        assert [r.class_id for r in loaded.records] == [0, 0]
 
     def test_subset_remaps_ids(self, tmp_path):
         manifest = generate_dataset(8, 2, 64, tmp_path, seed=2, similarity_margin=0.2)
@@ -232,7 +247,7 @@ class TestPreprocessEval:
 class TestHistograms:
     def test_each_histogram_sums_to_record_count(self, tmp_path):
         manifest = generate_dataset(3, 4, 128, tmp_path, seed=4)
-        counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS)
+        counts = bin_histogram(manifest)
         for key in ("cx", "cy", "w", "h"):
             assert counts[key].sum() == len(manifest)
 
@@ -240,7 +255,7 @@ class TestHistograms:
         records = [type("R", (), {"path": f"p{i}", "class_id": 0,
                                   "box": BoundingBox(84, 84, 140, 140)})() for i in range(5)]
         manifest = DatasetManifest(records, 1, "eval")
-        counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS)
+        counts = bin_histogram(manifest)
         assert counts["cx"][12] == 5 and (counts["cx"] > 0).sum() == 1
         assert counts["w"][20] == 5 and (counts["w"] > 0).sum() == 1
 
@@ -248,21 +263,21 @@ class TestHistograms:
         records = [type("R", (), {"path": "p", "class_id": 0,
                                   "box": BoundingBox(84, 84, 300, 140)})()]
         manifest = DatasetManifest(records, 1, "eval")
-        counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS)
+        counts = bin_histogram(manifest)
         assert counts["w"][39] == 1
 
     def test_reorder_invariance_with_preprocess(self, tmp_path):
         manifest = generate_dataset(2, 4, 96, tmp_path, seed=5)
         cfg = PreprocessConfig(crop_size=64, eval_scale=72, scale_range=(0.8, 1.0), seed=3)
-        fwd = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS, preprocess=cfg)
+        fwd = bin_histogram(manifest, preprocess=cfg)
         rev = DatasetManifest(list(reversed(manifest.records)), manifest.n_classes, manifest.split)
-        bwd = bin_histogram(rev, LOCATION_BINS, SIZE_BINS, preprocess=cfg)
+        bwd = bin_histogram(rev, preprocess=cfg)
         for key in fwd:
             npt.assert_array_equal(fwd[key], bwd[key])
 
     def test_csv_export(self, tmp_path):
         manifest = generate_dataset(2, 2, 96, tmp_path, seed=6)
-        counts = bin_histogram(manifest, LOCATION_BINS, SIZE_BINS)
+        counts = bin_histogram(manifest)
         paths = save_histograms(counts, tmp_path / "hist")
         assert [p.name for p in paths] == ["hist_cx.csv", "hist_cy.csv", "hist_w.csv", "hist_h.csv"]
         body = paths[0].read_text().splitlines()

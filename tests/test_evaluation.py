@@ -8,7 +8,7 @@ from swpnet.datasynth import DatasetManifest, ManifestRecord, PreprocessConfig
 from swpnet.evaluation import (
     BinErrorStats,
     TwoStagePipeline,
-    bench_fps,
+    bench_fps_paired,
     evaluate_localisation,
     evaluate_topk,
     loc_metrics,
@@ -206,7 +206,7 @@ def corner_box_pipeline():
 class TestBench:
     def test_report_structure(self):
         model = build_model(tiny_cls_config(input_size=32), seed=12)
-        report = bench_fps(model, batch_sizes=(1, 4), n_images=24, seed=0)
+        report = bench_fps_paired({"target": model}, batch_sizes=(1, 4), n_images=24, seed=0)["target"]
         assert set(report.entries) == {1, 4}
         for entry in report.entries.values():
             assert entry.fps > 0
@@ -218,10 +218,10 @@ class TestBench:
         loc_model = build_model(tiny_loc_config(), seed=13)
         cls_model = build_model(tiny_cls_config(input_size=32), seed=14)
         pipeline = TwoStagePipeline(loc_model, cls_model)
-        report = bench_fps(pipeline, batch_sizes=(4,), n_images=8, seed=1)
+        report = bench_fps_paired({"target": pipeline}, batch_sizes=(4,), n_images=8, seed=1)["target"]
         assert report.entries[4].images >= 8
 
     def test_rejects_zero_images(self):
         model = build_model(tiny_cls_config(input_size=32), seed=15)
         with pytest.raises(ValueError):
-            bench_fps(model, batch_sizes=(1,), n_images=0)
+            bench_fps_paired({"target": model}, batch_sizes=(1,), n_images=0)

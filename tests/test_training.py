@@ -35,6 +35,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(loss_weights=(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0)])
+    def test_loss_weights_need_one_per_output(self, weights):
+        with pytest.raises(ValueError, match="one value per localiser output"):
+            TrainConfig(loss_weights=weights)
+
     def test_step_decay_schedule(self):
         cfg = TrainConfig(lr=0.1, max_epochs=100)
         assert lr_at_epoch(cfg, 0) == pytest.approx(0.1)
@@ -88,6 +93,8 @@ class TestTrainClassifier:
                                  TrainConfig(lr=1e18, weight_decay=1e-4, max_epochs=8, seed=0),
                                  tiny_preprocess())
         assert exc.value.epoch >= 0
+        assert exc.value.step >= 1
+        assert f"epoch {exc.value.epoch}, step {exc.value.step}:" in str(exc.value)
 
 
 class TestTrainLocaliser:
