@@ -66,7 +66,7 @@ def numerics_checks(enabled: bool):
 
 
 def _check_finite(data: np.ndarray, op_name: str) -> None:
-    if numerics_enabled() and not np.all(np.isfinite(data)):
+    if numerics_enabled() and not np.isfinite(data).all():
         raise NumericsError(f"{op_name} produced a non-finite value")
 
 

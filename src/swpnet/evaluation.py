@@ -329,8 +329,7 @@ def _bench_echo(target, is_pipeline: bool, n_images: int) -> list[str]:
             f"input: {cfg.input_size}  dtype: float32  images: {n_images}"]
 
 
-# timing chunks per batch size, untimed warm-up batches, distinct input batches
-BENCH_CHUNKS = 10
+# untimed warm-up batches, distinct input batches
 BENCH_WARMUP_BATCHES = 2
 BENCH_POOL_BATCHES = 16
 
@@ -364,34 +363,28 @@ def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: 
                      seed: int = 0) -> dict[str, BenchReport]:
     """Wall-clock images/second per target and batch size over pre-generated
     in-memory batches; warm-up runs and input generation are excluded from
-    timing.  Targets are timed in interleaved chunks so slow clock or load
-    drift cancels out of their FPS ratios.  Each target still covers
-    n_images per batch size."""
+    timing.  Targets take turns batch by batch, so clock or load drift, even
+    over a fraction of a second, cancels out of their FPS ratios.  Each
+    target still covers n_images per batch size."""
     if n_images < 1:
         raise ValueError("n_images must be positive")
     reports = {name: {} for name in targets}
     for bs in batch_sizes:
         n_batches = (n_images + bs - 1) // bs
-        per_chunk = max(1, n_batches // BENCH_CHUNKS)
         runners = {}
         with numerics_checks(False):
             for name, target in targets.items():
                 run, pool_size = _make_runner(target, bs, seed, n_batches)
                 for i in range(min(BENCH_WARMUP_BATCHES, pool_size)):
                     run(i)
-                runners[name] = {"run": run, "done": 0, "seconds": 0.0}
-            while any(r["done"] < n_batches for r in runners.values()):
+                runners[name] = {"run": run, "seconds": 0.0}
+            for i in range(n_batches):
                 for r in runners.values():
-                    todo = min(per_chunk, n_batches - r["done"])
-                    if todo == 0:
-                        continue
                     start = time.perf_counter()
-                    for i in range(r["done"], r["done"] + todo):
-                        r["run"](i)
+                    r["run"](i)
                     r["seconds"] += time.perf_counter() - start
-                    r["done"] += todo
         for name, r in runners.items():
-            reports[name][bs] = BenchEntry(bs, r["done"] * bs, r["seconds"])
+            reports[name][bs] = BenchEntry(bs, n_batches * bs, r["seconds"])
     return {name: BenchReport(per_bs, _bench_echo(targets[name],
                                                   isinstance(targets[name], TwoStagePipeline), n_images))
             for name, per_bs in reports.items()}

@@ -137,8 +137,11 @@ def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
                 crop_boxes.append(box)
             batch = Tensor(to_network_input(crops))
             steps += 1
+            # an overflow surfaces as the NumericsError (or non-finite loss)
+            # of this step below, not as numpy warnings ahead of it
             try:
-                loss_val, batch_hits = step_fn(model, opt, batch, labels[idx], crop_boxes, lr)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss_val, batch_hits = step_fn(model, opt, batch, labels[idx], crop_boxes, lr)
             except ad.NumericsError as err:
                 raise TrainingDiverged(epoch, steps, str(err)) from err
             if not np.isfinite(loss_val):

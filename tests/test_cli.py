@@ -1,8 +1,8 @@
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from swpnet.cli import main
@@ -112,12 +112,14 @@ class TestTrain:
         manifest = gen_tiny(tmp_path)
         capsys.readouterr()
         ckpt = tmp_path / "m.ckpt"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["train", "--task", "cls", "--arch", "18", "--width", "0.0625",
                          "--input-size", "32", "--manifest", str(manifest), "--out", str(ckpt),
                          "--epochs", "2", "--batch-size", "4", "--scale-min", "0.70",
                          "--scale-max", "0.80", "--lr", "1e18"])
         captured = capsys.readouterr()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code == 1
         assert "training diverged at epoch 0" in captured.err
         assert captured.out == ""

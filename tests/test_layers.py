@@ -12,6 +12,7 @@ from swpnet import autodiff as ad
 from swpnet import layers
 from swpnet.autodiff import GradTape, Tensor, backward, grad_check
 from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, softmax_cross_entropy
+from swpnet.models import ModelConfig, build_model
 
 
 def conv_loop_oracle(x, w, b, stride, padding):
@@ -111,15 +112,70 @@ class TestConv2d:
     def test_bit_equal_to_tensordot_reference(self, kernel, stride, padding, batch):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + batch)
         spec = Conv2d(5, 6, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
-        x = Tensor(rng.normal(size=(batch, 5, 9, 9)).astype(np.float32), requires_grad=True)
-        with GradTape():
-            out = spec(x)
-            g = rng.normal(size=out.shape).astype(np.float32)
-            gx, gw = out._node.backward_fn(g)
-        ref_out, ref_gx, ref_gw = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
-        assert np.array_equal(out.data, ref_out)
-        assert np.array_equal(gx, ref_gx)
-        assert np.array_equal(gw, ref_gw)
+        # non-square inputs catch a height/width swap in the gather index
+        for size in ((9, 9), (9, 11), (11, 9)):
+            x = Tensor(rng.normal(size=(batch, 5) + size).astype(np.float32), requires_grad=True)
+            with GradTape():
+                out = spec(x)
+                g = rng.normal(size=out.shape).astype(np.float32)
+                gx, gw = out._node.backward_fn(g)
+            ref_out, ref_gx, ref_gw = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
+            assert np.array_equal(out.data, ref_out), size
+            assert np.array_equal(gx, ref_gx), size
+            assert np.array_equal(gw, ref_gw), size
+
+    def test_1x1_batch1_bit_equal_with_wide_channels(self):
+        # At batch 1 a 1x1 stride-1 conv's operand is a transposed view of
+        # the input; with 32 channels OpenBLAS sums a contiguous copy of it
+        # in another order, which the 5-channel cases above do not show.
+        rng = np.random.default_rng(11)
+        spec = Conv2d(32, 8, kernel=1, bias=False, rng=rng)
+        x = Tensor(rng.normal(size=(1, 32, 4, 4)).astype(np.float32))
+        g = np.zeros((1, 8, 4, 4), dtype=np.float32)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 0, g)
+        assert np.array_equal(spec(x).data, ref_out)
+
+
+def window_index_reference(channels, hp, wp, kh, kw, s):
+    """Flat offsets of every window, read off a sliding-window view of an
+    image that holds its own offsets."""
+    offsets = np.arange(channels * hp * wp).reshape(channels, hp, wp)
+    windows = sliding_window_view(offsets, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    return windows.transpose(1, 2, 0, 3, 4).reshape(-1, channels * kh * kw)
+
+
+class TestGatherIndexCache:
+    def test_desk_model_one_entry_per_shape_independent_of_batch(self, monkeypatch):
+        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
+        shapes = set()
+        conv2d, pool2d = layers.conv2d, layers.pool2d
+
+        def seen_conv(x, spec):
+            _, c, h, w = x.shape
+            k, s, p = spec.kernel_h, spec.stride, spec.padding
+            if (k, s, p) != (1, 1, 0):          # 1x1 stride-1 convs read the input in place
+                shapes.add((c, h + 2 * p, w + 2 * p, k, k, s))
+            return conv2d(x, spec)
+
+        def seen_pool(x, spec):
+            if spec.kind == "max":
+                shapes.add((1, x.shape[2], x.shape[3], spec.size, spec.size, spec.stride))
+            return pool2d(x, spec)
+
+        monkeypatch.setattr(layers, "conv2d", seen_conv)
+        monkeypatch.setattr(layers, "pool2d", seen_pool)
+        model = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                                        input_size=64), seed=0)
+        rng = np.random.default_rng(0)
+        model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
+        after_b1 = dict(layers._GATHER_INDEX)
+        assert shapes and set(after_b1) == shapes
+        model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
+        assert set(layers._GATHER_INDEX) == shapes
+        assert all(layers._GATHER_INDEX[key] is idx for key, idx in after_b1.items())
+        for key, idx in after_b1.items():
+            assert not idx.flags.writeable
+            assert np.array_equal(idx, window_index_reference(*key)), key
 
 
 class TestBatchNorm:
@@ -197,6 +253,13 @@ class TestPool2d:
         out = Pool2d("average", 7, stride=1)(Tensor(x))
         assert out.shape == (1, 2, 1, 1)
         npt.assert_allclose(out.data[0, :, 0, 0], x.mean(axis=(2, 3))[0], atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 32, 2, 2), (8, 64, 2, 2), (3, 40, 7, 7), (2, 16, 4, 4)])
+    def test_global_average_bit_equal_to_window_mean(self, shape):
+        x = np.random.default_rng(7).normal(2.0, 3.0, size=shape).astype(np.float32)
+        windows = sliding_window_view(x, shape[2:], axis=(2, 3))
+        out = Pool2d("average", shape[2], stride=1)(Tensor(x))
+        assert np.array_equal(out.data, windows.mean(axis=(4, 5)))
 
     def test_max_of_constant_map(self):
         x = Tensor(np.full((1, 1, 6, 6), 3.25, dtype=np.float32))

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from swpnet import models
+from swpnet import layers, models
 from swpnet.autodiff import Tensor
 from swpnet.layers import Conv2d
 from swpnet.models import (
@@ -384,13 +384,17 @@ class TestRegistryContract:
 
 
 class TestSharedInference:
-    def test_two_threads_match_single_thread(self):
+    def test_two_threads_match_single_thread(self, monkeypatch):
+        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
         extent = feature_map_extent(toy_config())
         model = build_model(toy_config(head="swp_head"), seed=12,
                             swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
         model.forward(rand_images(4, 64, seed=1), train=True)   # non-trivial running stats
         inputs = [rand_images(2, 64, seed=20 + i) for i in range(6)]
         expected = [model.forward(x, train=False).data.tobytes() for x in inputs]
+        serial_keys = set(layers._GATHER_INDEX)
+        # both threads start on a cold gather-index cache and fill it concurrently
+        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
         results = [[], []]
         start = threading.Barrier(2)
 
@@ -406,3 +410,4 @@ class TestSharedInference:
             t.join(timeout=120)
             assert not t.is_alive()
         assert results == [expected * 3, expected * 3]
+        assert set(layers._GATHER_INDEX) == serial_keys

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,11 +89,12 @@ class TestTrainClassifier:
 
     def test_divergence_reports_epoch(self, tiny_dataset):
         model = build_model(tiny_cls_config(), seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged) as exc:
-                train_classifier(model, tiny_dataset,
-                                 TrainConfig(lr=1e18, weight_decay=1e-4, max_epochs=8, seed=0),
-                                 tiny_preprocess())
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as exc:
+            warnings.simplefilter("always")
+            train_classifier(model, tiny_dataset,
+                             TrainConfig(lr=1e18, weight_decay=1e-4, max_epochs=8, seed=0),
+                             tiny_preprocess())
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert exc.value.epoch >= 0
         assert exc.value.step >= 1
         assert f"epoch {exc.value.epoch}, step {exc.value.step}:" in str(exc.value)
