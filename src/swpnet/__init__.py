@@ -3,4 +3,4 @@ backbones, spatially-weighted pooling, and binned bounding-box localisation."""
 
 __version__ = "0.1.0"
 
-from .autodiff import GradTape, RandomFill, Tensor, backward, grad_check, tensor_create  # noqa: F401
+from .autodiff import GradTape, Tensor, backward, grad_check  # noqa: F401

@@ -12,7 +12,6 @@ import math
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,50 +104,8 @@ class Tensor:
             raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-
-@dataclass(frozen=True)
-class RandomFill:
-    """Deterministic random fill spec for tensor_create.
-
-    kind 'normal' draws mean/std, kind 'uniform' draws [low, high).
-    """
-
-    kind: str = "normal"
-    seed: int = 0
-    mean: float = 0.0
-    std: float = 1.0
-    low: float = 0.0
-    high: float = 1.0
-
-
-def tensor_create(shape: Sequence[int], fill, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Create a tensor of the given extents from a scalar, sequence, or RandomFill."""
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ShapeMismatch(f"extents must all be >= 1, got {list(shape)}")
-    n = math.prod(shape)
-    if isinstance(fill, RandomFill):
-        rng = np.random.default_rng(fill.seed)
-        if fill.kind == "normal":
-            data = rng.normal(fill.mean, fill.std, size=shape)
-        elif fill.kind == "uniform":
-            data = rng.uniform(fill.low, fill.high, size=shape)
-        else:
-            raise ValueError(f"unknown RandomFill kind {fill.kind!r}")
-    elif np.isscalar(fill):
-        data = np.full(shape, fill)
-    else:
-        seq = np.asarray(fill)
-        if seq.size != n:
-            raise ShapeMismatch(f"fill of length {seq.size} cannot populate shape {list(shape)} ({n} values)")
-        data = seq.reshape(shape)
-    return Tensor(data.astype(dtype), requires_grad=requires_grad)
 
 
 _record_index = itertools.count()
@@ -225,21 +182,6 @@ def grad_needed(t: Tensor) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner extents disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def bwd(g):
-        ga = g @ b.data.T if grad_needed(a) else None
-        gb = a.data.T @ g if grad_needed(b) else None
-        return ga, gb
-
-    return record((a, b), out, bwd, "matmul")
-
-
 def _trailing_broadcast_ok(sa: tuple, sb: tuple) -> bool:
     if sa == sb:
         return True
@@ -270,10 +212,6 @@ def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g: g, lambda g: g, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g: g, lambda g: -g, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

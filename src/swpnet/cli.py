@@ -31,6 +31,14 @@ def _env_seed(default: int = 0) -> int:
         raise UsageError(f"SWPNET_SEED must be an integer, got {raw!r}") from None
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_seed(parser, default: int = 0):
     parser.add_argument("--seed", type=int, default=_env_seed(default),
                         help="global rng seed (env SWPNET_SEED overrides this default)")
@@ -48,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", formatter_class=fmt,
                        help="render a synthetic glyph dataset with exact boxes")
     p.add_argument("--classes", type=int, default=4, help="number of glyph classes")
-    p.add_argument("--per-class", type=int, default=25, help="images per class")
+    p.add_argument("--per-class", type=positive_int, default=25, help="images per class")
     p.add_argument("--canvas", type=int, default=256, help="square canvas side in pixels")
     p.add_argument("--out-dir", required=True, help="output directory for images and manifest")
     p.add_argument("--margin", type=float, default=0.25, help="similarity margin between classes")
@@ -66,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=1.0, help="channel width multiplier")
     p.add_argument("--swp", action="store_true",
                    help="use a spatially-weighted pooling head (warns on --task loc)")
-    p.add_argument("--swp-masks", type=int, default=9, help="mask count for the SWP head")
-    p.add_argument("--fc-nodes", type=int, default=1024, help="hidden nodes behind the SWP head")
+    p.add_argument("--swp-masks", type=positive_int, default=9, help="mask count for the SWP head")
+    p.add_argument("--fc-nodes", type=positive_int, default=1024, help="hidden nodes behind the SWP head")
     p.add_argument("--input-size", type=int, default=224, help="network input side in pixels")
     p.add_argument("--manifest", required=True, help="training manifest path")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--resume", default=None, help="checkpoint to continue training from")
-    p.add_argument("--epochs", type=int, default=30, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=8, help="minibatch size")
+    p.add_argument("--epochs", type=positive_int, default=30, help="training epochs")
+    p.add_argument("--batch-size", type=positive_int, default=8, help="minibatch size")
     p.add_argument("--lr", type=float, default=0.01, help="learning rate")
     p.add_argument("--momentum", type=float, default=0.9, help="SGD momentum")
     p.add_argument("--weight-decay", type=float, default=1e-4, help="L2 weight decay")
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate a checkpoint on a manifest (top-k or per-output bins)")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--manifest", required=True, help="eval manifest path")
-    p.add_argument("--batch-size", type=int, default=32, help="eval batch size")
+    p.add_argument("--batch-size", type=positive_int, default=32, help="eval batch size")
     p.add_argument("--raw", action="store_true",
                    help="localisation eval on raw resized images instead of centre crops")
 
@@ -98,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="eval manifest path")
     p.add_argument("--oracle", action="store_true",
                    help="replace the localiser with ground-truth boxes")
-    p.add_argument("--batch-size", type=int, default=32, help="eval batch size")
+    p.add_argument("--batch-size", type=positive_int, default=32, help="eval batch size")
 
     p = sub.add_parser("bench", formatter_class=fmt,
                        help="inference throughput over synthetic in-memory batches")
     p.add_argument("--ckpt", required=True, help="model checkpoint (classifier stage)")
     p.add_argument("--loc-ckpt", default=None, help="optional localiser checkpoint (bench the pipeline)")
     p.add_argument("--batches", default="1,32", help="comma-separated batch sizes")
-    p.add_argument("--images", type=int, default=10000, help="images per measurement")
+    p.add_argument("--images", type=positive_int, default=10000, help="images per measurement")
     _add_seed(p)
 
     p = sub.add_parser("heatmap", formatter_class=fmt,
@@ -113,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="checkpoint with an SWP head")
     p.add_argument("--manifest", required=True, help="manifest providing input images")
     p.add_argument("--out-dir", required=True, help="directory for .pgm files")
-    p.add_argument("--limit", type=int, default=4, help="number of images to export")
-    p.add_argument("--rows", type=int, default=None, help="heatmap grid rows (default: mask count)")
-    p.add_argument("--cols", type=int, default=None, help="heatmap grid cols (default: channels)")
+    p.add_argument("--limit", type=positive_int, default=4, help="number of images to export")
+    p.add_argument("--rows", type=positive_int, default=None, help="heatmap grid rows (default: mask count)")
+    p.add_argument("--cols", type=positive_int, default=None, help="heatmap grid cols (default: channels)")
 
     p = sub.add_parser("analyze-bins", formatter_class=fmt,
                        help="bin-occupancy histograms of manifest boxes (CSV per output)")
@@ -139,8 +147,6 @@ def cmd_gen_data(args) -> int:
 
     if args.classes < 2:
         raise UsageError("--classes must be at least 2")
-    if args.per_class < 1:
-        raise UsageError("--per-class must be at least 1")
     manifest = generate_dataset(args.classes, args.per_class, args.canvas, args.out_dir,
                                 similarity_margin=args.margin, seed=args.seed, split=args.split,
                                 scale_range=(args.scale_min, args.scale_max),

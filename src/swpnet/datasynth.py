@@ -209,7 +209,6 @@ class DatasetManifest:
     records: list[ManifestRecord]
     n_classes: int
     split: str
-    id_mapping: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -286,22 +285,6 @@ def generate_dataset(n_classes: int, per_class: int, canvas: int, out_dir,
 
 def manifest_path(out_dir, split: str) -> Path:
     return Path(out_dir) / f"{split}.txt"
-
-
-def subset_classes(manifest: DatasetManifest, class_ids) -> DatasetManifest:
-    """Filter to the given classes and re-densify ids; the old-to-new mapping
-    rides along on the returned manifest."""
-    wanted = sorted(set(int(c) for c in class_ids))
-    if not wanted:
-        raise DataSynthError("empty class selection")
-    known = {r.class_id for r in manifest.records}
-    missing = [c for c in wanted if c not in known]
-    if missing:
-        raise DataSynthError(f"classes {missing} not present in manifest")
-    mapping = {old: new for new, old in enumerate(wanted)}
-    records = [ManifestRecord(r.path, mapping[r.class_id], r.box)
-               for r in manifest.records if r.class_id in mapping]
-    return DatasetManifest(records, len(wanted), manifest.split, id_mapping=mapping)
 
 
 # -- pre-processing -----------------------------------------------------------
@@ -452,7 +435,7 @@ def save_histograms(counts: dict[str, np.ndarray], prefix) -> list[Path]:
 # -- derived datasets ---------------------------------------------------------
 
 def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
-                          split: str | None = None, quantize_boxes: bool = False) -> DatasetManifest:
+                          quantize_boxes: bool = False) -> DatasetManifest:
     """Write a derived dataset of per-record box crops (enlarged, cropped,
     resized largest-side-to-target) for training the second-stage classifier.
 
@@ -463,7 +446,7 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
 
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    split = split or f"{manifest.split}_boxcrop"
+    split = f"{manifest.split}_boxcrop"
     records = []
     for idx, rec in enumerate(manifest.records):
         box = decode_box(encode_box(rec.box)) if quantize_boxes else rec.box

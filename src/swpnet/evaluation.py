@@ -128,10 +128,9 @@ def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -
     return [np.concatenate(rows, axis=0) for rows in zip(*chunks)]
 
 
-def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
-                  batch_size: int = 32) -> MetricsReport:
-    """Top-k accuracy of a classification model (central-crop preprocessing)
-    or a TwoStagePipeline (its own preprocessing)."""
+def evaluate_topk(target, manifest: DatasetManifest, batch_size: int = 32) -> MetricsReport:
+    """Top-1 and top-5 accuracy of a classification model (central-crop
+    preprocessing) or a TwoStagePipeline (its own preprocessing)."""
     labels = np.array([r.class_id for r in manifest.records], dtype=np.int64)
     fallbacks = 0
     if isinstance(target, TwoStagePipeline):
@@ -140,11 +139,8 @@ def evaluate_topk(target, manifest: DatasetManifest, ks=(1, 5),
         cfg = default_eval_config(target.config.input_size)
         rasters = [center_crop_transform(load_image(r), cfg)[0] for r in manifest.records]
         logits = _forward_batched(target, rasters, batch_size)[0]
-    report = MetricsReport(sample_count=len(labels), fallbacks=fallbacks)
-    accs = {k: 100.0 * topk_hits(logits, labels, k) / len(labels) for k in ks}
-    report.top1 = accs.get(1)
-    report.top5 = accs.get(5)
-    return report
+    top1, top5 = (100.0 * topk_hits(logits, labels, k) / len(labels) for k in (1, 5))
+    return MetricsReport(sample_count=len(labels), top1=top1, top5=top5, fallbacks=fallbacks)
 
 
 # -- localisation evaluation ----------------------------------------------------

@@ -37,25 +37,31 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(image.tobytes())
 
 
-def _read_header(f, magic: bytes):
+def _read_header(f, magic: bytes, path):
+    where = os.fspath(path)
     if f.read(2) != magic:
-        raise ImageFormatError(f"bad magic, expected {magic.decode()}")
+        raise ImageFormatError(f"bad magic in {where}, expected {magic.decode()}")
     fields = []
     while len(fields) < 3:
         line = f.readline()
         if not line:
-            raise ImageFormatError("truncated header")
-        body = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in body.split())
+            raise ImageFormatError(f"truncated header in {where}")
+        for tok in line.split(b"#", 1)[0].split():
+            try:
+                fields.append(int(tok))
+            except ValueError:
+                raise ImageFormatError(f"non-integer header field {tok!r} in {where}") from None
     w, h, maxval = fields[:3]
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"image size {w}x{h} in {where}: width and height must be at least 1")
     if maxval != 255:
-        raise ImageFormatError(f"only 8-bit images supported, maxval={maxval}")
+        raise ImageFormatError(f"only 8-bit images supported, maxval={maxval} in {where}")
     return w, h
 
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        w, h = _read_header(f, b"P6")
+        w, h = _read_header(f, b"P6", path)
         raw = f.read(w * h * 3)
     if len(raw) != w * h * 3:
         raise ImageFormatError(f"truncated pixel data in {os.fspath(path)}")
@@ -64,7 +70,7 @@ def read_ppm(path) -> np.ndarray:
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        w, h = _read_header(f, b"P5")
+        w, h = _read_header(f, b"P5", path)
         raw = f.read(w * h)
     if len(raw) != w * h:
         raise ImageFormatError(f"truncated pixel data in {os.fspath(path)}")

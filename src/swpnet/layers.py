@@ -24,10 +24,6 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=DEFAULT_DTYPE)
     return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-def conv_output_extent(in_extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (in_extent + 2 * padding - kernel) // stride + 1
-
-
 class Conv2d:
     """2-d cross-correlation with zero padding.
 
@@ -166,10 +162,6 @@ class BatchNorm:
 
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def set_buffers(self, running_mean: np.ndarray, running_var: np.ndarray) -> None:
-        self.running_mean = running_mean.astype(self.running_mean.dtype)
-        self.running_var = running_var.astype(self.running_var.dtype)
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         return batchnorm(x, self, train)

@@ -95,15 +95,10 @@ def feature_map_extent(config: ModelConfig) -> int:
     return e
 
 
-def final_channels(config: ModelConfig) -> int:
-    """Channels of the pre-head feature map: the last conv of the last block."""
-    return block_plan(stage_plan(config)[-1][1], 1, config.depth_variant == 50)[-1][2]
-
-
 class Module:
     """A node of the model tree.  Each subclass lists its children, layers or
-    modules, in registry order with `_parts()`; parameter, buffer and
-    batch-norm lists all derive from the one walk in `layers()`."""
+    modules, in registry order with `_parts()`; parameter and buffer lists
+    both derive from the one walk in `layers()`."""
 
     def _parts(self) -> list[tuple[str, object]]:
         raise NotImplementedError
@@ -122,9 +117,6 @@ class Module:
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         return [(f"{path}.{name}", b) for path, bn in self.layers() if isinstance(bn, BatchNorm)
                 for name, b in bn.buffers()]
-
-    def batchnorms(self) -> list[BatchNorm]:
-        return [layer for _, layer in self.layers() if isinstance(layer, BatchNorm)]
 
 
 def block_plan(channels: int, stride: int, bottleneck: bool) -> tuple[tuple[int, int, int], ...]:

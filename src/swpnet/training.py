@@ -1,9 +1,8 @@
-"""Training loops for the classifier and the four-output localiser, plus
-head transfer.  Everything is deterministic given (config, seed, manifest)."""
+"""Training loops for the classifier and the four-output localiser.
+Everything is deterministic given (config, seed, manifest)."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor
 from .binning import LOC_OUTPUTS, encode_box
 from .datasynth import DatasetManifest, PreprocessConfig, load_image, preprocess_train, to_network_input
-from .layers import Dense, softmax_cross_entropy
+from .layers import softmax_cross_entropy
 from .models import Model, ModelBuildError
 
 
@@ -212,22 +211,3 @@ def train_localiser(model: Model, manifest: DatasetManifest, config: TrainConfig
 
     return _run_epochs(model, manifest, config, preprocess, step)
 
-
-def transfer_head(model: Model, new_class_count: int, freeze_backbone: bool = False,
-                  seed: int = 0) -> Model:
-    """Re-initialise the classifier for a new class set, keeping every
-    backbone weight; optional freezing leaves backbone grads unpopulated."""
-    if new_class_count < 2:
-        raise ModelBuildError("transfer needs at least 2 target classes")
-    if model.config.head == "loc_head":
-        raise ModelBuildError("transfer_head applies to classification models")
-    last = model.head.outputs[-1]
-    model.head.outputs[-1] = Dense(last.in_features, new_class_count,
-                                   rng=np.random.default_rng(seed), dtype=model.dtype)
-    model.config = dataclasses.replace(model.config, num_classes=new_class_count)
-    if freeze_backbone:
-        head_params = {id(t) for _, t in model.head.parameters()}
-        for _, t in model.parameters():
-            if id(t) not in head_params:
-                t.requires_grad = False
-    return model

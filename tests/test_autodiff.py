@@ -5,75 +5,44 @@ import pytest
 from swpnet import autodiff as ad
 from swpnet.autodiff import (
     GradTape,
-    RandomFill,
     Tensor,
     backward,
     grad_check,
-    tensor_create,
 )
+from swpnet.layers import Dense, dense
+
+
+def linear(weight: Tensor, rows: Tensor) -> Tensor:
+    """rows @ weight.T through layers.dense with a zero, untracked bias."""
+    spec = Dense(weight.shape[1], weight.shape[0], dtype=weight.dtype)
+    spec.weight = weight
+    spec.bias = Tensor(np.zeros(weight.shape[0], dtype=weight.dtype))
+    return dense(rows, spec)
 
 
 class TestTensorCreate:
-    def test_zero_fill(self):
-        t = tensor_create([2, 2], 0)
-        npt.assert_array_equal(t.data, np.zeros((2, 2), dtype=np.float32))
-
     def test_sequence_fill(self):
-        t = tensor_create([3], [1, 2, 3])
+        t = Tensor([1, 2, 3])
         npt.assert_array_equal(t.data, np.array([1, 2, 3], dtype=np.float32))
+        assert t.dtype == np.float32
 
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
-            tensor_create([2], [1, 2, 3])
+            ad.reshape(Tensor([1, 2, 3]), (2,))
 
     def test_zero_extent(self):
         with pytest.raises(ad.ShapeMismatch):
-            tensor_create([2, 0], 1.0)
-
-    def test_random_fill_deterministic(self):
-        a = tensor_create([4, 4], RandomFill("normal", seed=9))
-        b = tensor_create([4, 4], RandomFill("normal", seed=9))
-        npt.assert_array_equal(a.data, b.data)
-        c = tensor_create([4, 4], RandomFill("normal", seed=10))
-        assert not np.array_equal(a.data, c.data)
-
-
-class TestMatmul:
-    def test_identity_exact(self):
-        eye = tensor_create([2, 2], [1, 0, 0, 1])
-        x = tensor_create([2, 2], RandomFill("uniform", seed=3, low=-2, high=2))
-        out = ad.matmul(eye, x)
-        npt.assert_array_equal(out.data, x.data)
-
-    def test_scalar_product(self):
-        out = ad.matmul(tensor_create([1, 1], 2.0), tensor_create([1, 1], 3.0))
-        npt.assert_array_equal(out.data, [[6.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 3)).astype(np.float32)
-        b = rng.normal(size=(3, 3)).astype(np.float32)
-        expected = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    expected[i, j] += float(a[i, k]) * float(b[k, j])
-        out = ad.matmul(Tensor(a), Tensor(b))
-        npt.assert_allclose(out.data, expected, atol=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ad.ShapeMismatch):
-            ad.matmul(tensor_create([2, 3], 1.0), tensor_create([2, 3], 1.0))
+            Tensor(np.ones((2, 0), dtype=np.float32))
 
 
 class TestElementwise:
     def test_relu(self):
-        out = ad.relu(tensor_create([3], [-1, 0, 2]))
+        out = ad.relu(Tensor([-1, 0, 2]))
         npt.assert_array_equal(out.data, [0, 0, 2])
 
     def test_add_identity(self):
-        x = tensor_create([4], RandomFill("normal", seed=1))
-        out = ad.add(x, tensor_create([4], 0.0))
+        x = Tensor(np.random.default_rng(1).normal(0.0, 1.0, size=4).astype(np.float32))
+        out = ad.add(x, Tensor(np.zeros(4, dtype=np.float32)))
         npt.assert_array_equal(out.data, x.data)
 
     def test_mul_matches_scalar_loop(self):
@@ -95,19 +64,19 @@ class TestElementwise:
 
     def test_non_broadcastable(self):
         with pytest.raises(ad.ShapeMismatch):
-            ad.add(tensor_create([2, 3], 1.0), tensor_create([2], 1.0))
+            ad.add(Tensor(np.ones((2, 3), dtype=np.float32)), Tensor(np.ones(2, dtype=np.float32)))
 
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = tensor_create([3], [1, 2, 3], requires_grad=True)
+        x = Tensor([1, 2, 3], requires_grad=True)
         with GradTape():
             loss = ad.sum_all(ad.mul(x, x))
             backward(loss)
         npt.assert_allclose(x.grad, [2, 4, 6], rtol=1e-6)
 
     def test_constant_loss_zero_grads(self):
-        x = tensor_create([3], [1, 2, 3], requires_grad=True)
+        x = Tensor([1, 2, 3], requires_grad=True)
         with GradTape():
             loss = ad.sum_all(ad.scale(ad.mul(x, x), 0.0))
             backward(loss)
@@ -116,24 +85,24 @@ class TestBackward:
     def test_linear_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
-        x = Tensor(rng.normal(size=(3, 2)), dtype=np.float64)
-        err = grad_check(lambda: ad.sum_all(ad.matmul(w, x)), [w])
+        x = Tensor(rng.normal(size=(3, 2)).T, dtype=np.float64)
+        err = grad_check(lambda: ad.sum_all(linear(w, x)), [w])
         assert err < 1e-5
 
     def test_non_scalar_loss(self):
-        x = tensor_create([3], [1, 2, 3], requires_grad=True)
+        x = Tensor([1, 2, 3], requires_grad=True)
         with GradTape():
             y = ad.mul(x, x)
             with pytest.raises(ad.AutodiffError):
                 backward(y)
 
     def test_detached_loss(self):
-        x = tensor_create([1], [1.0], requires_grad=True)
+        x = Tensor([1.0], requires_grad=True, dtype=np.float32)
         with pytest.raises(ad.AutodiffError):
             backward(x)
 
     def test_repeated_backward_accumulates(self):
-        x = tensor_create([2], [1, 2], requires_grad=True)
+        x = Tensor([1, 2], requires_grad=True)
         with GradTape():
             loss = ad.sum_all(ad.mul(x, x))
             backward(loss)
@@ -144,9 +113,9 @@ class TestBackward:
     def test_replay_bit_identical(self):
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(5, 5)).astype(np.float32), requires_grad=True)
-        x = Tensor(rng.normal(size=(5, 5)).astype(np.float32))
+        x = Tensor(rng.normal(size=(5, 5)).astype(np.float32).T)
         with GradTape():
-            loss = ad.sum_all(ad.relu(ad.matmul(w, x)))
+            loss = ad.sum_all(ad.relu(linear(w, x)))
             backward(loss)
             first = x if False else w.grad.copy()
             w.grad = None
@@ -154,7 +123,7 @@ class TestBackward:
         assert w.grad.tobytes() == first.tobytes()
 
     def test_tape_is_topologically_ordered(self):
-        x = tensor_create([3], [1, 2, 3], requires_grad=True)
+        x = Tensor([1, 2, 3], requires_grad=True)
         with GradTape() as tape:
             y = ad.mul(x, x)
             z = ad.add(y, x)
@@ -168,7 +137,7 @@ class TestBackward:
 
     def test_shared_intermediate_fanout(self):
         # y used twice: d/dx of (x*x + x*x) = 4x
-        x = tensor_create([2], [1.0, 3.0], requires_grad=True)
+        x = Tensor([1.0, 3.0], requires_grad=True, dtype=np.float32)
         with GradTape():
             y = ad.mul(x, x)
             backward(ad.sum_all(ad.add(y, y)))
@@ -194,11 +163,11 @@ class TestGradCheck:
         a = Tensor(rng.normal(size=(4, 4)), dtype=np.float64)
         x = Tensor(rng.normal(size=(4, 1)), requires_grad=True, dtype=np.float64)
 
-        def quad():
-            return ad.sum_all(ad.matmul(ad.matmul(reshape_t(x), a), x))
+        a_t = Tensor(a.data.T)
 
-        def reshape_t(t):
-            return ad.reshape(t, (1, 4))
+        def quad():
+            row = ad.reshape(x, (1, 4))
+            return ad.sum_all(ad.mul(linear(a_t, row), row))
 
         err = grad_check(quad, [x])
         assert err < 1e-7
@@ -213,10 +182,10 @@ class TestGradCheck:
         rng = np.random.default_rng(3)
         w1 = Tensor(rng.normal(size=(6, 4)), requires_grad=True, dtype=np.float64)
         w2 = Tensor(rng.normal(size=(1, 6)), requires_grad=True, dtype=np.float64)
-        x = Tensor(rng.normal(size=(4, 2)) + 0.5, dtype=np.float64)
+        x = Tensor((rng.normal(size=(4, 2)) + 0.5).T, dtype=np.float64)
 
         def net():
-            return ad.sum_all(ad.matmul(w2, ad.relu(ad.matmul(w1, x))))
+            return ad.sum_all(linear(w2, ad.relu(linear(w1, x))))
 
         with GradTape() as tape:
             net()
@@ -228,16 +197,16 @@ class TestGradCheck:
     def test_linear_function_near_exact(self):
         rng = np.random.default_rng(4)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
-        x = Tensor(rng.normal(size=(3, 3)), dtype=np.float64)
-        assert grad_check(lambda: ad.sum_all(ad.matmul(w, x)), [w]) < 1e-9
+        x = Tensor(rng.normal(size=(3, 3)).T, dtype=np.float64)
+        assert grad_check(lambda: ad.sum_all(linear(w, x)), [w]) < 1e-9
 
     def test_rejects_f32_params(self):
-        w = tensor_create([2], [1.0, 2.0], requires_grad=True)
+        w = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float32)
         with pytest.raises(ad.AutodiffError):
             grad_check(lambda: ad.sum_all(w), [w])
 
     def test_rejects_nondeterministic_function(self):
-        w = tensor_create([2], [1.0, 2.0], requires_grad=True, dtype=np.float64)
+        w = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
         counter = {"n": 0}
 
         def wobbly():

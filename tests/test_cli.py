@@ -222,6 +222,42 @@ class TestBenchHeatmapBins:
         assert tables[0] == tables[1]
 
 
+@pytest.fixture(scope="module")
+def swp_run(tmp_path_factory):
+    """A tiny manifest and an SWP-head classifier checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("count_flags")
+    manifest = gen_tiny(root)
+    return manifest, train_tiny(root, manifest, "swp.ckpt",
+                                extra=("--swp", "--swp-masks", "3", "--fc-nodes", "16"))
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "0"),
+        ("eval", "--batch-size", "0"),
+        ("pipeline", "--batch-size", "-3"),
+        ("heatmap", "--limit", "-1"),
+        ("gen-data", "--per-class", "0"),
+    ])
+    def test_count_below_one_is_usage_error_and_writes_nothing(self, tmp_path, swp_run, capsys,
+                                                                command, flag, value):
+        manifest, ckpt = swp_run
+        out = tmp_path / "out"
+        args = {
+            "train": ["--manifest", str(manifest), "--out", str(out), "--arch", "18",
+                      "--width", "0.0625", "--input-size", "32"],
+            "eval": ["--ckpt", str(ckpt), "--manifest", str(manifest)],
+            "pipeline": ["--loc", str(ckpt), "--cls", str(ckpt), "--manifest", str(manifest),
+                         "--oracle"],
+            "heatmap": ["--ckpt", str(ckpt), "--manifest", str(manifest), "--out-dir", str(out)],
+            "gen-data": ["--out-dir", str(out)],
+        }[command]
+        assert main([command, *args, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}: must be at least 1, got {value}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHelpContract:
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "pipeline",
                                          "bench", "heatmap", "analyze-bins"])

@@ -9,6 +9,7 @@ from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
     DataSynthError,
     DatasetManifest,
+    ManifestRecord,
     PreprocessConfig,
     bin_histogram,
     center_crop_transform,
@@ -20,7 +21,6 @@ from swpnet.datasynth import (
     preprocess_train,
     save_histograms,
     save_manifest,
-    subset_classes,
     synthesize,
     transform_box,
 )
@@ -130,35 +130,11 @@ class TestManifests:
 
     def test_single_class_subset_round_trips(self, tmp_path):
         manifest = generate_dataset(2, 2, 64, tmp_path / "src", seed=1)
-        save_manifest(subset_classes(manifest, [1]), tmp_path / "one.txt")
+        one = [ManifestRecord(r.path, 0, r.box) for r in manifest.records if r.class_id == 1]
+        save_manifest(DatasetManifest(one, 1, manifest.split), tmp_path / "one.txt")
         loaded = load_manifest(tmp_path / "one.txt")
         assert loaded.n_classes == 1
         assert [r.class_id for r in loaded.records] == [0, 0]
-
-    def test_subset_remaps_ids(self, tmp_path):
-        manifest = generate_dataset(8, 2, 64, tmp_path, seed=2, similarity_margin=0.2)
-        sub = subset_classes(manifest, [2, 5])
-        assert sub.n_classes == 2
-        assert {r.class_id for r in sub.records} == {0, 1}
-        assert sub.id_mapping == {2: 0, 5: 1}
-
-    def test_subset_of_everything_is_identity(self, tmp_path):
-        manifest = generate_dataset(3, 2, 64, tmp_path, seed=2)
-        sub = subset_classes(manifest, range(3))
-        assert len(sub) == len(manifest)
-        assert [r.class_id for r in sub.records] == [r.class_id for r in manifest.records]
-
-    def test_complementary_subsets_partition(self, tmp_path):
-        manifest = generate_dataset(4, 3, 64, tmp_path, seed=2)
-        left = subset_classes(manifest, [0, 1])
-        right = subset_classes(manifest, [2, 3])
-        assert len(left) + len(right) == len(manifest)
-        assert {r.path for r in left.records}.isdisjoint({r.path for r in right.records})
-
-    def test_empty_subset_rejected(self, tmp_path):
-        manifest = generate_dataset(2, 1, 64, tmp_path, seed=2)
-        with pytest.raises(DataSynthError):
-            subset_classes(manifest, [])
 
 
 class TestPreprocessTrain:

@@ -77,7 +77,7 @@ class TestLocMetrics:
 class TestEvaluateEndToEnd:
     def test_topk_on_tiny_model(self, tiny_dataset):
         model = build_model(tiny_cls_config(), seed=1)
-        report = evaluate_topk(model, tiny_dataset, ks=(1, 5))
+        report = evaluate_topk(model, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
         assert 0.0 <= report.top1 <= report.top5 <= 100.0
 
@@ -162,7 +162,7 @@ class TestTwoStagePipeline:
             records.append(ManifestRecord(str(path), i % 2, BoundingBox(50, 50, 40, 40)))
         with caplog.at_level("DEBUG"):
             report = evaluate_topk(corner_box_pipeline(), DatasetManifest(records, 2, "eval"),
-                                   ks=(1,), batch_size=2)
+                                   batch_size=2)
         assert report.sample_count == 5
         assert report.fallbacks == 5
         assert "fallbacks: 5" in report.summary().splitlines()
@@ -182,9 +182,9 @@ class TestTwoStagePipeline:
         pipeline = TwoStagePipeline(None, cls_model,
                                     loc_eval_config=PreprocessConfig(crop_size=48, eval_scale=48,
                                                                      scale_range=(1, 1)))
-        report = evaluate_topk(pipeline, tiny_dataset, ks=(1,))
+        report = evaluate_topk(pipeline, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
-        assert report.top5 is None
+        assert report.top5 == 100.0     # two classes: the top five cover both
 
 
 def model_outputs(loc_model):

@@ -9,7 +9,7 @@ import pytest
 
 from swpnet import layers, models
 from swpnet.autodiff import Tensor
-from swpnet.layers import Conv2d
+from swpnet.layers import BatchNorm, Conv2d
 from swpnet.models import (
     CheckpointError,
     ModelBuildError,
@@ -135,8 +135,9 @@ class TestSWPHead:
 
     def test_swp_feature_width(self):
         cfg = ModelConfig(depth_variant=50, num_classes=431, head="swp_head")
-        assert models.final_channels(cfg) == 2048
-        assert 9 * models.final_channels(cfg) == 18432
+        channels = models.block_plan(stage_plan(cfg)[-1][1], 1, bottleneck=True)[-1][2]
+        assert channels == 2048
+        assert 9 * channels == 18432
 
 
 class TestResidualIdentity:
@@ -144,8 +145,10 @@ class TestResidualIdentity:
         for depth in (18, 50):
             cfg = toy_config(depth_variant=depth)
             model = build_model(cfg, seed=3)
-            for bn in model.batchnorms():
-                bn.set_buffers(np.zeros_like(bn.running_mean), np.ones_like(bn.running_var))
+            for _, bn in model.layers():
+                if isinstance(bn, BatchNorm):
+                    bn.running_mean[:] = 0.0
+                    bn.running_var[:] = 1.0
             x = rand_images(1, 64, seed=7)
             feats_in = model.stem_pool(
                 models.relu(model.stem_bn(model.stem_conv(x), train=False)))

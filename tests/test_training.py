@@ -20,7 +20,6 @@ from swpnet.training import (
     lr_at_epoch,
     train_classifier,
     train_localiser,
-    transfer_head,
 )
 
 
@@ -133,66 +132,6 @@ class TestTrainLocaliser:
         model = build_model(tiny_cls_config(), seed=1)
         with pytest.raises(ModelBuildError):
             train_localiser(model, tiny_dataset, TrainConfig(max_epochs=1), tiny_preprocess())
-
-
-class TestTransferHead:
-    def test_backbone_bit_identical_after_swap(self):
-        model = build_model(tiny_cls_config(num_classes=8), seed=7)
-        before = {n: b for n, b in params_bytes(model).items() if not n.startswith("head.")}
-        transfer_head(model, 4, seed=1)
-        after = params_bytes(model)
-        for name, data in before.items():
-            assert after[name] == data
-        assert model.config.num_classes == 4
-
-    def test_frozen_backbone_unchanged_after_step(self, tiny_dataset):
-        model = build_model(tiny_cls_config(num_classes=8), seed=8)
-        transfer_head(model, 2, freeze_backbone=True, seed=2)
-        before = params_bytes(model)
-        train_classifier(model, tiny_dataset, TrainConfig(lr=0.05, max_epochs=1, seed=1),
-                         tiny_preprocess())
-        after = params_bytes(model)
-        for name in after:
-            if name.startswith("head."):
-                continue
-            assert after[name] == before[name], f"frozen {name} moved"
-        assert any(after[n] != before[n] for n in after if n.startswith("head."))
-
-    def test_too_few_classes(self):
-        model = build_model(tiny_cls_config(num_classes=4), seed=1)
-        with pytest.raises(ModelBuildError):
-            transfer_head(model, 1)
-
-    def test_transfer_beats_scratch_on_small_budget(self, tmp_path):
-        from swpnet.datasynth import PreprocessConfig, subset_classes
-        from swpnet.evaluation import evaluate_topk
-        from swpnet.models import ModelConfig
-
-        # pretrain on six classes, adapt to the two held-out ones
-        kwargs = dict(scale_range=(0.50, 0.62), center_jitter=0.08, clutter=2)
-        full_train = generate_dataset(8, 12, 72, tmp_path / "train", seed=61, **kwargs)
-        full_eval = generate_dataset(8, 8, 72, tmp_path / "eval", seed=62, split="eval", **kwargs)
-        pre = PreprocessConfig(crop_size=48, eval_scale=55, scale_range=(0.70, 0.80), seed=1)
-        src_train = subset_classes(full_train, range(6))
-        tgt_train = subset_classes(full_train, [6, 7])
-        tgt_eval = subset_classes(full_eval, [6, 7])
-
-        base = build_model(ModelConfig(depth_variant=18, num_classes=6,
-                                       width_multiplier=1 / 16, input_size=48), seed=21)
-        train_classifier(base, src_train,
-                         TrainConfig(lr=0.02, batch_size=8, max_epochs=30, seed=31,
-                                     early_stop_accuracy=100.0), pre)
-
-        budget = TrainConfig(lr=0.02, batch_size=8, max_epochs=6, seed=33)
-        transfer_head(base, 2, seed=22)
-        train_classifier(base, tgt_train, budget, pre)
-        transfer_acc = evaluate_topk(base, tgt_eval, ks=(1,)).top1
-
-        scratch = build_model(ModelConfig(depth_variant=18, num_classes=2,
-                                          width_multiplier=1 / 16, input_size=48), seed=23)
-        train_classifier(scratch, tgt_train, budget, pre)
-        scratch_acc = evaluate_topk(scratch, tgt_eval, ks=(1,)).top1
-        assert transfer_acc > scratch_acc
 
 
 class TestMomentumSGD:
