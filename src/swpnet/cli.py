@@ -31,12 +31,21 @@ def _env_seed(default: int = 0) -> int:
         raise UsageError(f"SWPNET_SEED must be an integer, got {raw!r}") from None
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts and sizes: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts that may be zero: an integer of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def _add_seed(parser, default: int = 0):
@@ -55,15 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", formatter_class=fmt,
                        help="render a synthetic glyph dataset with exact boxes")
-    p.add_argument("--classes", type=int, default=4, help="number of glyph classes")
+    p.add_argument("--classes", type=positive_int, default=4, help="number of glyph classes")
     p.add_argument("--per-class", type=positive_int, default=25, help="images per class")
-    p.add_argument("--canvas", type=int, default=256, help="square canvas side in pixels")
+    p.add_argument("--canvas", type=positive_int, default=256, help="square canvas side in pixels")
     p.add_argument("--out-dir", required=True, help="output directory for images and manifest")
     p.add_argument("--margin", type=float, default=0.25, help="similarity margin between classes")
     p.add_argument("--scale-min", type=float, default=0.45, help="min glyph width fraction")
     p.add_argument("--scale-max", type=float, default=0.70, help="max glyph width fraction")
     p.add_argument("--jitter", type=float, default=0.10, help="centre jitter fraction")
-    p.add_argument("--clutter", type=int, default=3, help="background clutter shapes per image")
+    p.add_argument("--clutter", type=non_negative_int, default=3,
+                   help="background clutter shapes per image")
     p.add_argument("--split", default="train", help="split tag written to the manifest")
     _add_seed(p)
 
@@ -76,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use a spatially-weighted pooling head (warns on --task loc)")
     p.add_argument("--swp-masks", type=positive_int, default=9, help="mask count for the SWP head")
     p.add_argument("--fc-nodes", type=positive_int, default=1024, help="hidden nodes behind the SWP head")
-    p.add_argument("--input-size", type=int, default=224, help="network input side in pixels")
+    p.add_argument("--input-size", type=positive_int, default=224, help="network input side in pixels")
     p.add_argument("--manifest", required=True, help="training manifest path")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--resume", default=None, help="checkpoint to continue training from")
@@ -131,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True, help="output prefix for the four CSV files")
     p.add_argument("--preprocess", action="store_true",
                    help="apply train-time rescale+crop before binning")
-    p.add_argument("--crop", type=int, default=224, help="crop size when --preprocess is set")
+    p.add_argument("--crop", type=positive_int, default=224, help="crop size when --preprocess is set")
     p.add_argument("--scale-min", type=float, default=0.8, help="min rescale when --preprocess is set")
     p.add_argument("--scale-max", type=float, default=1.3, help="max rescale when --preprocess is set")
     _add_seed(p)

@@ -257,8 +257,10 @@ def load_manifest(path) -> DatasetManifest:
         if not img_path.exists():
             raise DataSynthError(f"manifest references missing image {img_path}")
         records.append(ManifestRecord(str(img_path), class_id, box))
+    if not records:
+        raise DataSynthError(f"{path}: manifest has no records")
     ids = {r.class_id for r in records}
-    if ids and (min(ids) < 0 or max(ids) >= n_classes):
+    if min(ids) < 0 or max(ids) >= n_classes:
         raise DataSynthError(f"class ids {sorted(ids)} not dense in [0, {n_classes})")
     return DatasetManifest(records, n_classes, header.get("split", "train"))
 

@@ -221,8 +221,10 @@ class Pool2d:
     """Max or average pooling over square windows; windows that do not fully
     fit are dropped.
 
-    Max backward routes the gradient to the window's argmax with
-    lowest-flat-index tie-break; average backward distributes uniformly.
+    Max forward returns, bit for bit, the window's value at its argmax, and
+    max backward routes the gradient to that argmax, with lowest-flat-index
+    tie-break (so a tie of 0.0 and -0.0 keeps the earlier one's sign);
+    average backward distributes uniformly.
     """
 
     def __init__(self, kind: str, size: int, stride: int = 1):
@@ -247,7 +249,8 @@ def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
     ow = (w - pw) // s + 1
 
     if spec.kind == "average":
-        if (ph, pw) == (h, w):   # a global pool, as in the heads: one mean over each map
+        global_pool = (ph, pw) == (h, w)
+        if global_pool:   # as in the heads: one mean over each map
             out = x.data.mean(axis=(2, 3), keepdims=True)
         else:
             out = sliding_window_view(x.data, (ph, pw), axis=(2, 3))[:, :, ::s, ::s].mean(axis=(4, 5))
@@ -255,6 +258,9 @@ def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
         def bwd(g):
             gx = np.zeros_like(x.data)
             share = g / (ph * pw)
+            if global_pool:   # one broadcast add: still one 0.0 + share per pixel
+                gx += share
+                return (gx,)
             for i in range(ph):
                 for j in range(pw):
                     gx[:, :, i:i + s * oh:s, j:j + s * ow:s] += share
@@ -262,18 +268,25 @@ def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
 
         return record((x,), out, bwd, "avgpool2d")
 
-    # each (batch, channel) plane gathers its windows as a one-channel conv would
-    flat = _gather_windows(x.data.reshape(batch * channels, -1), 1, h, w, ph, pw, s)
-    flat = flat.reshape(batch, channels, oh, ow, ph * pw)
-    arg = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    # A running maximum over the window offsets in (i, j) order, one strided
+    # [B, C, oh, ow] view each.  The running value is np.maximum's second
+    # operand, which it returns on a tie (0.0 against -0.0 included), so the
+    # earliest maximum wins, as argmax's does.
+    views = [x.data[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(ph) for j in range(pw)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
 
     def bwd_max(g):
-        gx = np.zeros_like(x.data)
-        b_idx, c_idx, oh_idx, ow_idx = np.indices(arg.shape)
-        ih = oh_idx * s + arg // pw
-        iw = ow_idx * s + arg % pw
-        np.add.at(gx, (b_idx, c_idx, ih, iw), g)
+        # Each (batch, channel) plane gathers its windows as a one-channel
+        # conv would; one flat scatter then visits the argmaxes in the order
+        # of g, so overlapping windows sum in a fixed order.
+        flat = _gather_windows(x.data.reshape(batch * channels, -1), 1, h, w, ph, pw, s)
+        arg = flat.reshape(batch, channels, oh, ow, ph * pw).argmax(axis=4)
+        corner = (np.arange(batch * channels).reshape(batch, channels, 1, 1) * (h * w)
+                  + np.arange(oh)[:, None] * (s * w) + np.arange(ow) * s)
+        gx = np.zeros(x.shape, dtype=x.data.dtype)
+        np.add.at(gx.reshape(-1), (corner + (arg // pw) * w + arg % pw).reshape(-1), g.reshape(-1))
         return (gx,)
 
     return record((x,), out, bwd_max, "maxpool2d")

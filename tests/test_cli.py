@@ -238,6 +238,10 @@ class TestCountFlags:
         ("pipeline", "--batch-size", "-3"),
         ("heatmap", "--limit", "-1"),
         ("gen-data", "--per-class", "0"),
+        ("gen-data", "--classes", "0"),
+        ("gen-data", "--canvas", "0"),
+        ("train", "--input-size", "0"),
+        ("analyze-bins", "--crop", "-4"),
     ])
     def test_count_below_one_is_usage_error_and_writes_nothing(self, tmp_path, swp_run, capsys,
                                                                 command, flag, value):
@@ -251,11 +255,37 @@ class TestCountFlags:
                          "--oracle"],
             "heatmap": ["--ckpt", str(ckpt), "--manifest", str(manifest), "--out-dir", str(out)],
             "gen-data": ["--out-dir", str(out)],
+            "analyze-bins": ["--manifest", str(manifest), "--out-prefix", str(out), "--preprocess"],
         }[command]
         assert main([command, *args, flag, value]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}: must be at least 1, got {value}" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_clutter_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        assert main(["gen-data", "--out-dir", str(tmp_path / "out"), "--clutter", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --clutter: must be at least 0, got -2" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestHeaderOnlyManifest:
+    @pytest.mark.parametrize("command", ["train", "eval", "pipeline", "heatmap", "analyze-bins"])
+    def test_is_named_error_and_writes_nothing(self, tmp_path, swp_run, capsys, command):
+        _, ckpt = swp_run
+        manifest = tmp_path / "empty.txt"
+        manifest.write_text("classes=2 split=train\n\n")   # a blank line is no record
+        out = tmp_path / "out"
+        args = {
+            "train": ["--out", str(out), "--arch", "18", "--width", "0.0625", "--input-size", "32"],
+            "eval": ["--ckpt", str(ckpt)],
+            "pipeline": ["--loc", str(ckpt), "--cls", str(ckpt), "--oracle"],
+            "heatmap": ["--ckpt", str(ckpt), "--out-dir", str(out)],
+            "analyze-bins": ["--out-prefix", str(out)],
+        }[command]
+        assert main([command, "--manifest", str(manifest), *args]) == 1
+        assert f"error: {manifest}: manifest has no records" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [manifest]
 
 
 class TestHelpContract:

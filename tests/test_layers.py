@@ -147,19 +147,19 @@ def window_index_reference(channels, hp, wp, kh, kw, s):
 class TestGatherIndexCache:
     def test_desk_model_one_entry_per_shape_independent_of_batch(self, monkeypatch):
         monkeypatch.setattr(layers, "_GATHER_INDEX", {})
-        shapes = set()
+        conv_shapes, pool_shapes = set(), set()
         conv2d, pool2d = layers.conv2d, layers.pool2d
 
         def seen_conv(x, spec):
             _, c, h, w = x.shape
             k, s, p = spec.kernel_h, spec.stride, spec.padding
             if (k, s, p) != (1, 1, 0):          # 1x1 stride-1 convs read the input in place
-                shapes.add((c, h + 2 * p, w + 2 * p, k, k, s))
+                conv_shapes.add((c, h + 2 * p, w + 2 * p, k, k, s))
             return conv2d(x, spec)
 
         def seen_pool(x, spec):
             if spec.kind == "max":
-                shapes.add((1, x.shape[2], x.shape[3], spec.size, spec.size, spec.stride))
+                pool_shapes.add((1, x.shape[2], x.shape[3], spec.size, spec.size, spec.stride))
             return pool2d(x, spec)
 
         monkeypatch.setattr(layers, "conv2d", seen_conv)
@@ -169,11 +169,17 @@ class TestGatherIndexCache:
         rng = np.random.default_rng(0)
         model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
         after_b1 = dict(layers._GATHER_INDEX)
-        assert shapes and set(after_b1) == shapes
+        # the stem max pool's forward builds no windows, so only convs index
+        assert conv_shapes and pool_shapes and set(after_b1) == conv_shapes
         model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
-        assert set(layers._GATHER_INDEX) == shapes
+        assert set(layers._GATHER_INDEX) == conv_shapes
+        # max pool backward gathers its windows to find each argmax
+        with GradTape():
+            backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32)),
+                                              train=True)))
+        assert set(layers._GATHER_INDEX) == conv_shapes | pool_shapes
         assert all(layers._GATHER_INDEX[key] is idx for key, idx in after_b1.items())
-        for key, idx in after_b1.items():
+        for key, idx in layers._GATHER_INDEX.items():
             assert not idx.flags.writeable
             assert np.array_equal(idx, window_index_reference(*key)), key
 
@@ -247,7 +253,77 @@ class TestBatchNorm:
         assert grad_check(f, [x, bn.gamma, bn.beta]) < 1e-5
 
 
+def maxpool_gather_oracle(x, size, stride, g):
+    """Max pool forward and backward as computed before the strided running
+    maximum: gather every window, take_along_axis at its argmax, and scatter
+    g with a 4-array np.add.at."""
+    batch, channels, h, w = x.shape
+    oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+    flat = layers._gather_windows(x.reshape(batch * channels, -1), 1, h, w, size, size, stride)
+    flat = flat.reshape(batch, channels, oh, ow, size * size)
+    arg = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    gx = np.zeros_like(x)
+    b_idx, c_idx, oh_idx, ow_idx = np.indices(arg.shape)
+    np.add.at(gx, (b_idx, c_idx, oh_idx * stride + arg // size, ow_idx * stride + arg % size), g)
+    return out, gx
+
+
+def global_average_backward_oracle(x, g):
+    """Global average pool backward as a loop of single-pixel slice adds."""
+    gx = np.zeros_like(x)
+    share = g / (x.shape[2] * x.shape[3])
+    for i in range(x.shape[2]):
+        for j in range(x.shape[3]):
+            gx[:, :, i:i + 1, j:j + 1] += share
+    return gx
+
+
+def with_signed_zeros(rng, values):
+    """values in float32 with about a quarter of them set to 0.0 or -0.0 (a
+    relu itself leaves no -0.0)."""
+    values = values.astype(np.float32)
+    zero = rng.uniform(size=values.shape) < 0.25
+    values[zero] = np.where(rng.uniform(size=zero.sum()) < 0.5, -0.0, 0.0)
+    return values
+
+
 class TestPool2d:
+    @pytest.mark.parametrize("size,stride", [(3, 2), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_max_bit_equal_to_gather_oracle(self, size, stride, batch):
+        rng = np.random.default_rng(100 * size + 10 * stride + batch)
+        for hw in ((13, 12), (8, 8)):
+            half_steps = np.round(rng.normal(size=(batch, 5) + hw) * 2) / 2   # many ties
+            for values in (np.maximum(half_steps, 0), half_steps):
+                data = with_signed_zeros(rng, values)
+                x = Tensor(data, requires_grad=True)
+                with GradTape():
+                    out = Pool2d("max", size, stride=stride)(x)
+                    g = with_signed_zeros(rng, rng.normal(size=out.shape))
+                    (gx,) = out._node.backward_fn(g)
+                ref_out, ref_gx = maxpool_gather_oracle(data, size, stride, g)
+                assert out.data.shape == ref_out.shape and out.data.dtype == ref_out.dtype
+                assert out.data.tobytes() == ref_out.tobytes(), (hw, size, stride)
+                assert gx.tobytes() == ref_gx.tobytes(), (hw, size, stride)
+
+    def test_max_tie_of_signed_zeros_keeps_the_first(self):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            x = np.array([[[[first, second], [second, second]]]], dtype=np.float32)
+            out = Pool2d("max", 2, stride=2)(Tensor(x)).data
+            assert np.signbit(out[0, 0, 0, 0]) == np.signbit(np.float32(first))
+
+    @pytest.mark.parametrize("shape", [(1, 8, 2, 2), (8, 16, 4, 4), (3, 5, 7, 7)])
+    def test_global_average_backward_bit_equal_to_slice_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        with GradTape():
+            out = Pool2d("average", shape[2], stride=1)(x)
+            g = with_signed_zeros(rng, rng.normal(size=out.shape))
+            (gx,) = out._node.backward_fn(g)
+        assert gx.tobytes() == global_average_backward_oracle(x.data, g).tobytes()
+        assert not np.signbit(gx[np.broadcast_to(g == 0, gx.shape)]).any()   # 0.0 + -0.0 is +0.0
+
     def test_average_7x7_is_scalar_mean(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 2, 7, 7)).astype(np.float32)
