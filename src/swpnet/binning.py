@@ -10,6 +10,7 @@ last bin, and a prediction decodes to its bin midpoint.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,31 +107,74 @@ def crop_to_box(image: np.ndarray, box: BoundingBox) -> np.ndarray:
     return np.ascontiguousarray(image[y0:y1, x0:x1])
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resample; uint8 input comes back rounded to uint8."""
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _taps(start: int, count: int, src: int, out: int):
+    """Source index pairs and float32 far-tap weights of output pixels
+    start..start+count-1 along one axis of a src -> out resample."""
+    pos = np.clip((np.arange(start, start + count) + 0.5) * (src / out) - 0.5, 0, src - 1)
+    lo = np.floor(pos).astype(np.int64)
+    return lo, np.minimum(lo + 1, src - 1), (pos - lo).astype(np.float32)
+
+
+def bilinear_resize(image: np.ndarray, out_h: int, out_w: int,
+                    window: tuple[int, int, int, int] | None = None) -> np.ndarray:
+    """Separable bilinear resample, rows then columns, in float32; uint8
+    input comes back rounded to uint8.
+
+    window=(top, left, rows, cols) returns only that block of the
+    out_h x out_w result, read from just the source rows and columns it
+    needs; each of its pixels equals the full resize's bit for bit.
+    """
+    if image.size == 0:
+        raise ValueError("empty image")
+    if image.ndim not in (2, 3):
+        raise ValueError(f"expected an [H, W] or [H, W, C] image, got shape {image.shape}")
+    out_h, out_w = _integer(out_h, "output height"), _integer(out_w, "output width")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bad output size {out_h}x{out_w}")
+    if window is None:
+        window = (0, 0, out_h, out_w)
+    elif len(window) != 4:
+        raise ValueError(f"window must be (top, left, rows, cols), got {window!r}")
+    top, left, rows, cols = (_integer(v, "window field") for v in window)
+    if min(top, left) < 0 or min(rows, cols) < 1 or top + rows > out_h or left + cols > out_w:
+        raise ValueError(f"window {tuple(window)} extends past the {out_h}x{out_w} output")
     h, w = image.shape[:2]
-    src = image.astype(np.float32)
+    y0, y1, wy = _taps(top, rows, h, out_h)
+    x0, x1, wx = _taps(left, cols, w, out_w)
+
+    # Row pass over the source columns the window reads, in place; each
+    # value is src[y0] * (1 - wy) + src[y1] * wy rounded as float32.
+    c0 = int(x0[0])
+    src = image[:, c0:int(x1[-1]) + 1]
     if src.ndim == 2:
         src = src[:, :, None]
+    taps = np.take(src, np.concatenate((y0, y1)), axis=0).astype(np.float32, copy=False)
+    near, far = taps[:rows], taps[rows:]
+    near *= (1 - wy)[:, None, None]
+    far *= wy[:, None, None]
+    near += far
 
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).astype(np.float32)[:, None, None]
-    wx = (xs - x0).astype(np.float32)[None, :, None]
-
-    rows = src[y0] * (1 - wy) + src[y1] * wy
-    out = rows[:, x0] * (1 - wx) + rows[:, x1] * wx
-    if image.ndim == 2:
-        out = out[:, :, 0]
+    # Column pass: the weights repeat over channels, so each multiply runs
+    # over whole contiguous (column, channel) rows.
+    channels = src.shape[2]
+    out = np.take(near, x0 - c0, axis=1).reshape(rows, cols * channels)
+    right = np.take(near, x1 - c0, axis=1).reshape(rows, cols * channels)
+    out *= np.repeat(1 - wx, channels)
+    right *= np.repeat(wx, channels)
+    out += right
+    out = out.reshape((rows, cols) + image.shape[2:])
     if image.dtype == np.uint8:
-        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out.astype(image.dtype)
+        np.rint(out, out=out)
+        np.clip(out, 0, 255, out=out)
+        return out.astype(np.uint8)
+    return out.astype(image.dtype, copy=False)
 
 
 def largest_side_scale(image: np.ndarray, target: int) -> float:

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,6 +225,28 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _resolve_image(base: Path, rel: str, real_dirs: dict[str, str]) -> str:
+    """str((base / rel).resolve()) for a manifest record's image, or a
+    DataSynthError when the image is missing.  real_dirs caches each
+    resolved directory for one manifest; a file is only lstat-ed, and a
+    symlinked one is resolved in full."""
+    head, name = os.path.split(rel)
+    if name not in ("", ".", ".."):
+        real_dir = real_dirs.get(head)
+        if real_dir is None:
+            real_dir = real_dirs[head] = str((base / head).resolve())
+        img_path = os.path.join(real_dir, name)
+        try:
+            if not stat.S_ISLNK(os.lstat(img_path).st_mode):
+                return img_path
+        except (FileNotFoundError, NotADirectoryError):
+            raise DataSynthError(f"manifest references missing image {img_path}") from None
+    img_path = (base / rel).resolve()
+    if not img_path.exists():
+        raise DataSynthError(f"manifest references missing image {img_path}")
+    return str(img_path)
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
@@ -240,7 +263,7 @@ def load_manifest(path) -> DatasetManifest:
                              f"got {lines[0]!r}") from None
     if n_classes < 1:
         raise DataSynthError(f"{path}:1: class count must be at least 1, got {n_classes}")
-    records = []
+    records, real_dirs = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -253,10 +276,7 @@ def load_manifest(path) -> DatasetManifest:
             class_id, box = int(cid), BoundingBox(float(cx), float(cy), float(w), float(h))
         except ValueError as err:
             raise DataSynthError(f"{path}:{lineno}: {err}") from None
-        img_path = (path.parent / rel).resolve()
-        if not img_path.exists():
-            raise DataSynthError(f"manifest references missing image {img_path}")
-        records.append(ManifestRecord(str(img_path), class_id, box))
+        records.append(ManifestRecord(_resolve_image(path.parent, rel, real_dirs), class_id, box))
     if not records:
         raise DataSynthError(f"{path}: manifest has no records")
     ids = {r.class_id for r in records}
@@ -347,25 +367,26 @@ def preprocess_train(image: np.ndarray, box: BoundingBox, config: PreprocessConf
     new_h, new_w = round(h * factor), round(w * factor)
     if new_h < crop or new_w < crop:
         raise DataSynthError(f"rescaled image {new_w}x{new_h} smaller than crop {crop}")
-    resized = bilinear_resize(image, new_h, new_w)
     sx, sy = new_w / w, new_h / h
     scaled_box = transform_box(box, sx, sy, 0.0, 0.0)
 
+    # The crop is chosen from box geometry alone; only the kept window of
+    # the rescaled image is then resampled.
     for _ in range(_CROP_RETRIES):
         ox = int(rng.integers(0, new_w - crop + 1))
         oy = int(rng.integers(0, new_h - crop + 1))
         shifted = transform_box(scaled_box, 1.0, 1.0, ox, oy)
         clipped = clip_box(shifted, crop, crop)
         if clipped is not None:
-            return np.ascontiguousarray(resized[oy:oy + crop, ox:ox + crop]), clipped
-
-    ox = int(np.clip(round(scaled_box.cx - crop / 2.0), 0, new_w - crop))
-    oy = int(np.clip(round(scaled_box.cy - crop / 2.0), 0, new_h - crop))
-    shifted = transform_box(scaled_box, 1.0, 1.0, ox, oy)
-    clipped = clip_box(shifted, crop, crop)
-    if clipped is None:
-        raise DataSynthError("glyph unrecoverable after crop resampling")
-    return np.ascontiguousarray(resized[oy:oy + crop, ox:ox + crop]), clipped
+            break
+    else:
+        ox = int(np.clip(round(scaled_box.cx - crop / 2.0), 0, new_w - crop))
+        oy = int(np.clip(round(scaled_box.cy - crop / 2.0), 0, new_h - crop))
+        shifted = transform_box(scaled_box, 1.0, 1.0, ox, oy)
+        clipped = clip_box(shifted, crop, crop)
+        if clipped is None:
+            raise DataSynthError("glyph unrecoverable after crop resampling")
+    return bilinear_resize(image, new_h, new_w, (oy, ox, crop, crop)), clipped
 
 
 def center_crop_transform(image: np.ndarray, config: PreprocessConfig
@@ -377,10 +398,9 @@ def center_crop_transform(image: np.ndarray, config: PreprocessConfig
         new_h, new_w = config.eval_scale, max(config.crop_size, round(w * config.eval_scale / h))
     else:
         new_h, new_w = max(config.crop_size, round(h * config.eval_scale / w)), config.eval_scale
-    resized = bilinear_resize(image, new_h, new_w)
     ox = (new_w - config.crop_size) // 2
     oy = (new_h - config.crop_size) // 2
-    crop = np.ascontiguousarray(resized[oy:oy + config.crop_size, ox:ox + config.crop_size])
+    crop = bilinear_resize(image, new_h, new_w, (oy, ox, config.crop_size, config.crop_size))
     return crop, new_w / w, new_h / h, float(ox), float(oy)
 
 

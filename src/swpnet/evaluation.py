@@ -23,6 +23,7 @@ from .binning import (
 )
 from .datasynth import (
     DatasetManifest,
+    ManifestRecord,
     PreprocessConfig,
     center_crop_transform,
     clip_box,
@@ -30,6 +31,7 @@ from .datasynth import (
     to_network_input,
     transform_box,
 )
+from .imgio import ImageFormatError
 from .models import Model, ModelBuildError
 
 
@@ -46,7 +48,7 @@ class MetricsReport:
     top5: float | None = None
     per_output_accuracy: tuple[float, float, float, float] | None = None
     mean_accuracy: float | None = None
-    skipped: int = 0        # records left out of sample_count
+    skipped: int = 0        # records left out of sample_count: unreadable image or lost box
     fallbacks: int = 0      # pipeline images classified from the central-crop fallback
 
     def summary(self) -> str:
@@ -128,19 +130,48 @@ def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -
     return [np.concatenate(rows, axis=0) for rows in zip(*chunks)]
 
 
+def _decoded(records, unreadable: list[ImageFormatError]):
+    """(record, image) for each record whose image decodes.  The error of
+    each other record is appended to `unreadable`; its caller skips it."""
+    for rec in records:
+        try:
+            image = load_image(rec)
+        except ImageFormatError as err:
+            unreadable.append(err)
+            continue
+        yield rec, image
+
+
+def _nothing_left(n_records: int, unreadable: list[ImageFormatError], lost: int = 0) -> ValueError:
+    """The error of an evaluation that skipped all of its n_records."""
+    causes = []
+    if unreadable:
+        causes.append(f"{len(unreadable)} of {n_records} images do not decode (first: {unreadable[0]})")
+    if lost:
+        causes.append(f"the eval crop lost {lost} of {n_records} boxes")
+    return ValueError("no record to evaluate: " + " and ".join(causes))
+
+
 def evaluate_topk(target, manifest: DatasetManifest, batch_size: int = 32) -> MetricsReport:
     """Top-1 and top-5 accuracy of a classification model (central-crop
-    preprocessing) or a TwoStagePipeline (its own preprocessing)."""
-    labels = np.array([r.class_id for r in manifest.records], dtype=np.int64)
+    preprocessing) or a TwoStagePipeline (its own preprocessing), over the
+    records whose image decodes; the rest count as skipped."""
     fallbacks = 0
     if isinstance(target, TwoStagePipeline):
-        logits, fallbacks = target.predict_manifest(manifest, batch_size=batch_size)
+        logits, kept, fallbacks = target.predict_manifest(manifest, batch_size=batch_size)
     else:
         cfg = default_eval_config(target.config.input_size)
-        rasters = [center_crop_transform(load_image(r), cfg)[0] for r in manifest.records]
+        kept, rasters, unreadable = [], [], []
+        for rec, image in _decoded(manifest.records, unreadable):
+            kept.append(rec)
+            rasters.append(center_crop_transform(image, cfg)[0])
+        if not kept:
+            raise _nothing_left(len(manifest.records), unreadable)
         logits = _forward_batched(target, rasters, batch_size)[0]
+    labels = np.array([r.class_id for r in kept], dtype=np.int64)
     top1, top5 = (100.0 * topk_hits(logits, labels, k) / len(labels) for k in (1, 5))
-    return MetricsReport(sample_count=len(labels), top1=top1, top5=top5, fallbacks=fallbacks)
+    return MetricsReport(sample_count=len(labels), top1=top1, top5=top5,
+                         skipped=len(manifest.records) - len(kept), fallbacks=fallbacks)
 
 
 # -- localisation evaluation ----------------------------------------------------
@@ -150,9 +181,10 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
     """Per-output bin accuracy via argmax against encoded ground truth.
 
     preprocess='center' runs the eval centre crop and transforms boxes with
-    it; a record whose box the crop loses is skipped and counted in the
-    report's `skipped`.  preprocess='none' feeds the raw image resized
-    largest-side-to-input (boxes scaled by the same factor).
+    it; preprocess='none' feeds the raw image resized largest-side-to-input
+    (boxes scaled by the same factor).  A record whose image does not
+    decode, or whose box the centre crop loses, is skipped and counted in
+    the report's `skipped`.
     """
     if model.config.head != "loc_head":
         raise ModelBuildError("evaluate_localisation needs a loc_head model")
@@ -160,15 +192,14 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
         raise ValueError(f"preprocess must be 'center' or 'none', got {preprocess!r}")
     input_size = model.config.input_size
     cfg = default_eval_config(input_size)
-    rasters, boxes = [], []
-    skipped = 0
-    for rec in manifest.records:
-        image = load_image(rec)
+    rasters, boxes, unreadable = [], [], []
+    lost = 0
+    for rec, image in _decoded(manifest.records, unreadable):
         if preprocess == "center":
             crop, sx, sy, ox, oy = center_crop_transform(image, cfg)
             box = clip_box(transform_box(rec.box, sx, sy, ox, oy), cfg.crop_size, cfg.crop_size)
             if box is None:
-                skipped += 1
+                lost += 1
                 continue
         else:
             s = largest_side_scale(image, input_size)
@@ -177,8 +208,7 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
         rasters.append(crop)
         boxes.append(box)
     if not rasters:
-        raise ValueError(f"no record to evaluate: the eval crop lost {skipped} of "
-                         f"{len(manifest.records)} boxes")
+        raise _nothing_left(len(manifest.records), unreadable, lost)
 
     targets = np.array([encode_box(b) for b in boxes], dtype=np.int64)
     # stable argmax: ties break to the lower bin id
@@ -186,7 +216,7 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
                       for out in _forward_batched(model, rasters, batch_size)], axis=1)
 
     report = loc_metrics(100.0 * (preds == targets).mean(axis=0), len(rasters))
-    report.skipped = skipped
+    report.skipped = lost + len(unreadable)
     max_bins = max(spec.n_bins for _, spec in LOC_OUTPUTS)
     dists = np.abs(preds - targets)
     return report, BinErrorStats({name: np.bincount(dists[:, col], minlength=max_bins)
@@ -274,17 +304,24 @@ class TwoStagePipeline:
         probs = softmax(logits)[0]
         return (probs, details[0]) if return_details else probs
 
-    def predict_manifest(self, manifest: DatasetManifest, batch_size: int = 32) -> tuple[np.ndarray, int]:
-        """Logit rows for every record, and how many of them fell back to the
-        central crop; oracle mode reads manifest boxes."""
-        rows, fallbacks = [], 0
+    def predict_manifest(self, manifest: DatasetManifest, batch_size: int = 32
+                         ) -> tuple[np.ndarray, list[ManifestRecord], int]:
+        """Logit rows for the records whose image decodes, those records in
+        row order, and how many of them fell back to the central crop; the
+        other records are skipped.  Oracle mode reads manifest boxes."""
+        rows, kept, fallbacks, unreadable = [], [], 0, []
         for start in range(0, len(manifest.records), batch_size):
-            chunk = manifest.records[start:start + batch_size]
-            images = [load_image(r) for r in chunk]
-            logits, details = self.predict_batch(images, gt_boxes=[r.box for r in chunk])
+            chunk = list(_decoded(manifest.records[start:start + batch_size], unreadable))
+            if not chunk:
+                continue
+            records, images = zip(*chunk)
+            logits, details = self.predict_batch(list(images), gt_boxes=[r.box for r in records])
             rows.append(logits)
+            kept += records
             fallbacks += sum(d.used_fallback for d in details)
-        return np.concatenate(rows, axis=0), fallbacks
+        if not rows:
+            raise _nothing_left(len(manifest.records), unreadable)
+        return np.concatenate(rows, axis=0), kept, fallbacks
 
 
 # -- throughput benchmark --------------------------------------------------------

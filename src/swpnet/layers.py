@@ -24,11 +24,16 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=DEFAULT_DTYPE)
     return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype)
 
 
+def _init_weight(rng: np.random.Generator | None, shape, fan_in: int, dtype) -> np.ndarray:
+    return np.zeros(shape, dtype=dtype) if rng is None else he_normal(rng, shape, fan_in, dtype)
+
+
 class Conv2d:
     """2-d cross-correlation with zero padding.
 
     Weight layout is [out, in, kh, kw]; convs that feed a batch-norm layer
-    are built without bias.
+    are built without bias.  The weight is He-initialised from rng, or left
+    zero with no draw when rng is None (for a caller that sets it).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -39,9 +44,8 @@ class Conv2d:
         self.kernel_h = self.kernel_w = kernel
         self.stride = stride
         self.padding = padding
-        rng = rng or np.random.default_rng(0)
-        fan_in = in_channels * kernel * kernel
-        self.weight = Tensor(he_normal(rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype),
+        shape = (out_channels, in_channels, kernel, kernel)
+        self.weight = Tensor(_init_weight(rng, shape, in_channels * kernel * kernel, dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
@@ -293,14 +297,14 @@ def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
 
 
 class Dense:
-    """Fully connected layer: input @ weight.T + bias."""
+    """Fully connected layer: input @ weight.T + bias.  The weight is
+    initialised as Conv2d's is."""
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, dtype=DEFAULT_DTYPE):
         self.in_features = in_features
         self.out_features = out_features
-        rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(he_normal(rng, (out_features, in_features), in_features, dtype),
+        self.weight = Tensor(_init_weight(rng, (out_features, in_features), in_features, dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 

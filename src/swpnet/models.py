@@ -134,7 +134,7 @@ class Block(Module):
     (the stem already applied one)."""
 
     def __init__(self, in_ch: int, channels: int, stride: int, skip_preact: bool,
-                 rng: np.random.Generator, dtype, bottleneck: bool = False):
+                 rng: np.random.Generator | None, dtype, bottleneck: bool = False):
         self.steps = []     # (bn or None, conv) per conv, as attributes bn1, conv1, ...
         ch = in_ch
         for i, (kernel, conv_stride, out_ch) in enumerate(block_plan(channels, stride, bottleneck), 1):
@@ -169,7 +169,7 @@ class Head(Module):
     returns its tensor; several return a list in table order."""
 
     def __init__(self, kind: str, channels: int, map_extent: int, num_classes: int,
-                 rng: np.random.Generator, dtype, swp_spec: SWPSpec | None = None,
+                 rng: np.random.Generator | None, dtype, swp_spec: SWPSpec | None = None,
                  fc_nodes: int = 1024):
         front, outputs = HEAD_TABLE[kind]
         if front == "swp":
@@ -215,14 +215,18 @@ class Head(Module):
 
 
 class Model(Module):
-    """Stem, four residual stages, final bn-relu, and one head."""
+    """Stem, four residual stages, final bn-relu, and one head.
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
+    Conv and dense weights are He-initialised from `seed`; seed=None draws
+    nothing and leaves them zero, for load_checkpoint to overwrite.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int | None = 0, dtype=DEFAULT_DTYPE,
                  swp_spec: SWPSpec | None = None, fc_nodes: int = 1024):
         self.config = config
         self.dtype = dtype
         self.trained_epochs = 0
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
 
         stem_ch = _width(64, config.width_multiplier)
         self.stem_conv = Conv2d(3, stem_ch, 7, stride=2, padding=3, bias=False, rng=rng, dtype=dtype)
@@ -430,7 +434,7 @@ def load_checkpoint(path) -> Model:
             *spec, fc_nodes = (_typed(v, int, f"config echo head_extras.swp {k!r}") for k, v in
                                zip(keys, _require(extras["swp"], keys, "config echo head_extras.swp")))
             swp_spec = SWPSpec(*spec)
-        model = Model(ModelConfig(**config), seed=0, swp_spec=swp_spec, fc_nodes=fc_nodes)
+        model = Model(ModelConfig(**config), seed=None, swp_spec=swp_spec, fc_nodes=fc_nodes)
     except (ValueError, ad.AutodiffError) as err:
         raise CheckpointError(f"config echo describes no buildable model: {err}") from None
     model.trained_epochs = _typed(echo.get("trained_epochs", 0), int, "config echo 'trained_epochs'")

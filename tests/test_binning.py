@@ -177,3 +177,122 @@ class TestResizeLargestSide:
         ramp = np.linspace(0, 255, 64, dtype=np.float32).reshape(1, 64).repeat(4, axis=0)
         out = bilinear_resize(ramp, 4, 16)
         assert (np.diff(out[0]) > 0).all()
+
+
+def reference_bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """The whole-image resample that the windowed one must reproduce."""
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"bad output size {out_h}x{out_w}")
+    h, w = image.shape[:2]
+    src = image.astype(np.float32)
+    if src.ndim == 2:
+        src = src[:, :, None]
+
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0).astype(np.float32)[:, None, None]
+    wx = (xs - x0).astype(np.float32)[None, :, None]
+
+    rows = src[y0] * (1 - wy) + src[y1] * wy
+    out = rows[:, x0] * (1 - wx) + rows[:, x1] * wx
+    if image.ndim == 2:
+        out = out[:, :, 0]
+    if image.dtype == np.uint8:
+        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return out.astype(image.dtype)
+
+
+def edge_windows(out_h: int, out_w: int) -> list[tuple[int, int, int, int]]:
+    """The full output, a block and a single pixel at each corner, a strip
+    along each edge, and an interior block where there is room."""
+    rh, rw = max(1, out_h // 2), max(1, out_w // 2)
+    wins = [(0, 0, out_h, out_w), (0, 0, rh, rw), (out_h - rh, out_w - rw, rh, rw),
+            (0, out_w - rw, rh, rw), (out_h - rh, 0, rh, rw),
+            (0, 0, 1, out_w), (out_h - 1, 0, 1, out_w), (0, 0, out_h, 1), (0, out_w - 1, out_h, 1),
+            (0, 0, 1, 1), (out_h - 1, out_w - 1, 1, 1), (0, out_w - 1, 1, 1), (out_h - 1, 0, 1, 1)]
+    if out_h > 2 and out_w > 2:
+        wins.append((1, 1, out_h - 2, out_w - 2))
+    return wins
+
+
+def oracle_image(dtype, shape, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if dtype == np.uint8:
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return (rng.normal(size=shape) * 100).astype(dtype)
+
+
+class TestBilinearResizeOracle:
+    """Every output pixel, windowed or not, equals the reference's bit for
+    bit; the bytes are compared, so a last-digit rounding change fails."""
+
+    SIZES = [((9, 13), (20, 31)),      # upscale
+             ((40, 37), (11, 9)),      # downscale
+             ((17, 50), (30, 12)),     # up in rows, down in columns
+             ((112, 112), (73, 73)),   # the desk eval rescale before its 64 px crop
+             ((9, 13), (1, 1)),        # 1x1 output
+             ((1, 1), (5, 4)),         # 1x1 source
+             ((6, 1), (1, 7))]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32], ids=["uint8", "float32"])
+    @pytest.mark.parametrize("channels", [None, 3], ids=["2d", "3d"])
+    @pytest.mark.parametrize("src, out", SIZES, ids=[f"{s[0]}x{s[1]}-{o[0]}x{o[1]}" for s, o in SIZES])
+    def test_windows_match_full_reference_slice(self, dtype, channels, src, out):
+        shape = src if channels is None else src + (channels,)
+        image = oracle_image(dtype, shape, seed=sum(shape))
+        full = reference_bilinear_resize(image, *out)
+        for top, left, rows, cols in edge_windows(*out):
+            got = bilinear_resize(image, *out, window=(top, left, rows, cols))
+            want = full[top:top + rows, left:left + cols]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (top, left, rows, cols)
+        assert bilinear_resize(image, *out).tobytes() == full.tobytes()
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from([np.uint8, np.float32]), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_windows_match_reference(self, h, w, out_h, out_w, dtype, seed, data):
+        image = oracle_image(dtype, (h, w, 3), seed)
+        top = data.draw(st.integers(0, out_h - 1))
+        left = data.draw(st.integers(0, out_w - 1))
+        rows = data.draw(st.integers(1, out_h - top))
+        cols = data.draw(st.integers(1, out_w - left))
+        want = reference_bilinear_resize(image, out_h, out_w)[top:top + rows, left:left + cols]
+        assert bilinear_resize(image, out_h, out_w, (top, left, rows, cols)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [None, (2, 2, 4, 4)])
+    def test_in_place_arithmetic_leaves_a_float32_input_alone(self, window):
+        image = oracle_image(np.float32, (8, 8, 3), seed=1)
+        before = image.copy()
+        out = bilinear_resize(image, 8, 8, window)
+        assert out.flags.c_contiguous and not np.shares_memory(out, image)
+        assert image.tobytes() == before.tobytes()
+
+
+class TestBilinearResizeRejects:
+    def test_empty_image(self):
+        with pytest.raises(ValueError, match="empty image"):
+            bilinear_resize(np.zeros((0, 5, 3), dtype=np.uint8), 4, 4)
+
+    @pytest.mark.parametrize("size", [(2.5, 3), (3, 2.0), ("3", 3)])
+    def test_non_integer_output_size(self, size):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bilinear_resize(np.zeros((4, 4, 3), dtype=np.uint8), *size)
+
+    @pytest.mark.parametrize("window", [(0, 0, 4, 3), (0, 1, 3, 3), (-1, 0, 2, 2), (0, 0, 0, 2), (2, 2, 2, 1)])
+    def test_window_past_output(self, window):
+        with pytest.raises(ValueError, match="extends past the 3x3 output"):
+            bilinear_resize(np.zeros((4, 4, 3), dtype=np.uint8), 3, 3, window)
+
+    @pytest.mark.parametrize("window", [(0, 0, 2), (0, 0.5, 1, 1)])
+    def test_malformed_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            bilinear_resize(np.zeros((4, 4, 3), dtype=np.uint8), 3, 3, window)
+
+    def test_numpy_integer_sizes_accepted(self):
+        out = bilinear_resize(np.zeros((4, 4, 3), dtype=np.uint8), np.int64(3), np.int32(2))
+        assert out.shape == (3, 2, 3)

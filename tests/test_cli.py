@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from swpnet.cli import main
+from swpnet.datasynth import ManifestRecord, load_manifest, save_manifest
 from swpnet.models import load_checkpoint
 
 
@@ -286,6 +287,36 @@ class TestHeaderOnlyManifest:
         assert main([command, "--manifest", str(manifest), *args]) == 1
         assert f"error: {manifest}: manifest has no records" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [manifest]
+
+
+class TestTruncatedImage:
+    """One image that does not decode is skipped by eval and pipeline and
+    still fails training."""
+
+    @pytest.fixture
+    def bad_manifest(self, tmp_path, swp_run):
+        manifest = load_manifest(swp_run[0])
+        rec = manifest.records[0]
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(Path(rec.path).read_bytes()[:-3])
+        manifest.records[0] = ManifestRecord(str(bad), rec.class_id, rec.box)
+        save_manifest(manifest, tmp_path / "bad.txt")
+        return tmp_path / "bad.txt", len(manifest.records)
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_skipped_and_reported(self, bad_manifest, swp_run, capsys, command):
+        path, n_records = bad_manifest
+        ckpt = str(swp_run[1])
+        args = {"eval": ["--ckpt", ckpt], "pipeline": ["--loc", ckpt, "--cls", ckpt, "--oracle"]}[command]
+        assert main([command, "--manifest", str(path), *args]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"samples: {n_records - 1}", "skipped: 1"]
+
+    def test_training_still_fails(self, bad_manifest, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(bad_manifest[0]), "--out", str(out), "--arch", "18",
+                     "--width", "0.0625", "--input-size", "32", "--epochs", "1"]) == 1
+        assert f"error: truncated pixel data in {tmp_path / 'bad.ppm'}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHelpContract:

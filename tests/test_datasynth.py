@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from swpnet import datasynth
 from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
     DataSynthError,
@@ -24,6 +25,8 @@ from swpnet.datasynth import (
     synthesize,
     transform_box,
 )
+from swpnet.imgio import write_ppm
+from test_binning import reference_bilinear_resize
 
 
 def tree_digest(root) -> str:
@@ -137,6 +140,62 @@ class TestManifests:
         assert [r.class_id for r in loaded.records] == [0, 0]
 
 
+class TestManifestPaths:
+    """A record's path is str((manifest_dir / rel).resolve()), symlinks and
+    `..` included, and a missing image names that resolved path."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        real = tmp_path / "real" / "images"
+        real.mkdir(parents=True)
+        for name in ("a.ppm", "b.ppm"):
+            write_ppm(real / name, np.zeros((2, 2, 3), dtype=np.uint8))
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        (data / "images_link").symlink_to(real, target_is_directory=True)
+        (data / "a_link.ppm").symlink_to(real / "a.ppm")
+        (data / "chain.ppm").symlink_to(data / "a_link.ppm")
+        (data / "dangling.ppm").symlink_to(real / "gone.ppm")
+        return data
+
+    @staticmethod
+    def load(manifest_dir: Path, rels: list[str]) -> list[str]:
+        path = manifest_dir / "m.txt"
+        path.write_text("classes=1 split=eval\n" + "".join(f"{rel},0,1.0,1.0,1.0,1.0\n" for rel in rels))
+        return [r.path for r in load_manifest(path).records]
+
+    @pytest.mark.parametrize("rel", [
+        "images_link/a.ppm",                 # symlinked images directory
+        "images_link/../images/b.ppm",       # `..` after a symlinked directory
+        "a_link.ppm",                        # symlinked image
+        "chain.ppm",                         # symlink to a symlink
+        "./images_link/./b.ppm",
+        "sub/../images_link/b.ppm",
+        "../real/images/a.ppm",
+        "images_link/",                      # a directory passes the existence check
+    ])
+    def test_path_equals_full_resolve(self, tree, rel):
+        assert self.load(tree, [rel]) == [str((tree / rel).resolve())]
+
+    def test_absolute_and_repeated_directories(self, tree):
+        rels = [str(tree / "a_link.ppm"), "images_link/a.ppm", "images_link/b.ppm", "images_link/a.ppm"]
+        assert self.load(tree, rels) == [str((tree / rel).resolve()) for rel in rels]
+
+    def test_manifest_in_symlinked_directory(self, tree, tmp_path):
+        (tmp_path / "data_link").symlink_to(tree, target_is_directory=True)
+        rels = ["images_link/a.ppm", "../data/a_link.ppm"]
+        assert self.load(tmp_path / "data_link", rels) == \
+            [str((tmp_path / "data_link" / rel).resolve()) for rel in rels]
+
+    @pytest.mark.parametrize("rel", ["images_link/missing.ppm", "nowhere/a.ppm", "dangling.ppm",
+                                     "a_link.ppm/x.ppm"])
+    def test_missing_image_names_resolved_path(self, tree, rel):
+        expected = f"manifest references missing image {(tree / rel).resolve()}"
+        with pytest.raises(DataSynthError) as err:
+            self.load(tree, [rel])
+        assert str(err.value) == expected
+
+
 class TestPreprocessTrain:
     def test_identity_transform(self):
         box = BoundingBox(10, 12, 6, 4)
@@ -195,6 +254,125 @@ class TestPreprocessTrain:
         cfg = PreprocessConfig(crop_size=60, eval_scale=64, scale_range=(0.5, 0.5), seed=0)
         with pytest.raises(DataSynthError):
             preprocess_train(img, BoundingBox(32, 32, 10, 10), cfg, np.random.default_rng(0))
+
+
+def reference_preprocess_train(image, box, config, rng):
+    """preprocess_train as it was before it resampled only the kept crop:
+    the whole rescaled image, then a slice of it."""
+    h, w = image.shape[:2]
+    crop = config.crop_size
+    factor = rng.uniform(*config.scale_range)
+    new_h, new_w = round(h * factor), round(w * factor)
+    if new_h < crop or new_w < crop:
+        raise DataSynthError(f"rescaled image {new_w}x{new_h} smaller than crop {crop}")
+    resized = reference_bilinear_resize(image, new_h, new_w)
+    sx, sy = new_w / w, new_h / h
+    scaled_box = transform_box(box, sx, sy, 0.0, 0.0)
+
+    for _ in range(datasynth._CROP_RETRIES):
+        ox = int(rng.integers(0, new_w - crop + 1))
+        oy = int(rng.integers(0, new_h - crop + 1))
+        shifted = transform_box(scaled_box, 1.0, 1.0, ox, oy)
+        clipped = datasynth.clip_box(shifted, crop, crop)
+        if clipped is not None:
+            return np.ascontiguousarray(resized[oy:oy + crop, ox:ox + crop]), clipped
+
+    ox = int(np.clip(round(scaled_box.cx - crop / 2.0), 0, new_w - crop))
+    oy = int(np.clip(round(scaled_box.cy - crop / 2.0), 0, new_h - crop))
+    shifted = transform_box(scaled_box, 1.0, 1.0, ox, oy)
+    clipped = datasynth.clip_box(shifted, crop, crop)
+    if clipped is None:
+        raise DataSynthError("glyph unrecoverable after crop resampling")
+    return np.ascontiguousarray(resized[oy:oy + crop, ox:ox + crop]), clipped
+
+
+def reference_center_crop_transform(image, config):
+    h, w = image.shape[:2]
+    if h <= w:
+        new_h, new_w = config.eval_scale, max(config.crop_size, round(w * config.eval_scale / h))
+    else:
+        new_h, new_w = max(config.crop_size, round(h * config.eval_scale / w)), config.eval_scale
+    resized = reference_bilinear_resize(image, new_h, new_w)
+    ox = (new_w - config.crop_size) // 2
+    oy = (new_h - config.crop_size) // 2
+    crop = np.ascontiguousarray(resized[oy:oy + config.crop_size, ox:ox + config.crop_size])
+    return crop, new_w / w, new_h / h, float(ox), float(oy)
+
+
+def run_both(fn, reference, *args, seed):
+    """(outcome, rng state after) of fn and of reference on the same seed;
+    an outcome is the returned value or the DataSynthError message."""
+    results = []
+    for f in (fn, reference):
+        rng = np.random.default_rng(seed)
+        try:
+            outcome = f(*args, rng)
+        except DataSynthError as err:
+            outcome = str(err)
+        results.append((outcome, rng.bit_generator.state))
+    return results
+
+
+class TestPreprocessOracle:
+    """The windowed resample gives the crops, boxes and rng streams of the
+    whole-image resample; crops are compared byte for byte."""
+
+    CASES = [  # (canvas, crop, scale range)
+        (96, 64, (0.8, 1.3)),     # the train default range
+        (112, 64, (0.7, 1.6)),
+        (96, 48, (0.5, 0.9)),     # downscale only
+        (96, 96, (1.0, 1.4)),     # crop as large as the unscaled image
+    ]
+
+    @pytest.mark.parametrize("canvas, crop, scale_range", CASES)
+    def test_preprocess_train_matches_reference(self, canvas, crop, scale_range):
+        cfg = PreprocessConfig(crop_size=crop, eval_scale=crop, scale_range=scale_range)
+        for sample in synthesize(2, 2, canvas, seed=canvas + crop):
+            for seed in range(40):
+                (got, got_state), (want, want_state) = run_both(
+                    preprocess_train, reference_preprocess_train, sample.image, sample.box, cfg, seed=seed)
+                assert got_state == want_state
+                assert got[1] == want[1]
+                assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+
+    def test_recentred_fallback_matches_reference(self, monkeypatch):
+        # a 4 px box in the corner of a 200 px image: most random 16 px crops
+        # miss it, so most seeds reach the re-centred crop after 8 draws
+        image = np.random.default_rng(3).integers(0, 256, size=(200, 200, 3), dtype=np.uint8)
+        box = BoundingBox(6.0, 190.0, 4.0, 4.0)
+        cfg = PreprocessConfig(crop_size=16, eval_scale=16, scale_range=(1.0, 1.5))
+        real_clip = datasynth.clip_box
+        clip_calls = []
+        monkeypatch.setattr(datasynth, "clip_box", lambda *a: clip_calls.append(a) or real_clip(*a))
+        fallbacks = 0
+        for seed in range(60):
+            clip_calls.clear()
+            (got, got_state), (want, want_state) = run_both(
+                preprocess_train, reference_preprocess_train, image, box, cfg, seed=seed)
+            fallbacks += len(clip_calls) == 2 * (datasynth._CROP_RETRIES + 1)  # both sides
+            assert got_state == want_state
+            assert got[1] == want[1]
+            assert got[0].tobytes() == want[0].tobytes()
+        assert fallbacks >= 30
+
+    def test_unrecoverable_glyph_same_error_and_rng_state(self):
+        image = np.zeros((64, 64, 3), dtype=np.uint8)
+        box = BoundingBox(1.0, 1.0, 2.0, 2.0)    # clips to a 1.5 px side in any crop
+        cfg = PreprocessConfig(crop_size=32, eval_scale=32, scale_range=(0.5, 0.5))
+        (got, got_state), (want, want_state) = run_both(
+            preprocess_train, reference_preprocess_train, image, box, cfg, seed=0)
+        assert got == want == "glyph unrecoverable after crop resampling"
+        assert got_state == want_state
+
+    @pytest.mark.parametrize("shape", [(112, 112, 3), (96, 150, 3), (150, 96, 3), (40, 41, 3), (64, 64, 3)])
+    @pytest.mark.parametrize("crop, eval_scale", [(64, 73), (32, 36), (64, 64)])
+    def test_center_crop_transform_matches_reference(self, shape, crop, eval_scale):
+        image = np.random.default_rng(sum(shape)).integers(0, 256, size=shape, dtype=np.uint8)
+        cfg = PreprocessConfig(crop_size=crop, eval_scale=eval_scale)
+        got = center_crop_transform(image, cfg)
+        want = reference_center_crop_transform(image, cfg)
+        assert got[1:] == want[1:]
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
 
 
 class TestPreprocessEval:

@@ -119,6 +119,71 @@ class TestEvaluateEndToEnd:
             evaluate_localisation(model, tiny_dataset, preprocess="sideways")
 
 
+def truncated_copy(record: ManifestRecord, path) -> ManifestRecord:
+    """The record pointing at a copy of its image with the last pixel cut."""
+    data = open(record.path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(data[:-3])
+    return ManifestRecord(str(path), record.class_id, record.box)
+
+
+class TestUnreadableImages:
+    """A record whose image does not decode is skipped and counted; the
+    other records give the report they give without it."""
+
+    @pytest.fixture
+    def with_bad(self, tiny_dataset, tmp_path):
+        recs = tiny_dataset.records
+        bad = [truncated_copy(recs[i], tmp_path / f"bad{i}.ppm") for i in (0, 5)]
+        return DatasetManifest([bad[0], *recs[:5], bad[1], *recs[5:]], tiny_dataset.n_classes, "eval")
+
+    def test_topk_skips_and_counts(self, tiny_dataset, with_bad):
+        model = build_model(tiny_cls_config(), seed=1)
+        clean = evaluate_topk(model, tiny_dataset, batch_size=4)
+        report = evaluate_topk(model, with_bad, batch_size=4)
+        assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
+        assert (report.top1, report.top5) == (clean.top1, clean.top5)
+        assert "skipped: 2" in report.summary().splitlines()
+
+    def test_localisation_skips_and_counts(self, tiny_dataset, with_bad):
+        model = build_model(tiny_loc_config(), seed=2)
+        clean, clean_stats = evaluate_localisation(model, tiny_dataset, batch_size=4)
+        report, stats = evaluate_localisation(model, with_bad, batch_size=4)
+        assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
+        assert report.per_output_accuracy == clean.per_output_accuracy
+        for name in stats.counts:
+            npt.assert_array_equal(stats.counts[name], clean_stats.counts[name])
+
+    def test_pipeline_skips_and_counts(self, tiny_dataset, with_bad):
+        pipeline = TwoStagePipeline(build_model(tiny_loc_config(), seed=8),
+                                    build_model(tiny_cls_config(input_size=32), seed=9))
+        clean_logits, clean_kept, _ = pipeline.predict_manifest(tiny_dataset, batch_size=4)
+        logits, kept, _ = pipeline.predict_manifest(with_bad, batch_size=4)
+        assert kept == clean_kept == tiny_dataset.records
+        npt.assert_allclose(logits, clean_logits, rtol=1e-5, atol=1e-6)
+        report = evaluate_topk(pipeline, with_bad, batch_size=4)
+        assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
+
+    def test_nothing_left_is_named(self, tiny_dataset, tmp_path):
+        bad = DatasetManifest([truncated_copy(r, tmp_path / f"bad{i}.ppm")
+                               for i, r in enumerate(tiny_dataset.records[:2])], 2, "eval")
+        named = r"no record to evaluate: 2 of 2 images do not decode \(first: truncated pixel data in .*bad0\.ppm\)$"
+        cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
+        with pytest.raises(ValueError, match=named):
+            evaluate_topk(cls_model, bad)
+        with pytest.raises(ValueError, match=named):
+            evaluate_localisation(build_model(tiny_loc_config(), seed=2), bad)
+        with pytest.raises(ValueError, match=named):
+            evaluate_topk(TwoStagePipeline(None, cls_model), bad)
+
+    def test_unreadable_and_lost_boxes_both_named(self, tiny_dataset, tmp_path):
+        rec = tiny_dataset.records[0]
+        lost = ManifestRecord(rec.path, rec.class_id, BoundingBox(1.0, 1.0, 2.0, 2.0))
+        bad = truncated_copy(rec, tmp_path / "bad.ppm")
+        with pytest.raises(ValueError, match=r"1 of 2 images do not decode .* and the eval crop lost 1 of 2 boxes$"):
+            evaluate_localisation(build_model(tiny_loc_config(), seed=2), DatasetManifest([bad, lost], 2, "eval"))
+
+
 class TestTwoStagePipeline:
     def test_oracle_crop_contains_glyph(self):
         from swpnet.datasynth import synthesize

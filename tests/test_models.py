@@ -24,6 +24,9 @@ from swpnet.models import (
 )
 from swpnet.swp import SWPSpec
 
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
 
 def toy_config(**overrides):
     base = dict(depth_variant=18, num_classes=4, width_multiplier=1 / 16,
@@ -229,6 +232,22 @@ class TestCheckpoint:
         for a, b in zip(model.forward(x), loaded.forward(x)):
             assert a.data.tobytes() == b.data.tobytes()
 
+    @pytest.mark.parametrize("path", sorted((ROOT / "bench" / "fixtures").glob("*.ckpt"))
+                             + sorted(DATA.glob("*.ckpt")), ids=lambda p: p.name)
+    def test_load_draws_no_init_values(self, path, monkeypatch, tmp_path):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew init values it then overwrites")
+
+        monkeypatch.setattr(layers, "he_normal", no_draw)
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(load_checkpoint(path), resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_seedless_model_has_zero_weights(self, monkeypatch):
+        monkeypatch.setattr(layers, "he_normal", lambda *a, **k: pytest.fail("drew init values"))
+        model = build_model(toy_config(head="swp_head"), seed=None, swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
+        assert all(not t.data.any() for name, t in model.parameters() if name.endswith(".weight"))
+
     def test_corrupted_magic(self, tmp_path):
         model = build_model(toy_config())
         path = tmp_path / "m.ckpt"
@@ -329,8 +348,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="no buildable model.*depth"):
             load_checkpoint(path)
 
-
-DATA = Path(__file__).parent / "data"
 
 
 def _registry_variants():
