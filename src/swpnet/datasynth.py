@@ -276,7 +276,13 @@ def load_manifest(path) -> DatasetManifest:
             class_id, box = int(cid), BoundingBox(float(cx), float(cy), float(w), float(h))
         except ValueError as err:
             raise DataSynthError(f"{path}:{lineno}: {err}") from None
-        records.append(ManifestRecord(_resolve_image(path.parent, rel, real_dirs), class_id, box))
+        try:
+            img_path = _resolve_image(path.parent, rel, real_dirs)
+        except DataSynthError:
+            raise
+        except (ValueError, OSError, RuntimeError) as err:  # a NUL byte, a symlink loop
+            raise DataSynthError(f"{path}:{lineno}: cannot resolve image path {rel!r}: {err}") from None
+        records.append(ManifestRecord(img_path, class_id, box))
     if not records:
         raise DataSynthError(f"{path}: manifest has no records")
     ids = {r.class_id for r in records}

@@ -23,7 +23,6 @@ from .binning import (
 )
 from .datasynth import (
     DatasetManifest,
-    ManifestRecord,
     PreprocessConfig,
     center_crop_transform,
     clip_box,
@@ -120,58 +119,92 @@ def topk_hits(logits: np.ndarray, targets: np.ndarray, k: int) -> int:
     return int((preds == np.asarray(targets).reshape(-1, 1)).any(axis=1).sum())
 
 
-def _forward_batched(model: Model, rasters: list[np.ndarray], batch_size: int) -> list[np.ndarray]:
-    """Inference in batches; one array of stacked rows per model output."""
-    chunks = []
-    for start in range(0, len(rasters), batch_size):
-        batch = Tensor(to_network_input(rasters[start:start + batch_size]))
-        out = model.forward(batch, train=False)
-        chunks.append([o.data for o in out] if isinstance(out, list) else [out.data])
-    return [np.concatenate(rows, axis=0) for rows in zip(*chunks)]
+def _forward(model: Model, rasters: list[np.ndarray]) -> list[np.ndarray]:
+    """One inference batch; one array of rows per model output."""
+    out = model.forward(Tensor(to_network_input(rasters)), train=False)
+    return [o.data for o in out] if isinstance(out, list) else [out.data]
 
 
-def _decoded(records, unreadable: list[ImageFormatError]):
-    """(record, image) for each record whose image decodes.  The error of
-    each other record is appended to `unreadable`; its caller skips it."""
-    for rec in records:
-        try:
-            image = load_image(rec)
-        except ImageFormatError as err:
-            unreadable.append(err)
-            continue
-        yield rec, image
+def _predicted_bins(model: Model, rasters: list[np.ndarray]) -> np.ndarray:
+    """(n, 4) localiser bins by stable argmax: ties break to the lower bin."""
+    return np.stack([topk_predictions(o, 1)[:, 0] for o in _forward(model, rasters)], axis=1)
 
 
-def _nothing_left(n_records: int, unreadable: list[ImageFormatError], lost: int = 0) -> ValueError:
+_UNENCODABLE = "{lost} of {n} boxes cannot be encoded"
+
+
+def _nothing_left(n_records: int, unreadable: list[ImageFormatError], lost: int, lost_cause: str) -> ValueError:
     """The error of an evaluation that skipped all of its n_records."""
     causes = []
     if unreadable:
         causes.append(f"{len(unreadable)} of {n_records} images do not decode (first: {unreadable[0]})")
     if lost:
-        causes.append(f"the eval crop lost {lost} of {n_records} boxes")
+        causes.append(lost_cause.format(lost=lost, n=n_records))
     return ValueError("no record to evaluate: " + " and ".join(causes))
+
+
+def _evaluate(manifest: DatasetManifest, prepare, run, batch_size: int, lost_cause: str = _UNENCODABLE):
+    """The batching loop of every evaluation.  In manifest order it decodes
+    each record's image and turns it into an (input, truth) pair with
+    prepare(record, image), or None to skip the record.  Then run(inputs)
+    scores the kept inputs, batch_size at a time, one row per input.
+    Returns (truths, rows, skipped); an image that does not decode counts
+    as skipped.  No record left is a named ValueError."""
+    pairs, unreadable = [], []
+    for rec in manifest.records:
+        try:
+            image = load_image(rec)
+        except ImageFormatError as err:
+            unreadable.append(err)
+            continue
+        pair = prepare(rec, image)
+        if pair is not None:
+            pairs.append(pair)
+    skipped = len(manifest.records) - len(pairs)
+    if not pairs:
+        raise _nothing_left(len(manifest.records), unreadable, skipped - len(unreadable), lost_cause)
+    inputs, truths = zip(*pairs)
+    rows = [run(list(inputs[start:start + batch_size])) for start in range(0, len(inputs), batch_size)]
+    return truths, np.concatenate(rows, axis=0), skipped
+
+
+def _encoded(box: BoundingBox | None) -> LocTarget | None:
+    """The box's bins; None for no box or one the codec cannot encode."""
+    try:
+        return None if box is None else encode_box(box)
+    except ValueError:
+        return None
 
 
 def evaluate_topk(target, manifest: DatasetManifest, batch_size: int = 32) -> MetricsReport:
     """Top-1 and top-5 accuracy of a classification model (central-crop
-    preprocessing) or a TwoStagePipeline (its own preprocessing), over the
-    records whose image decodes; the rest count as skipped."""
-    fallbacks = 0
+    preprocessing) or a TwoStagePipeline (its own preprocessing).  A record
+    whose image does not decode, or whose box an oracle pipeline cannot
+    encode, is skipped and counted in the report's `skipped`."""
+    fallbacks = []
     if isinstance(target, TwoStagePipeline):
-        logits, kept, fallbacks = target.predict_manifest(manifest, batch_size=batch_size)
+        def prepare(rec, image):
+            if target.loc_model is None and _encoded(rec.box) is None:
+                return None
+            return (image, rec.box), rec.class_id
+
+        def run(inputs):
+            images, boxes = zip(*inputs)
+            logits, details = target.predict_batch(list(images), list(boxes))
+            fallbacks.extend(d.used_fallback for d in details)
+            return logits
     else:
         cfg = default_eval_config(target.config.input_size)
-        kept, rasters, unreadable = [], [], []
-        for rec, image in _decoded(manifest.records, unreadable):
-            kept.append(rec)
-            rasters.append(center_crop_transform(image, cfg)[0])
-        if not kept:
-            raise _nothing_left(len(manifest.records), unreadable)
-        logits = _forward_batched(target, rasters, batch_size)[0]
-    labels = np.array([r.class_id for r in kept], dtype=np.int64)
+
+        def prepare(rec, image):
+            return center_crop_transform(image, cfg)[0], rec.class_id
+
+        def run(inputs):
+            return _forward(target, inputs)[0]
+    labels, logits, skipped = _evaluate(manifest, prepare, run, batch_size)
     top1, top5 = (100.0 * topk_hits(logits, labels, k) / len(labels) for k in (1, 5))
     return MetricsReport(sample_count=len(labels), top1=top1, top5=top5,
-                         skipped=len(manifest.records) - len(kept), fallbacks=fallbacks)
+                         skipped=skipped, fallbacks=sum(fallbacks))
 
 
 # -- localisation evaluation ----------------------------------------------------
@@ -183,8 +216,8 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
     preprocess='center' runs the eval centre crop and transforms boxes with
     it; preprocess='none' feeds the raw image resized largest-side-to-input
     (boxes scaled by the same factor).  A record whose image does not
-    decode, or whose box the centre crop loses, is skipped and counted in
-    the report's `skipped`.
+    decode, whose box the centre crop loses, or whose box cannot be encoded
+    is skipped and counted in the report's `skipped`.
     """
     if model.config.head != "loc_head":
         raise ModelBuildError("evaluate_localisation needs a loc_head model")
@@ -192,31 +225,23 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
         raise ValueError(f"preprocess must be 'center' or 'none', got {preprocess!r}")
     input_size = model.config.input_size
     cfg = default_eval_config(input_size)
-    rasters, boxes, unreadable = [], [], []
-    lost = 0
-    for rec, image in _decoded(manifest.records, unreadable):
+
+    def prepare(rec, image):
         if preprocess == "center":
             crop, sx, sy, ox, oy = center_crop_transform(image, cfg)
             box = clip_box(transform_box(rec.box, sx, sy, ox, oy), cfg.crop_size, cfg.crop_size)
-            if box is None:
-                lost += 1
-                continue
         else:
             s = largest_side_scale(image, input_size)
-            crop = resize_largest_side(image, input_size)
-            box = transform_box(rec.box, s, s, 0.0, 0.0)
-        rasters.append(crop)
-        boxes.append(box)
-    if not rasters:
-        raise _nothing_left(len(manifest.records), unreadable, lost)
+            crop, box = resize_largest_side(image, input_size), transform_box(rec.box, s, s, 0.0, 0.0)
+        target = _encoded(box)
+        return None if target is None else (crop, target)
 
-    targets = np.array([encode_box(b) for b in boxes], dtype=np.int64)
-    # stable argmax: ties break to the lower bin id
-    preds = np.stack([topk_predictions(out, 1)[:, 0]
-                      for out in _forward_batched(model, rasters, batch_size)], axis=1)
-
-    report = loc_metrics(100.0 * (preds == targets).mean(axis=0), len(rasters))
-    report.skipped = lost + len(unreadable)
+    lost_cause = "the eval crop lost {lost} of {n} boxes" if preprocess == "center" else _UNENCODABLE
+    targets, preds, skipped = _evaluate(manifest, prepare, lambda crops: _predicted_bins(model, crops),
+                                        batch_size, lost_cause)
+    targets = np.array(targets, dtype=np.int64)
+    report = loc_metrics(100.0 * (preds == targets).mean(axis=0), len(targets))
+    report.skipped = skipped
     max_bins = max(spec.n_bins for _, spec in LOC_OUTPUTS)
     dists = np.abs(preds - targets)
     return report, BinErrorStats({name: np.bincount(dists[:, col], minlength=max_bins)
@@ -228,9 +253,7 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
 @dataclass
 class PipelineDetails:
     predicted_box: BoundingBox      # decoded, in localiser input coordinates
-    image_box: BoundingBox          # mapped back onto the raw image
-    enlarged_box: BoundingBox
-    crop_shape: tuple
+    enlarged_box: BoundingBox       # mapped back onto the raw image, then enlarged
     used_fallback: bool
 
 
@@ -242,16 +265,13 @@ class TwoStagePipeline:
     network prediction, giving the pipeline's accuracy upper bound.
     """
 
-    def __init__(self, loc_model: Model | None, cls_model: Model,
-                 loc_eval_config: PreprocessConfig | None = None):
+    def __init__(self, loc_model: Model | None, cls_model: Model):
         if loc_model is not None and loc_model.config.head != "loc_head":
             raise ModelBuildError("two-stage pipeline needs a loc_head localiser")
         if cls_model.config.head == "loc_head":
             raise ModelBuildError("two-stage pipeline needs a classification second stage")
         self.loc_model = loc_model
         self.cls_model = cls_model
-        size = loc_model.config.input_size if loc_model is not None else cls_model.config.input_size
-        self.loc_eval_config = loc_eval_config or default_eval_config(size)
 
     def _stage_one(self, images: list[np.ndarray], gt_boxes) -> list[tuple]:
         """(LocTarget, sx, sy, ox, oy) per image."""
@@ -259,22 +279,17 @@ class TwoStagePipeline:
             if gt_boxes is None or any(b is None for b in gt_boxes):
                 raise ValueError("oracle mode needs a ground-truth box per image")
             return [(encode_box(b), 1.0, 1.0, 0.0, 0.0) for b in gt_boxes]
-        crops, transforms = [], []
-        for image in images:
-            crop, sx, sy, ox, oy = center_crop_transform(image, self.loc_eval_config)
-            crops.append(crop)
-            transforms.append((sx, sy, ox, oy))
-        bins = np.stack([topk_predictions(o, 1)[:, 0]
-                         for o in _forward_batched(self.loc_model, crops, len(crops))], axis=1)
-        return [(LocTarget(*map(int, row)), *t) for row, t in zip(bins, transforms)]
+        cfg = default_eval_config(self.loc_model.config.input_size)
+        cropped = [center_crop_transform(image, cfg) for image in images]
+        bins = _predicted_bins(self.loc_model, [crop for crop, *_ in cropped])
+        return [(LocTarget(*map(int, row)), *transform) for row, (_, *transform) in zip(bins, cropped)]
 
     def _stage_two_crop(self, image: np.ndarray, stage_one: tuple
                         ) -> tuple[np.ndarray, PipelineDetails]:
         target, sx, sy, ox, oy = stage_one
         decoded = decode_box(target)
-        image_box = BoundingBox((decoded.cx + ox) / sx, (decoded.cy + oy) / sy,
-                                decoded.w / sx, decoded.h / sy)
-        grown = enlarge_box(image_box)
+        grown = enlarge_box(BoundingBox((decoded.cx + ox) / sx, (decoded.cy + oy) / sy,
+                                        decoded.w / sx, decoded.h / sy))
         used_fallback = False
         try:
             crop = crop_to_box(image, grown)
@@ -285,8 +300,7 @@ class TwoStagePipeline:
             y0, x0 = (h - side) // 2, (w - side) // 2
             crop = image[y0:y0 + side, x0:x0 + side]
         resized = resize_largest_side(crop, self.cls_model.config.input_size)
-        details = PipelineDetails(decoded, image_box, grown, crop.shape, used_fallback)
-        return resized, details
+        return resized, PipelineDetails(decoded, grown, used_fallback)
 
     def predict_batch(self, images: list[np.ndarray], gt_boxes=None
                       ) -> tuple[np.ndarray, list[PipelineDetails]]:
@@ -294,7 +308,7 @@ class TwoStagePipeline:
         each image's crop details."""
         stage_one = self._stage_one(images, gt_boxes)
         crops, details = zip(*(self._stage_two_crop(img, s1) for img, s1 in zip(images, stage_one)))
-        return _forward_batched(self.cls_model, list(crops), len(crops))[0], list(details)
+        return _forward(self.cls_model, list(crops))[0], list(details)
 
     def predict(self, image: np.ndarray, gt_box: BoundingBox | None = None,
                 return_details: bool = False):
@@ -303,25 +317,6 @@ class TwoStagePipeline:
         logits, details = self.predict_batch([image], None if gt_box is None else [gt_box])
         probs = softmax(logits)[0]
         return (probs, details[0]) if return_details else probs
-
-    def predict_manifest(self, manifest: DatasetManifest, batch_size: int = 32
-                         ) -> tuple[np.ndarray, list[ManifestRecord], int]:
-        """Logit rows for the records whose image decodes, those records in
-        row order, and how many of them fell back to the central crop; the
-        other records are skipped.  Oracle mode reads manifest boxes."""
-        rows, kept, fallbacks, unreadable = [], [], 0, []
-        for start in range(0, len(manifest.records), batch_size):
-            chunk = list(_decoded(manifest.records[start:start + batch_size], unreadable))
-            if not chunk:
-                continue
-            records, images = zip(*chunk)
-            logits, details = self.predict_batch(list(images), gt_boxes=[r.box for r in records])
-            rows.append(logits)
-            kept += records
-            fallbacks += sum(d.used_fallback for d in details)
-        if not rows:
-            raise _nothing_left(len(manifest.records), unreadable)
-        return np.concatenate(rows, axis=0), kept, fallbacks
 
 
 # -- throughput benchmark --------------------------------------------------------

@@ -396,9 +396,7 @@ def test_criterion_8_pipeline_direction(two_stage_bundle):
         # crop geometry: enlargement applied exactly once, no hidden scaling
         rng = np.random.default_rng(8)
         image = rng.integers(0, 255, size=(224, 224, 3), dtype=np.uint8)
-        pipeline = TwoStagePipeline(None, two_stage_bundle["boxcls"],
-                                    loc_eval_config=PreprocessConfig(crop_size=224, eval_scale=224,
-                                                                     scale_range=(1, 1)))
+        pipeline = TwoStagePipeline(None, two_stage_bundle["boxcls"])
         _, details = pipeline.predict(image, gt_box=BoundingBox(112, 112, 100, 80),
                                       return_details=True)
         assert details.enlarged_box.w == pytest.approx(1.10 * details.predicted_box.w, rel=1e-6)

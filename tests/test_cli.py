@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tiny_loc_config
+from swpnet.binning import BoundingBox
 from swpnet.cli import main
 from swpnet.datasynth import ManifestRecord, load_manifest, save_manifest
-from swpnet.models import load_checkpoint
+from swpnet.models import build_model, load_checkpoint, save_checkpoint
 
 
 def tree_digest(root) -> str:
@@ -317,6 +319,25 @@ class TestTruncatedImage:
                      "--width", "0.0625", "--input-size", "32", "--epochs", "1"]) == 1
         assert f"error: truncated pixel data in {tmp_path / 'bad.ppm'}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnencodableBox:
+    """A record whose box lies left of the image is skipped by the raw
+    localiser eval and the oracle pipeline, which read its box."""
+
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    def test_skipped_and_reported(self, tmp_path, swp_run, capsys, command):
+        manifest = load_manifest(swp_run[0])
+        rec = manifest.records[3]
+        manifest.records[3] = ManifestRecord(rec.path, rec.class_id, BoundingBox(-5.0, 20.0, 4.0, 6.0))
+        save_manifest(manifest, tmp_path / "m.txt")
+        loc = tmp_path / "loc.ckpt"
+        save_checkpoint(build_model(tiny_loc_config(), seed=2), loc)
+        args = {"eval": ["--ckpt", str(loc), "--raw"],
+                "pipeline": ["--loc", str(loc), "--cls", str(swp_run[1]), "--oracle"]}[command]
+        assert main([command, "--manifest", str(tmp_path / "m.txt"), "--batch-size", "5", *args]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"samples: {len(manifest.records) - 1}",
+                                                            "skipped: 1"]
 
 
 class TestHelpContract:

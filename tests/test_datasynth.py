@@ -195,6 +195,21 @@ class TestManifestPaths:
             self.load(tree, [rel])
         assert str(err.value) == expected
 
+    def test_nul_byte_names_manifest_line_and_path(self, tree):
+        with pytest.raises(DataSynthError) as err:
+            self.load(tree, ["images_link/a.ppm", "a\0b.ppm"])
+        assert str(err.value) == \
+            f"{tree / 'm.txt'}:3: cannot resolve image path 'a\\x00b.ppm': embedded null byte"
+
+    @pytest.mark.parametrize("rel", ["loop1", "loop1/a.ppm"])
+    def test_symlink_loop_names_manifest_line_and_path(self, tree, rel):
+        (tree / "loop1").symlink_to(tree / "loop2")
+        (tree / "loop2").symlink_to(tree / "loop1")
+        with pytest.raises(DataSynthError) as err:
+            self.load(tree, [rel])
+        assert str(err.value).startswith(f"{tree / 'm.txt'}:2: cannot resolve image path {rel!r}: ")
+        assert "loop" in str(err.value).split(": ", 2)[2].lower()
+
 
 class TestPreprocessTrain:
     def test_identity_transform(self):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
 from swpnet.binning import BoundingBox
-from swpnet.datasynth import DatasetManifest, ManifestRecord, PreprocessConfig
+from swpnet.datasynth import DatasetManifest, ManifestRecord
 from swpnet.evaluation import (
     BinErrorStats,
     TwoStagePipeline,
@@ -157,12 +159,10 @@ class TestUnreadableImages:
     def test_pipeline_skips_and_counts(self, tiny_dataset, with_bad):
         pipeline = TwoStagePipeline(build_model(tiny_loc_config(), seed=8),
                                     build_model(tiny_cls_config(input_size=32), seed=9))
-        clean_logits, clean_kept, _ = pipeline.predict_manifest(tiny_dataset, batch_size=4)
-        logits, kept, _ = pipeline.predict_manifest(with_bad, batch_size=4)
-        assert kept == clean_kept == tiny_dataset.records
-        npt.assert_allclose(logits, clean_logits, rtol=1e-5, atol=1e-6)
+        clean = evaluate_topk(pipeline, tiny_dataset, batch_size=4)
         report = evaluate_topk(pipeline, with_bad, batch_size=4)
-        assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
+        assert report == replace(clean, skipped=2)
+        assert "skipped: 2" in report.summary().splitlines()
 
     def test_nothing_left_is_named(self, tiny_dataset, tmp_path):
         bad = DatasetManifest([truncated_copy(r, tmp_path / f"bad{i}.ppm")
@@ -184,14 +184,66 @@ class TestUnreadableImages:
             evaluate_localisation(build_model(tiny_loc_config(), seed=2), DatasetManifest([bad, lost], 2, "eval"))
 
 
+class TestSkipsAcrossBatches:
+    """An unreadable image and an unusable box mid-manifest, at batch sizes
+    that divide neither the record count nor the kept count: each report
+    equals the report on the clean manifest without the records it skips."""
+
+    # left of every image: the centre crop loses it, the codec cannot encode it
+    OFF_IMAGE = BoundingBox(-5.0, 20.0, 4.0, 6.0)
+
+    @pytest.fixture
+    def manifests(self, tiny_dataset, tmp_path):
+        """(mixed, mixed without its unreadable record, clean)"""
+        recs = tiny_dataset.records
+        unreadable = truncated_copy(recs[2], tmp_path / "bad.ppm")
+        off_image = ManifestRecord(recs[6].path, recs[6].class_id, self.OFF_IMAGE)
+        mixed = [*recs[:3], unreadable, *recs[3:7], off_image, *recs[7:]]
+        return tuple(DatasetManifest(r, tiny_dataset.n_classes, "eval")
+                     for r in (mixed, [r for r in mixed if r is not unreadable], recs))
+
+    @pytest.mark.parametrize("batch_size", [5, 9])
+    @pytest.mark.parametrize("kind", ["model", "pipeline", "oracle"])
+    def test_topk(self, manifests, batch_size, kind):
+        mixed, readable, clean = manifests
+        cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
+        target = {"model": cls_model,
+                  "pipeline": TwoStagePipeline(build_model(tiny_loc_config(), seed=8), cls_model),
+                  "oracle": TwoStagePipeline(None, cls_model)}[kind]
+        # only the oracle reads the box; the others keep the off-image record
+        expected = evaluate_topk(target, clean if kind == "oracle" else readable, batch_size=batch_size)
+        report = evaluate_topk(target, mixed, batch_size=batch_size)
+        assert report == replace(expected, skipped=2 if kind == "oracle" else 1)
+
+    @pytest.mark.parametrize("batch_size", [5, 9])
+    @pytest.mark.parametrize("preprocess", ["center", "none"])
+    def test_localisation(self, manifests, batch_size, preprocess):
+        mixed, _, clean = manifests
+        model = build_model(tiny_loc_config(), seed=2)
+        expected, expected_stats = evaluate_localisation(model, clean, preprocess, batch_size)
+        report, stats = evaluate_localisation(model, mixed, preprocess, batch_size)
+        assert report == replace(expected, skipped=2)
+        for name in stats.counts:
+            npt.assert_array_equal(stats.counts[name], expected_stats.counts[name])
+
+    def test_no_encodable_box_left_is_named(self, tiny_dataset):
+        off_image = DatasetManifest([ManifestRecord(r.path, r.class_id, self.OFF_IMAGE)
+                                     for r in tiny_dataset.records[:2]], 2, "eval")
+        named = r"^no record to evaluate: 2 of 2 boxes cannot be encoded$"
+        with pytest.raises(ValueError, match=named):
+            evaluate_localisation(build_model(tiny_loc_config(), seed=2), off_image, preprocess="none")
+        with pytest.raises(ValueError, match=named):
+            evaluate_topk(TwoStagePipeline(None, build_model(tiny_cls_config(), seed=9)), off_image)
+        with pytest.raises(ValueError, match=r"^no record to evaluate: the eval crop lost 2 of 2 boxes$"):
+            evaluate_localisation(build_model(tiny_loc_config(), seed=2), off_image)
+
+
 class TestTwoStagePipeline:
     def test_oracle_crop_contains_glyph(self):
         from swpnet.datasynth import synthesize
         samples = synthesize(2, 3, 96, seed=31, scale_range=(0.5, 0.6), center_jitter=0.1)
         cls_model = build_model(tiny_cls_config(input_size=32), seed=3)
-        pipeline = TwoStagePipeline(None, cls_model,
-                                    loc_eval_config=PreprocessConfig(crop_size=96, eval_scale=96,
-                                                                     scale_range=(1, 1)))
+        pipeline = TwoStagePipeline(None, cls_model)
         for s in samples:
             probs, details = pipeline.predict(s.image, gt_box=s.box, return_details=True)
             assert probs.shape == (2,)
@@ -202,9 +254,7 @@ class TestTwoStagePipeline:
         rng = np.random.default_rng(5)
         image = rng.integers(0, 255, size=(224, 224, 3), dtype=np.uint8)
         cls_model = build_model(tiny_cls_config(input_size=32), seed=4)
-        pipeline = TwoStagePipeline(None, cls_model,
-                                    loc_eval_config=PreprocessConfig(crop_size=224, eval_scale=224,
-                                                                     scale_range=(1, 1)))
+        pipeline = TwoStagePipeline(None, cls_model)
         gt = BoundingBox(112, 112, 100, 80)
         _, details = pipeline.predict(image, gt_box=gt, return_details=True)
         assert details.enlarged_box.w == pytest.approx(1.10 * details.predicted_box.w, rel=1e-6)
@@ -244,9 +294,7 @@ class TestTwoStagePipeline:
 
     def test_pipeline_evaluate_topk(self, tiny_dataset):
         cls_model = build_model(tiny_cls_config(input_size=32), seed=11)
-        pipeline = TwoStagePipeline(None, cls_model,
-                                    loc_eval_config=PreprocessConfig(crop_size=48, eval_scale=48,
-                                                                     scale_range=(1, 1)))
+        pipeline = TwoStagePipeline(None, cls_model)
         report = evaluate_topk(pipeline, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
         assert report.top5 == 100.0     # two classes: the top five cover both
