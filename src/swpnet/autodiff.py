@@ -7,11 +7,8 @@ verification, where finite differences need the extra headroom.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-import weakref
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +26,7 @@ class ShapeMismatch(AutodiffError):
 
 
 class NumericsError(AutodiffError):
-    """An operation produced NaN or Inf while numeric checks were enabled."""
+    """An operation produced NaN or Inf."""
 
 
 _state = threading.local()
@@ -47,26 +44,6 @@ def active_tape():
     """The innermost open GradTape on this thread, or None."""
     stack = _tape_stack()
     return stack[-1] if stack else None
-
-
-def numerics_enabled() -> bool:
-    return getattr(_state, "numerics", True)
-
-
-@contextmanager
-def numerics_checks(enabled: bool):
-    """Toggle NaN/Inf detection; disabled inside benchmark timing loops."""
-    prev = numerics_enabled()
-    _state.numerics = enabled
-    try:
-        yield
-    finally:
-        _state.numerics = prev
-
-
-def _check_finite(data: np.ndarray, op_name: str) -> None:
-    if numerics_enabled() and not np.isfinite(data).all():
-        raise NumericsError(f"{op_name} produced a non-finite value")
 
 
 class Tensor:
@@ -108,27 +85,17 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-_record_index = itertools.count()
-
-
 class _OpNode:
-    """One recorded op.  Nodes point back only at their inputs, and at their
-    output weakly, so a step's graph is freed by reference counting as soon
-    as its last tensor goes."""
+    """One recorded op.  Nodes point back only at their inputs, never at
+    their output, so a step's graph is freed by reference counting as soon
+    as its last tensor and its tape go."""
 
-    __slots__ = ("_out", "inputs", "backward_fn", "name", "index")
+    __slots__ = ("inputs", "backward_fn", "name")
 
-    def __init__(self, out: Tensor, inputs: tuple, backward_fn: Callable, name: str):
-        self._out = weakref.ref(out)
+    def __init__(self, inputs: tuple, backward_fn: Callable, name: str):
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.name = name
-        self.index = next(_record_index)
-
-    @property
-    def out(self) -> Tensor | None:
-        """The tensor this op produced, or None once nothing holds it."""
-        return self._out()
 
 
 class GradTape:
@@ -158,23 +125,20 @@ class GradTape:
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable, name: str = "op") -> Tensor:
-    """Wrap an op result and, when a tape is open and gradients are needed,
-    push a node whose backward_fn(out_grad) returns one grad (or None) per input."""
-    _check_finite(out_data, name)
+    """Wrap an op result, raising NumericsError if it holds a NaN or Inf, and,
+    when a tape is open and gradients are needed, push a node whose
+    backward_fn(out_grad) returns one grad (or None) per input."""
+    if not np.isfinite(out_data).all():
+        raise NumericsError(f"{name} produced a non-finite value")
     inputs = tuple(inputs)
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)
     tape = active_tape()
     if tape is not None and needs_grad:
-        node = _OpNode(out, inputs, backward_fn, name)
+        node = _OpNode(inputs, backward_fn, name)
         tape._nodes.append(node)
         out._node = node
     return out
-
-
-def grad_needed(t: Tensor) -> bool:
-    """True when a backward pass will want a gradient for this tensor."""
-    return t.requires_grad or t._node is not None
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +146,13 @@ def grad_needed(t: Tensor) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _trailing_broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    if sa == sb:
-        return True
-    small, big = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-    return len(small) < len(big) and big[len(big) - len(small):] == small
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    reduced = tuple(range(g.ndim - len(shape)))
-    return g.sum(axis=reduced)
-
-
 def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
-    if not _trailing_broadcast_ok(a.shape, b.shape):
-        raise ShapeMismatch(f"{name}: shapes {a.shape} and {b.shape} are not equal "
-                            "and neither is a trailing-axis suffix of the other")
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{name}: shapes {a.shape} and {b.shape} are not equal")
     out = fwd(a.data, b.data)
 
     def bwd(g):
-        ga = _unbroadcast(da(g), a.shape) if grad_needed(a) else None
-        gb = _unbroadcast(db(g), b.shape) if grad_needed(b) else None
-        return ga, gb
+        return (da(g) if a.requires_grad else None), (db(g) if b.requires_grad else None)
 
     return record((a, b), out, bwd, name)
 
@@ -264,33 +211,25 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _reverse_record_order(root: _OpNode) -> list:
-    """Every node that root depends on, root included, latest first.  Record
-    order is a topological order, and walking it backwards sums each
-    tensor's incoming gradients in the same order on every call."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for t in stack.pop().inputs:
-            node = t._node
-            if node is not None and node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return sorted(seen, key=lambda node: node.index, reverse=True)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    Repeated calls without zeroing accumulate one unit of gradient per call;
-    intermediate gradients live in transient buffers and are discarded.
+    Runs inside the GradTape that recorded loss.  The tape lists ops in
+    record order, a topological order, so walking it backwards reaches each
+    op after all of its consumers and sums each tensor's incoming gradients
+    in the same order on every call.  Repeated calls without zeroing
+    accumulate one unit of gradient per call; intermediate gradients live in
+    transient buffers and are discarded.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"loss must be a scalar, got shape {list(loss.shape)}")
+    tape = active_tape()
+    if tape is None:
+        raise AutodiffError("backward must run inside the GradTape that recorded the loss")
     if loss._node is None:
         raise AutodiffError("loss is detached: it was not recorded on any tape")
     transient: dict[_OpNode, np.ndarray] = {loss._node: np.ones_like(loss.data)}
-    for node in _reverse_record_order(loss._node):
+    for node in reversed(tape._nodes):
         g = transient.pop(node, None)
         if g is None:
             continue
@@ -305,9 +244,15 @@ def backward(loss: Tensor) -> None:
             else:
                 prev = transient.get(t._node)
                 transient[t._node] = gt if prev is None else prev + gt
+    if transient:
+        names = ", ".join(sorted({node.name for node in transient}))
+        raise AutodiffError(f"loss depends on ops recorded on another tape ({names})")
 
 
-def grad_check(function: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-4) -> float:
+GRAD_CHECK_EPS = 1e-4   # central-difference step, sized for float64 parameters
+
+
+def grad_check(function: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Max relative error between tape gradients and central finite differences.
 
     `function` takes no arguments, closes over `params`, and must return a
@@ -341,12 +286,12 @@ def grad_check(function: Callable[[], Tensor], params: Sequence[Tensor], eps: fl
         ana_flat = ana.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + eps
+            flat[i] = saved + GRAD_CHECK_EPS
             f_plus = function().item()
-            flat[i] = saved - eps
+            flat[i] = saved - GRAD_CHECK_EPS
             f_minus = function().item()
             flat[i] = saved
-            fd = (f_plus - f_minus) / (2.0 * eps)
+            fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
             err = abs(ana_flat[i] - fd) / max(1.0, abs(fd))
             if err > worst:
                 worst = err

@@ -85,11 +85,12 @@ def decode_box(target: LocTarget) -> BoundingBox:
     return BoundingBox(*(decode_bin(b, spec) for b, (_, spec) in zip(target, LOC_OUTPUTS)))
 
 
-def enlarge_box(box: BoundingBox, factor: float = 1.10) -> BoundingBox:
-    """Scale width and height about the unchanged centre."""
-    if factor < 1.0:
-        raise ValueError(f"enlargement factor must be >= 1, got {factor}")
-    return BoundingBox(box.cx, box.cy, box.w * factor, box.h * factor)
+ENLARGE_FACTOR = 1.10   # the paper's 10% margin around a box before cropping
+
+
+def enlarge_box(box: BoundingBox) -> BoundingBox:
+    """Scale width and height by ENLARGE_FACTOR about the unchanged centre."""
+    return BoundingBox(box.cx, box.cy, box.w * ENLARGE_FACTOR, box.h * ENLARGE_FACTOR)
 
 
 def crop_to_box(image: np.ndarray, box: BoundingBox) -> np.ndarray:

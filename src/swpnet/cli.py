@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", formatter_class=fmt,
                        help="two-stage localise-then-classify evaluation")
-    p.add_argument("--loc", required=True, help="localiser checkpoint")
+    p.add_argument("--loc", default=None, help="localiser checkpoint (required unless --oracle)")
     p.add_argument("--cls", required=True, help="classifier checkpoint")
     p.add_argument("--manifest", required=True, help="eval manifest path")
     p.add_argument("--oracle", action="store_true",
@@ -245,6 +245,8 @@ def cmd_pipeline(args) -> int:
     from .evaluation import TwoStagePipeline, evaluate_topk
     from .models import load_checkpoint
 
+    if not args.oracle and args.loc is None:
+        raise UsageError("pipeline needs --loc, or --oracle to crop to ground-truth boxes")
     loc_model = None if args.oracle else load_checkpoint(args.loc)
     cls_model = load_checkpoint(args.cls)
     manifest = load_manifest(args.manifest)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, numerics_checks
+from .autodiff import Tensor
 from .binning import (
     LOC_OUTPUTS,
     BoundingBox,
@@ -393,24 +393,25 @@ def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: 
     in-memory batches; warm-up runs and input generation are excluded from
     timing.  Targets take turns batch by batch, so clock or load drift, even
     over a fraction of a second, cancels out of their FPS ratios.  Each
-    target still covers n_images per batch size."""
+    target still covers n_images per batch size.  Per-op NaN/Inf checks run
+    here as in every other command, so a model that produces a non-finite
+    value raises NumericsError instead of being timed."""
     if n_images < 1:
         raise ValueError("n_images must be positive")
     reports = {name: {} for name in targets}
     for bs in batch_sizes:
         n_batches = (n_images + bs - 1) // bs
         runners = {}
-        with numerics_checks(False):
-            for name, target in targets.items():
-                run, pool_size = _make_runner(target, bs, seed, n_batches)
-                for i in range(min(BENCH_WARMUP_BATCHES, pool_size)):
-                    run(i)
-                runners[name] = {"run": run, "seconds": 0.0}
-            for i in range(n_batches):
-                for r in runners.values():
-                    start = time.perf_counter()
-                    r["run"](i)
-                    r["seconds"] += time.perf_counter() - start
+        for name, target in targets.items():
+            run, pool_size = _make_runner(target, bs, seed, n_batches)
+            for i in range(min(BENCH_WARMUP_BATCHES, pool_size)):
+                run(i)
+            runners[name] = {"run": run, "seconds": 0.0}
+        for i in range(n_batches):
+            for r in runners.values():
+                start = time.perf_counter()
+                r["run"](i)
+                r["seconds"] += time.perf_counter() - start
         for name, r in runners.items():
             reports[name][bs] = BenchEntry(bs, n_batches * bs, r["seconds"])
     return {name: BenchReport(per_bs, _bench_echo(targets[name],

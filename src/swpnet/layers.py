@@ -13,7 +13,6 @@ from .autodiff import (
     DEFAULT_DTYPE,
     ShapeMismatch,
     Tensor,
-    grad_needed,
     record,
     relu,  # noqa: F401  (re-exported as part of the layer vocabulary)
 )
@@ -120,7 +119,7 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 
     inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
-    need_x = grad_needed(x)
+    need_x = x.requires_grad
 
     def bwd(g):
         gw = (g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1) @ cols).reshape(spec.weight.shape)
@@ -146,16 +145,18 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     return record(inputs, out, bwd, "conv2d")
 
 
+BN_EPS = 1e-5        # added to the variance before its square root
+BN_MOMENTUM = 0.9    # share of the old running estimate kept per train step
+
+
 class BatchNorm:
     """Batch normalisation over the channel axis of [B, C, H, W] or [B, C]
     inputs.  Train mode normalises by batch statistics and updates the
     running estimates; infer mode reads running statistics and mutates
     nothing."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels: int, dtype=DEFAULT_DTYPE):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -194,17 +195,17 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
         mean = x.data.mean(axis=axes, keepdims=True)
         d = x.data - mean
         var = np.square(d).sum(axis=axes, keepdims=True) / n   # x.var's own formula
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean.reshape(-1)).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var.reshape(-1)).astype(state.running_var.dtype)
     else:
         d = x.data - state.running_mean.reshape(pshape)
         var = state.running_var.reshape(pshape)
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv
     out = gamma * xhat
     out += beta
-    need_x = grad_needed(x)
+    need_x = x.requires_grad
 
     def bwd(g):
         gx = None
@@ -321,7 +322,7 @@ def dense(x: Tensor, spec: Dense) -> Tensor:
     if x.shape[1] != spec.in_features:
         raise ShapeMismatch(f"dense: input width {x.shape[1]} vs spec {spec.in_features}")
     out = x.data @ spec.weight.data.T + spec.bias.data
-    need_x = grad_needed(x)
+    need_x = x.requires_grad
 
     def bwd(g):
         gx = g @ spec.weight.data if need_x else None

@@ -56,7 +56,6 @@ class ModelConfig:
     width_multiplier: float = 1.0
     input_size: int = 224
     head: str = "plain_avgpool_fc"
-    pre_activation: bool = True
 
     def __post_init__(self):
         if self.depth_variant not in _STAGE_BLOCKS:
@@ -65,8 +64,6 @@ class ModelConfig:
             raise ModelBuildError(f"width multiplier must lie in (0, 1], got {self.width_multiplier}")
         if self.head not in HEAD_KINDS:
             raise ModelBuildError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
-        if not self.pre_activation:
-            raise ModelBuildError("only pre-activation block ordering is supported")
         if self.num_classes < 2 and self.head != "loc_head":
             raise ModelBuildError("classification needs at least 2 classes")
         if self.input_size < 16:
@@ -290,14 +287,15 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
     return Model(config, seed=seed, dtype=dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
 
 
-def attach_swp_head(model: Model, swp_spec: SWPSpec, fc_nodes: int = 1024, seed: int = 0) -> Model:
+def attach_swp_head(model: Model, swp_spec: SWPSpec, fc_nodes: int = 1024) -> Model:
     """Replace a plain average-pool head with swp -> bn -> dense -> classifier,
-    keeping every backbone parameter."""
+    keeping every backbone parameter.  The new head draws its weights from
+    seed 0, so the same model and spec always give the same head."""
     if model.config.head != "plain_avgpool_fc":
         raise ModelBuildError(f"can only attach to a plain head, model has {model.config.head!r}")
     config = dataclasses.replace(model.config, head="swp_head")
     model.head = Head(config.head, model.head.channels, feature_map_extent(config), config.num_classes,
-                      np.random.default_rng(seed), model.dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
+                      np.random.default_rng(0), model.dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
     model.config = config
     return model
 
@@ -317,8 +315,9 @@ CHECKPOINT_VERSION = 1
 
 
 def _config_echo(model: Model) -> dict:
-    return {**dataclasses.asdict(model.config), "head_extras": model.head.extras(),
-            "trained_epochs": model.trained_epochs}
+    # "pre_activation" names the only block ordering built; v1 files carry it
+    return {**dataclasses.asdict(model.config), "pre_activation": True,
+            "head_extras": model.head.extras(), "trained_epochs": model.trained_epochs}
 
 
 def _require(mapping, keys, where: str) -> list:
@@ -330,13 +329,13 @@ def _require(mapping, keys, where: str) -> list:
 
 
 # a field's declared type -> the JSON values the config echo may hold for it
-_ECHO_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+_ECHO_KINDS = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _typed(value, kind: type, where: str):
     """value, or a CheckpointError naming where when it is not a `kind`
-    (a bool counts only as a bool, an int also as a float)."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ECHO_KINDS[kind]):
+    (a bool is not a number, an int counts as a float)."""
+    if isinstance(value, bool) or not isinstance(value, _ECHO_KINDS[kind]):
         raise CheckpointError(f"{where} must be {kind.__name__}, got {value!r}")
     return value
 
@@ -422,7 +421,9 @@ def load_checkpoint(path) -> Model:
 
     kinds = typing.get_type_hints(ModelConfig)
     fields = [f.name for f in dataclasses.fields(ModelConfig)]
-    values = _require(echo, fields, "config echo")
+    *values, pre_activation = _require(echo, [*fields, "pre_activation"], "config echo")
+    if pre_activation is not True:
+        raise CheckpointError(f"config echo 'pre_activation' must be true, got {pre_activation!r}")
     config = {f: _typed(v, kinds[f], f"config echo {f!r}") for f, v in zip(fields, values)}
     extras = echo.get("head_extras", {})
     if not isinstance(extras, dict):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DEFAULT_DTYPE, ShapeMismatch, Tensor, grad_needed, record
+from .autodiff import DEFAULT_DTYPE, ShapeMismatch, Tensor, record
 from .imgio import write_pgm
 
 
@@ -59,7 +59,7 @@ def swp_forward(features: Tensor, state: SWPLayer) -> Tensor:
     flat = features.data.reshape(batch * channels, h * w)
     mixed = (flat @ state.masks.data.reshape(k, h * w).T).reshape(batch, channels, k)
     out = np.ascontiguousarray(mixed.transpose(0, 2, 1)).reshape(batch, k * channels)
-    need_f = grad_needed(features)
+    need_f = features.requires_grad
 
     def bwd(g):
         g3 = g.reshape(batch, k, channels)

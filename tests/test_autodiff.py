@@ -53,14 +53,14 @@ class TestElementwise:
         out = ad.mul(Tensor(a), Tensor(b))
         npt.assert_allclose(out.data, expected, rtol=1e-6)
 
-    def test_trailing_broadcast_bias_pattern(self):
+    def test_unequal_shapes_raise(self):
+        # a bias row against a batch of rows: equal shapes only, no broadcasting
         x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         bias = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32), requires_grad=True)
-        with GradTape():
-            out = ad.add(x, bias)
-            backward(ad.sum_all(out))
-        npt.assert_array_equal(out.data, [[2, 3, 4], [2, 3, 4]])
-        npt.assert_array_equal(bias.grad, [2, 2, 2])
+        for op in (ad.add, ad.mul):
+            with GradTape() as tape, pytest.raises(ad.ShapeMismatch, match="not equal"):
+                op(x, bias)
+            assert len(tape) == 0
 
     def test_non_broadcastable(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -98,8 +98,29 @@ class TestBackward:
 
     def test_detached_loss(self):
         x = Tensor([1.0], requires_grad=True, dtype=np.float32)
-        with pytest.raises(ad.AutodiffError):
+        with GradTape(), pytest.raises(ad.AutodiffError, match="detached"):
             backward(x)
+
+    def test_backward_outside_its_tape(self):
+        x = Tensor([1, 2], requires_grad=True)
+        with GradTape():
+            loss = ad.sum_all(ad.mul(x, x))
+        with pytest.raises(ad.AutodiffError, match="inside the GradTape"):
+            backward(loss)
+        assert x.grad is None
+
+    def test_backward_across_two_tapes(self):
+        x = Tensor([1, 2], requires_grad=True)
+        with GradTape():
+            y = ad.mul(x, x)
+        with GradTape():
+            loss = ad.sum_all(y)
+            with pytest.raises(ad.AutodiffError, match=r"another tape \(mul\)"):
+                backward(loss)
+        with GradTape():
+            loss = ad.sum_all(ad.mul(x, x))
+            with GradTape(), pytest.raises(ad.AutodiffError, match=r"another tape \(sum\)"):
+                backward(loss)
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([1, 2], requires_grad=True)
@@ -128,12 +149,12 @@ class TestBackward:
             y = ad.mul(x, x)
             z = ad.add(y, x)
             ad.sum_all(z)
-        seen = set()
-        for node in tape.nodes:
+        position = {node: i for i, node in enumerate(tape.nodes)}
+        assert [node.name for node in tape.nodes] == ["mul", "add", "sum"]
+        for i, node in enumerate(tape.nodes):
             for inp in node.inputs:
                 if inp._node is not None:
-                    assert id(inp) in seen, "input recorded after its consumer"
-            seen.add(id(node.out))
+                    assert position[inp._node] < i, "input recorded after its consumer"
 
     def test_shared_intermediate_fanout(self):
         # y used twice: d/dx of (x*x + x*x) = 4x
@@ -149,12 +170,6 @@ class TestNumerics:
         x = Tensor(np.array([1e30], dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(ad.NumericsError):
             ad.mul(ad.mul(x, x), ad.mul(x, x))
-
-    def test_bench_mode_disables_check(self):
-        x = Tensor(np.array([1e30], dtype=np.float32))
-        with np.errstate(over="ignore"), ad.numerics_checks(False):
-            out = ad.mul(ad.mul(x, x), ad.mul(x, x))
-        assert np.isinf(out.data).all()
 
 
 class TestGradCheck:

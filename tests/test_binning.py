@@ -92,29 +92,21 @@ class TestBoxCodec:
 
 class TestEnlargeBox:
     def test_ten_percent(self):
-        out = enlarge_box(BoundingBox(100, 100, 50, 70), 1.10)
+        out = enlarge_box(BoundingBox(100, 100, 50, 70))
         assert (out.cx, out.cy) == (100, 100)
         assert (out.w, out.h) == pytest.approx((55.0, 77.0))
 
-    def test_identity_factor(self):
-        box = BoundingBox(10, 20, 30, 40)
-        assert enlarge_box(box, 1.0) == box
-
     def test_area_scales_by_square(self):
         box = BoundingBox(0, 0.5, 12, 9)
-        out = enlarge_box(box, 1.10)
+        out = enlarge_box(box)
         assert out.w * out.h == pytest.approx(1.21 * box.w * box.h)
-
-    def test_factor_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            enlarge_box(BoundingBox(1, 1, 2, 2), 0.9)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_commutes_with_translation(self, dx, dy):
         box = BoundingBox(60, 40, 20, 10)
-        a = enlarge_box(BoundingBox(box.cx + dx, box.cy + dy, box.w, box.h), 1.1)
-        b = enlarge_box(box, 1.1)
+        a = enlarge_box(BoundingBox(box.cx + dx, box.cy + dy, box.w, box.h))
+        b = enlarge_box(box)
         assert (a.cx - dx, a.cy - dy, a.w, a.h) == pytest.approx((b.cx, b.cy, b.w, b.h))
 
 

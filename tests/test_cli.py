@@ -3,9 +3,10 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import tiny_loc_config
+from conftest import tiny_cls_config, tiny_loc_config
 from swpnet.binning import BoundingBox
 from swpnet.cli import main
 from swpnet.datasynth import ManifestRecord, load_manifest, save_manifest
@@ -165,10 +166,16 @@ class TestEvalAndPipeline:
     def test_pipeline_oracle_mode(self, tmp_path, capsys):
         manifest = gen_tiny(tmp_path)
         cls_ckpt = train_tiny(tmp_path, manifest, "c.ckpt")
-        loc_ckpt = train_tiny(tmp_path, manifest, "l.ckpt", task="loc")
-        code = main(["pipeline", "--loc", str(loc_ckpt), "--cls", str(cls_ckpt),
-                     "--manifest", str(manifest), "--oracle"])
+        code = main(["pipeline", "--cls", str(cls_ckpt), "--manifest", str(manifest), "--oracle"])
         assert code == 0
+        assert "top-1" in capsys.readouterr().out
+
+    def test_pipeline_without_loc_or_oracle_is_usage_error(self, tmp_path, capsys):
+        # the flags are checked before any file is read
+        assert main(["pipeline", "--cls", str(tmp_path / "c.ckpt"),
+                     "--manifest", str(tmp_path / "eval.txt")]) == 2
+        captured = capsys.readouterr()
+        assert "usage error: pipeline needs --loc" in captured.err and captured.out == ""
 
 
 class TestBenchHeatmapBins:
@@ -179,6 +186,18 @@ class TestBenchHeatmapBins:
         assert code == 0
         out = capsys.readouterr().out
         assert "batch 1:" in out and "batch 2:" in out
+
+    def test_bench_non_finite_forward_exits_1(self, tmp_path, capsys):
+        # finite weights, so the checkpoint loads, that overflow to Inf in the forward
+        model = build_model(tiny_cls_config(input_size=32), seed=4)
+        model.stem_conv.weight.data[:] = 3e38
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(model, ckpt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["bench", "--ckpt", str(ckpt), "--batches", "1", "--images", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: conv2d produced a non-finite value" in captured.err and captured.out == ""
 
     def test_bench_bad_batches_usage_error(self, tmp_path):
         manifest = gen_tiny(tmp_path)
@@ -282,7 +301,7 @@ class TestHeaderOnlyManifest:
         args = {
             "train": ["--out", str(out), "--arch", "18", "--width", "0.0625", "--input-size", "32"],
             "eval": ["--ckpt", str(ckpt)],
-            "pipeline": ["--loc", str(ckpt), "--cls", str(ckpt), "--oracle"],
+            "pipeline": ["--cls", str(ckpt), "--oracle"],
             "heatmap": ["--ckpt", str(ckpt), "--out-dir", str(out)],
             "analyze-bins": ["--out-prefix", str(out)],
         }[command]
@@ -309,7 +328,7 @@ class TestTruncatedImage:
     def test_skipped_and_reported(self, bad_manifest, swp_run, capsys, command):
         path, n_records = bad_manifest
         ckpt = str(swp_run[1])
-        args = {"eval": ["--ckpt", ckpt], "pipeline": ["--loc", ckpt, "--cls", ckpt, "--oracle"]}[command]
+        args = {"eval": ["--ckpt", ckpt], "pipeline": ["--cls", ckpt, "--oracle"]}[command]
         assert main([command, "--manifest", str(path), *args]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [f"samples: {n_records - 1}", "skipped: 1"]
 
@@ -334,7 +353,7 @@ class TestUnencodableBox:
         loc = tmp_path / "loc.ckpt"
         save_checkpoint(build_model(tiny_loc_config(), seed=2), loc)
         args = {"eval": ["--ckpt", str(loc), "--raw"],
-                "pipeline": ["--loc", str(loc), "--cls", str(swp_run[1]), "--oracle"]}[command]
+                "pipeline": ["--cls", str(swp_run[1]), "--oracle"]}[command]
         assert main([command, "--manifest", str(tmp_path / "m.txt"), "--batch-size", "5", *args]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [f"samples: {len(manifest.records) - 1}",
                                                             "skipped: 1"]

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
+from swpnet.autodiff import NumericsError
 from swpnet.binning import BoundingBox
 from swpnet.datasynth import DatasetManifest, ManifestRecord
 from swpnet.evaluation import (
@@ -333,6 +334,12 @@ class TestBench:
         pipeline = TwoStagePipeline(loc_model, cls_model)
         report = bench_fps_paired({"target": pipeline}, batch_sizes=(4,), n_images=8, seed=1)["target"]
         assert report.entries[4].images >= 8
+
+    def test_nan_weight_raises_instead_of_being_timed(self):
+        model = build_model(tiny_cls_config(input_size=32), seed=16)
+        model.stem_conv.weight.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericsError, match="conv2d produced a non-finite value"):
+            bench_fps_paired({"target": model}, batch_sizes=(1,), n_images=1)
 
     def test_rejects_zero_images(self):
         model = build_model(tiny_cls_config(input_size=32), seed=15)

@@ -67,8 +67,6 @@ class TestStagePlan:
             ModelConfig(depth_variant=18, num_classes=4, width_multiplier=0.0)
         with pytest.raises(ModelBuildError):
             ModelConfig(depth_variant=18, num_classes=4, head="nonsense")
-        with pytest.raises(ModelBuildError):
-            ModelConfig(depth_variant=18, num_classes=4, pre_activation=False)
 
 
 class TestForwardShapes:
@@ -324,6 +322,8 @@ class TestCheckpoint:
         ("input_size", None),
         ("num_classes", "3"),
         ("depth_variant", [18]),
+        ("pre_activation", False),
+        ("pre_activation", 1),
     ])
     def test_wrong_config_echo_type_is_named(self, tmp_path, field, value):
         path = tmp_path / "m.ckpt"
@@ -339,6 +339,13 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         self._with_echo(path, lambda echo: echo["head_extras"]["swp"].__setitem__(key, 2.5))
         with pytest.raises(CheckpointError, match=f"head_extras.swp '{key}' must be int"):
+            load_checkpoint(path)
+
+    def test_missing_pre_activation_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(toy_config()), path)
+        self._with_echo(path, lambda echo: echo.pop("pre_activation"))
+        with pytest.raises(CheckpointError, match="config echo lacks 'pre_activation'"):
             load_checkpoint(path)
 
     def test_unbuildable_config_echo_is_a_checkpoint_error(self, tmp_path):
@@ -370,7 +377,7 @@ def _registry_variants():
         "loc_head_swp": lambda: build_model(toy_config(head="loc_head"), seed=7,
                                             swp_spec=SWPSpec(3, extent, extent), fc_nodes=16),
         "plain_attach": lambda: attach_swp_head(build_model(toy_config(), seed=7),
-                                                SWPSpec(4, extent, extent), fc_nodes=16, seed=3),
+                                                SWPSpec(4, extent, extent), fc_nodes=16),
     }
 
 
