@@ -229,6 +229,7 @@ def backward(loss: Tensor) -> None:
     if loss._node is None:
         raise AutodiffError("loss is detached: it was not recorded on any tape")
     transient: dict[_OpNode, np.ndarray] = {loss._node: np.ones_like(loss.data)}
+    leaf_grads: list[tuple[Tensor, np.ndarray]] = []
     for node in reversed(tape._nodes):
         g = transient.pop(node, None)
         if g is None:
@@ -238,15 +239,17 @@ def backward(loss: Tensor) -> None:
             if gt is None:
                 continue
             if t._node is None:
-                if not t.requires_grad:
-                    continue
-                t.grad = gt.copy() if t.grad is None else t.grad + gt
+                if t.requires_grad:
+                    leaf_grads.append((t, gt))
             else:
                 prev = transient.get(t._node)
                 transient[t._node] = gt if prev is None else prev + gt
     if transient:
         names = ", ".join(sorted({node.name for node in transient}))
         raise AutodiffError(f"loss depends on ops recorded on another tape ({names})")
+    # leaves change only once the whole walk has succeeded
+    for t, gt in leaf_grads:
+        t.grad = gt.copy() if t.grad is None else t.grad + gt
 
 
 GRAD_CHECK_EPS = 1e-4   # central-difference step, sized for float64 parameters

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", formatter_class=fmt,
                        help="export SWP output heatmaps as binary graymaps")
-    p.add_argument("--ckpt", required=True, help="checkpoint with an SWP head")
+    p.add_argument("--ckpt", required=True, help="checkpoint whose head has an SWP front")
     p.add_argument("--manifest", required=True, help="manifest providing input images")
     p.add_argument("--out-dir", required=True, help="directory for .pgm files")
     p.add_argument("--limit", type=positive_int, default=4, help="number of images to export")
@@ -153,14 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_data(args) -> int:
-    from .datasynth import generate_dataset, manifest_path
+    from .datasynth import DataSynthError, generate_dataset, manifest_path
 
-    if args.classes < 2:
-        raise UsageError("--classes must be at least 2")
-    manifest = generate_dataset(args.classes, args.per_class, args.canvas, args.out_dir,
-                                similarity_margin=args.margin, seed=args.seed, split=args.split,
-                                scale_range=(args.scale_min, args.scale_max),
-                                center_jitter=args.jitter, clutter=args.clutter)
+    try:
+        manifest = generate_dataset(args.classes, args.per_class, args.canvas, args.out_dir,
+                                    similarity_margin=args.margin, seed=args.seed, split=args.split,
+                                    scale_range=(args.scale_min, args.scale_max),
+                                    center_jitter=args.jitter, clutter=args.clutter)
+    except DataSynthError as err:   # raised from the arguments, before anything is written
+        raise UsageError(str(err)) from None
     print(f"manifest: {manifest_path(args.out_dir, args.split)}")
     print(f"classes: {manifest.n_classes}  images: {len(manifest)}")
     return 0
@@ -284,19 +285,22 @@ def cmd_heatmap(args) -> int:
     from .swp import swp_heatmap_export
 
     model = load_checkpoint(args.ckpt)
-    if model.config.head != "swp_head":
+    if model.head.swp is None:
         raise UsageError("--ckpt must carry an SWP head")
+    k, channels = model.head.swp.spec.num_masks, model.head.channels
+    rows = args.rows or k
+    cols = args.cols or (k * channels // rows)
+    if rows * cols != k * channels:
+        raise UsageError(f"layout {rows}x{cols} cannot hold the {k * channels} SWP values "
+                         f"({k} masks x {channels} channels)")
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = default_eval_config(model.config.input_size)
-    k = model.head.swp.spec.num_masks
     written = []
     for rec in manifest.records[:args.limit]:
         crop = center_crop_transform(load_image(rec), cfg)[0]
         vec = model.swp_vector(Tensor(to_network_input([crop]))).data[0]
-        rows = args.rows or k
-        cols = args.cols or (vec.size // rows)
         path = out_dir / (Path(rec.path).stem + ".pgm")
         swp_heatmap_export(vec, (rows, cols), path)
         written.append(path)

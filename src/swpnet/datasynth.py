@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import LOC_OUTPUTS, BoundingBox, bilinear_resize, encode_value
+from .binning import LOC_OUTPUTS, BoundingBox, bilinear_resize, decode_box, encode_box, encode_value
 from .imgio import read_ppm, write_ppm
 
 
@@ -291,24 +291,30 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(records, n_classes, header.get("split", "train"))
 
 
+def _write_dataset(items, n_classes: int, out_dir, split: str) -> DatasetManifest:
+    """Write each (image, class_id, box) of items as a PPM under
+    out_dir/images, then the split's manifest, and return the manifest."""
+    out_dir = Path(out_dir)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    records = []
+    for idx, (image, class_id, box) in enumerate(items):
+        img_path = out_dir / "images" / f"{split}_{idx:05d}_c{class_id}.ppm"
+        write_ppm(img_path, image)
+        records.append(ManifestRecord(str(img_path.resolve()), class_id, box))
+    manifest = DatasetManifest(records, n_classes, split)
+    save_manifest(manifest, manifest_path(out_dir, split))
+    return manifest
+
+
 def generate_dataset(n_classes: int, per_class: int, canvas: int, out_dir,
                      similarity_margin: float = 0.25, seed: int = 0, split: str = "train",
                      scale_range: tuple[float, float] = (0.45, 0.70),
                      center_jitter: float = 0.10, clutter: int = 3) -> DatasetManifest:
-    """Render, write PPM images plus a manifest file, and return the manifest."""
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    """Render, then write PPM images plus a manifest file, and return the
+    manifest.  Bad arguments raise DataSynthError before anything is written."""
     samples = synthesize(n_classes, per_class, canvas, similarity_margin, seed,
                          scale_range, center_jitter, clutter)
-    records = []
-    for idx, sample in enumerate(samples):
-        name = f"{split}_{idx:05d}_c{sample.class_id}.ppm"
-        img_path = out_dir / "images" / name
-        write_ppm(img_path, sample.image)
-        records.append(ManifestRecord(str(img_path.resolve()), sample.class_id, sample.box))
-    manifest = DatasetManifest(records, n_classes, split)
-    save_manifest(manifest, out_dir / f"{split}.txt")
-    return manifest
+    return _write_dataset(((s.image, s.class_id, s.box) for s in samples), n_classes, out_dir, split)
 
 
 def manifest_path(out_dir, split: str) -> Path:
@@ -464,27 +470,20 @@ def save_histograms(counts: dict[str, np.ndarray], prefix) -> list[Path]:
 
 def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
                           quantize_boxes: bool = False) -> DatasetManifest:
-    """Write a derived dataset of per-record box crops (enlarged, cropped,
-    resized largest-side-to-target) for training the second-stage classifier.
+    """Write a derived dataset of per-record box crops for training the
+    second-stage classifier: evaluation.box_crop, the crop the two-stage
+    pipeline feeds it, at target_size.
 
     quantize_boxes routes each box through the bin codec first, so the crop
     framing matches what decoded predictions produce at inference time.
     """
-    from .binning import crop_to_box, decode_box, encode_box, enlarge_box, resize_largest_side
+    from .evaluation import box_crop   # evaluation imports this module
 
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    split = f"{manifest.split}_boxcrop"
-    records = []
-    for idx, rec in enumerate(manifest.records):
+    full = BoundingBox(target_size / 2.0, target_size / 2.0, float(target_size), float(target_size))
+
+    def item(rec):
         box = decode_box(encode_box(rec.box)) if quantize_boxes else rec.box
-        crop = crop_to_box(load_image(rec), enlarge_box(box))
-        image = resize_largest_side(crop, target_size)
-        name = f"{split}_{idx:05d}_c{rec.class_id}.ppm"
-        img_path = out_dir / "images" / name
-        write_ppm(img_path, image)
-        full = BoundingBox(target_size / 2.0, target_size / 2.0, float(target_size), float(target_size))
-        records.append(ManifestRecord(str(img_path.resolve()), rec.class_id, full))
-    derived = DatasetManifest(records, manifest.n_classes, split)
-    save_manifest(derived, out_dir / f"{split}.txt")
-    return derived
+        return box_crop(load_image(rec), box, target_size), rec.class_id, full
+
+    return _write_dataset(map(item, manifest.records), manifest.n_classes, out_dir,
+                          f"{manifest.split}_boxcrop")

@@ -257,6 +257,13 @@ class PipelineDetails:
     used_fallback: bool
 
 
+def box_crop(image: np.ndarray, box: BoundingBox, size: int) -> np.ndarray:
+    """The second stage's input: the box enlarged by ENLARGE_FACTOR, cropped
+    from the image and resized largest-side-to-size.  A box that misses the
+    image raises ValueError."""
+    return resize_largest_side(crop_to_box(image, enlarge_box(box)), size)
+
+
 class TwoStagePipeline:
     """Localise then classify.
 
@@ -286,21 +293,20 @@ class TwoStagePipeline:
 
     def _stage_two_crop(self, image: np.ndarray, stage_one: tuple
                         ) -> tuple[np.ndarray, PipelineDetails]:
+        """The box crop of the decoded box mapped back onto the raw image,
+        or the resized central square when that box misses the image."""
         target, sx, sy, ox, oy = stage_one
         decoded = decode_box(target)
-        grown = enlarge_box(BoundingBox((decoded.cx + ox) / sx, (decoded.cy + oy) / sy,
-                                        decoded.w / sx, decoded.h / sy))
-        used_fallback = False
+        box = BoundingBox((decoded.cx + ox) / sx, (decoded.cy + oy) / sy, decoded.w / sx, decoded.h / sy)
+        size = self.cls_model.config.input_size
         try:
-            crop = crop_to_box(image, grown)
+            crop, used_fallback = box_crop(image, box, size), False
         except ValueError:
-            used_fallback = True
             h, w = image.shape[:2]
             side = min(h, w)
             y0, x0 = (h - side) // 2, (w - side) // 2
-            crop = image[y0:y0 + side, x0:x0 + side]
-        resized = resize_largest_side(crop, self.cls_model.config.input_size)
-        return resized, PipelineDetails(decoded, grown, used_fallback)
+            crop, used_fallback = resize_largest_side(image[y0:y0 + side, x0:x0 + side], size), True
+        return crop, PipelineDetails(decoded, enlarge_box(box), used_fallback)
 
     def predict_batch(self, images: list[np.ndarray], gt_boxes=None
                       ) -> tuple[np.ndarray, list[PipelineDetails]]:
@@ -363,19 +369,16 @@ BENCH_POOL_BATCHES = 16
 
 
 def _make_runner(target, bs: int, seed: int, n_batches: int):
-    """Pre-generated input pool plus a callable that runs one batch."""
+    """Pre-generated input pool plus a callable that runs one batch.  A
+    pipeline target is timed with its localiser, so it needs one."""
     is_pipeline = isinstance(target, TwoStagePipeline)
     pool_size = min(n_batches, BENCH_POOL_BATCHES)
     if is_pipeline:
-        side = (target.loc_model.config.input_size if target.loc_model is not None
-                else target.cls_model.config.input_size)
+        side = target.loc_model.config.input_size
         pool = [_synthetic_rasters(bs, side, seed + i) for i in range(pool_size)]
-        oracle_boxes = None
-        if target.loc_model is None:
-            oracle_boxes = [BoundingBox(side / 2, side / 2, side / 2, side / 2)] * bs
 
         def run(i):
-            target.predict_batch(pool[i % pool_size], gt_boxes=oracle_boxes)
+            target.predict_batch(pool[i % pool_size])
     else:
         side = target.config.input_size
         pool = [Tensor(to_network_input(_synthetic_rasters(bs, side, seed + i)))

@@ -79,17 +79,15 @@ class MomentumSGD:
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, lr: float) -> None:
+        """Apply each parameter's gradient, then clear it."""
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
             g = p.grad + self.weight_decay * p.data
+            p.grad = None
             v *= self.momentum
             v += g
             p.data -= lr * v
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
 
 # the learning rate drops tenfold at half and again at three quarters of max_epochs
@@ -105,16 +103,38 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     return lr
 
 
-def _load_all(manifest: DatasetManifest):
-    images = [load_image(r) for r in manifest.records]
-    labels = np.array([r.class_id for r in manifest.records], dtype=np.int64)
-    boxes = [r.box for r in manifest.records]
-    return images, labels, boxes
+def _step(model: Model, opt: MomentumSGD, batch: Tensor, targets, weights, lr: float
+          ) -> tuple[float, float]:
+    """One optimiser step on the weighted sum of one softmax cross-entropy
+    per head output; an output with zero weight is skipped entirely, so its
+    Dense layer gets no gradient.  Returns (loss, hits): a single output's count
+    of correct rows, or the mean over outputs of their hit rates times the
+    batch size.  The step's graph is freed when this call returns."""
+    # an overflow surfaces as this step's NumericsError, not as numpy warnings ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with GradTape():
+            out = model.forward(batch, train=True)
+            outputs = out if isinstance(out, list) else [out]
+            total = None
+            for output, target, w in zip(outputs, targets, weights):
+                if w == 0.0:
+                    continue
+                part = softmax_cross_entropy(output, target)
+                part = part if w == 1.0 else ad.scale(part, w)
+                total = part if total is None else ad.add(total, part)
+            ad.backward(total)
+        opt.step(lr)
+    if len(outputs) == 1:
+        return total.item(), int((outputs[0].data.argmax(axis=1) == targets[0]).sum())
+    rates = [float((o.data.argmax(axis=1) == t).mean()) for o, t in zip(outputs, targets)]
+    return total.item(), float(np.mean(rates)) * len(batch.data)
 
 
 def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
-                preprocess: PreprocessConfig, step_fn) -> list[EpochStats]:
-    images, labels, boxes = _load_all(manifest)
+                preprocess: PreprocessConfig, targets, weights) -> list[EpochStats]:
+    """targets(class_ids, crop_boxes) gives a batch's target column per head output."""
+    images = [load_image(r) for r in manifest.records]
+    class_ids = np.array([r.class_id for r in manifest.records], dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     params = [t for _, t in model.parameters()]
     opt = MomentumSGD(params, config.momentum, config.weight_decay)
@@ -131,20 +151,16 @@ def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
             idx = order[start:start + config.batch_size]
             crops, crop_boxes = [], []
             for i in idx:
-                crop, box = preprocess_train(images[i], boxes[i], preprocess, rng)
+                crop, box = preprocess_train(images[i], manifest.records[i].box, preprocess, rng)
                 crops.append(crop)
                 crop_boxes.append(box)
             batch = Tensor(to_network_input(crops))
             steps += 1
-            # an overflow surfaces as the NumericsError (or non-finite loss)
-            # of this step below, not as numpy warnings ahead of it
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss_val, batch_hits = step_fn(model, opt, batch, labels[idx], crop_boxes, lr)
+                loss_val, batch_hits = _step(model, opt, batch, targets(class_ids[idx], crop_boxes),
+                                             weights, lr)
             except ad.NumericsError as err:
                 raise TrainingDiverged(epoch, steps, str(err)) from err
-            if not np.isfinite(loss_val):
-                raise TrainingDiverged(epoch, steps, f"loss became {loss_val}")
             epoch_loss += loss_val * len(idx)
             hits += batch_hits
         acc = 100.0 * hits / n
@@ -166,48 +182,19 @@ def train_classifier(model: Model, manifest: DatasetManifest, config: TrainConfi
                               f"manifest has {manifest.n_classes}")
     if preprocess.crop_size != model.config.input_size:
         raise ModelBuildError("preprocess crop size must match the model input size")
-
-    def step(model, opt, batch, targets, _boxes, lr):
-        with GradTape():
-            logits = model.forward(batch, train=True)
-            loss = softmax_cross_entropy(logits, targets)
-            ad.backward(loss)
-        opt.step(lr)
-        opt.zero_grad()
-        hits = int((logits.data.argmax(axis=1) == targets).sum())
-        return loss.item(), hits
-
-    return _run_epochs(model, manifest, config, preprocess, step)
+    return _run_epochs(model, manifest, config, preprocess, lambda labels, _boxes: (labels,), (1.0,))
 
 
 def train_localiser(model: Model, manifest: DatasetManifest, config: TrainConfig,
                     preprocess: PreprocessConfig) -> list[EpochStats]:
     """Weighted sum of the per-output cross-entropies against binned box
-    targets; outputs with zero weight are skipped entirely, so their heads
-    see no gradient."""
+    targets, weighted by config.loss_weights."""
     if model.config.head != "loc_head":
         raise ModelBuildError("train_localiser needs a loc_head model")
     if preprocess.crop_size != model.config.input_size:
         raise ModelBuildError("preprocess crop size must match the model input size")
-    weights = config.loss_weights
 
-    def step(model, opt, batch, _targets, crop_boxes, lr):
-        target_cols = np.array([encode_box(b) for b in crop_boxes], dtype=np.int64).T
-        with GradTape():
-            outputs = model.forward(batch, train=True)
-            total = None
-            for out, tgt, w in zip(outputs, target_cols, weights):
-                if w == 0.0:
-                    continue
-                part = softmax_cross_entropy(out, tgt)
-                part = part if w == 1.0 else ad.scale(part, w)
-                total = part if total is None else ad.add(total, part)
-            ad.backward(total)
-        opt.step(lr)
-        opt.zero_grad()
-        hit_rates = [float((out.data.argmax(axis=1) == tgt).mean())
-                     for out, tgt in zip(outputs, target_cols)]
-        return total.item(), float(np.mean(hit_rates)) * len(crop_boxes)
+    def box_bins(_labels, crop_boxes):
+        return np.array([encode_box(b) for b in crop_boxes], dtype=np.int64).T
 
-    return _run_epochs(model, manifest, config, preprocess, step)
-
+    return _run_epochs(model, manifest, config, preprocess, box_bins, config.loss_weights)

@@ -122,6 +122,17 @@ class TestBackward:
             with GradTape(), pytest.raises(ad.AutodiffError, match=r"another tape \(sum\)"):
                 backward(loss)
 
+    def test_other_tape_error_leaves_no_partial_gradient(self):
+        # the scale branch reaches x before the walk finds the foreign mul
+        x = Tensor([1, 2], requires_grad=True)
+        with GradTape():
+            a = ad.mul(x, x)
+        with GradTape():
+            loss = ad.sum_all(ad.add(a, ad.scale(x, 3.0)))
+            with pytest.raises(ad.AutodiffError, match=r"another tape \(mul\)"):
+                backward(loss)
+        assert x.grad is None
+
     def test_repeated_backward_accumulates(self):
         x = Tensor([1, 2], requires_grad=True)
         with GradTape():

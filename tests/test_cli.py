@@ -206,21 +206,33 @@ class TestBenchHeatmapBins:
 
     def test_heatmap_writes_pgm(self, tmp_path, capsys):
         manifest = gen_tiny(tmp_path)
-        ckpt = train_tiny(tmp_path, manifest, "swp.ckpt",
-                          extra=("--swp", "--swp-masks", "3", "--fc-nodes", "16"))
-        out_dir = tmp_path / "maps"
-        code = main(["heatmap", "--ckpt", str(ckpt), "--manifest", str(manifest),
-                     "--out-dir", str(out_dir), "--limit", "2"])
-        assert code == 0
-        files = sorted(out_dir.glob("*.pgm"))
-        assert len(files) == 2
-        assert files[0].read_bytes().startswith(b"P5")
+        for task in ("cls", "loc"):     # an SWP classifier and an SWP localiser
+            ckpt = train_tiny(tmp_path, manifest, f"{task}_swp.ckpt", task=task,
+                              extra=("--swp", "--swp-masks", "3", "--fc-nodes", "16"))
+            out_dir = tmp_path / f"{task}_maps"
+            code = main(["heatmap", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                         "--out-dir", str(out_dir), "--limit", "2"])
+            assert code == 0
+            files = sorted(out_dir.glob("*.pgm"))
+            assert len(files) == 2
+            assert files[0].read_bytes().startswith(b"P5")
 
     def test_heatmap_requires_swp_head(self, tmp_path):
         manifest = gen_tiny(tmp_path)
         ckpt = train_tiny(tmp_path, manifest)
         assert main(["heatmap", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--out-dir", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("layout", [("--rows", "5"), ("--rows", "4", "--cols", "4")])
+    def test_heatmap_layout_mismatch_is_usage_error_and_writes_nothing(self, tmp_path, swp_run,
+                                                                       capsys, layout):
+        manifest, ckpt = swp_run     # 3 masks x 32 channels = 96 values
+        code = main(["heatmap", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "maps"), *layout])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "cannot hold the 96 SWP values" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_analyze_bins_totals(self, tmp_path, capsys):
         manifest = gen_tiny(tmp_path)
@@ -288,6 +300,18 @@ class TestCountFlags:
         assert main(["gen-data", "--out-dir", str(tmp_path / "out"), "--clutter", "-2"]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "argument --clutter: must be at least 0, got -2" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scale-min", "0"),
+        ("--scale-max", "0.95"),
+        ("--margin", "2"),
+        ("--canvas", "16"),
+    ])
+    def test_bad_gen_data_value_is_usage_error_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        assert main(["gen-data", "--out-dir", str(tmp_path / "out"), flag, value]) == 2
+        assert "usage:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -5,9 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
-from swpnet.autodiff import NumericsError
+from swpnet.autodiff import NumericsError, Tensor
 from swpnet.binning import BoundingBox
-from swpnet.datasynth import DatasetManifest, ManifestRecord
+from swpnet.datasynth import (
+    DatasetManifest,
+    ManifestRecord,
+    crop_dataset_to_boxes,
+    generate_dataset,
+    load_image,
+    to_network_input,
+)
 from swpnet.evaluation import (
     BinErrorStats,
     TwoStagePipeline,
@@ -260,6 +267,18 @@ class TestTwoStagePipeline:
         _, details = pipeline.predict(image, gt_box=gt, return_details=True)
         assert details.enlarged_box.w == pytest.approx(1.10 * details.predicted_box.w, rel=1e-6)
         assert details.enlarged_box.h == pytest.approx(1.10 * details.predicted_box.h, rel=1e-6)
+
+    def test_oracle_crop_matches_box_crop_dataset(self, tmp_path):
+        """The second stage sees, bit for bit, the crops it is trained on."""
+        manifest = generate_dataset(2, 2, 64, tmp_path / "raw", seed=17, scale_range=(0.5, 0.6), clutter=1)
+        cls_model = build_model(tiny_cls_config(input_size=32), seed=18)
+        derived = crop_dataset_to_boxes(manifest, tmp_path / "box", target_size=32, quantize_boxes=True)
+        pipeline = TwoStagePipeline(None, cls_model)
+        for rec, crop_rec in zip(manifest.records, derived.records):
+            logits, details = pipeline.predict_batch([load_image(rec)], [rec.box])
+            expected = cls_model.forward(Tensor(to_network_input([load_image(crop_rec)])), train=False)
+            assert not details[0].used_fallback
+            assert logits.tobytes() == expected.data.tobytes()
 
     def test_unusable_box_falls_back_to_central_crop(self):
         pipeline = corner_box_pipeline()

@@ -142,7 +142,9 @@ class TestMomentumSGD:
         p.grad = np.array([0.1, -0.2], dtype=np.float32)
         opt.step(lr=1.0)
         npt.assert_allclose(p.data, [0.9, 2.2], rtol=1e-6)
+        assert p.grad is None       # step clears each gradient it applies
         p.grad = np.array([0.1, -0.2], dtype=np.float32)
         opt.step(lr=1.0)
         # velocity now 0.5*g + g = 1.5g
         npt.assert_allclose(p.data, [0.9 - 0.15, 2.2 + 0.3], rtol=1e-6)
+        assert p.grad is None
