@@ -29,20 +29,19 @@ class NumericsError(AutodiffError):
     """An operation produced NaN or Inf."""
 
 
-_state = threading.local()
+class _ThreadTapes(threading.local):
+    """Each thread's stack of open GradTapes, innermost last."""
+
+    def __init__(self):
+        self.tapes: list = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_state = _ThreadTapes()
 
 
 def active_tape():
     """The innermost open GradTape on this thread, or None."""
-    stack = _tape_stack()
+    stack = _state.tapes
     return stack[-1] if stack else None
 
 
@@ -114,11 +113,11 @@ class GradTape:
         return len(self._nodes)
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _state.tapes.pop()
         if popped is not self:
             raise AutodiffError("GradTape exited out of order")
         return False
@@ -127,17 +126,31 @@ class GradTape:
 def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable, name: str = "op") -> Tensor:
     """Wrap an op result, raising NumericsError if it holds a NaN or Inf, and,
     when a tape is open and gradients are needed, push a node whose
-    backward_fn(out_grad) returns one grad (or None) per input."""
+    backward_fn(out_grad) returns one grad (or None) per input.
+
+    out_data must already be a float ndarray in its inputs' dtype: it is
+    wrapped as it is, without Tensor.__init__'s conversions, since this runs
+    once per op of every forward."""
     if not np.isfinite(out_data).all():
         raise NumericsError(f"{name} produced a non-finite value")
-    inputs = tuple(inputs)
-    needs_grad = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs_grad)
-    tape = active_tape()
-    if tape is not None and needs_grad:
-        node = _OpNode(inputs, backward_fn, name)
-        tape._nodes.append(node)
-        out._node = node
+    if not out_data.size:
+        raise ShapeMismatch(f"zero extent in shape {out_data.shape}")
+    needs_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            needs_grad = True
+            break
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = needs_grad
+    out.grad = None
+    out._node = None
+    tapes = _state.tapes
+    if not needs_grad or not tapes:
+        return out
+    node = _OpNode(tuple(inputs), backward_fn, name)
+    tapes[-1]._nodes.append(node)
+    out._node = node
     return out
 
 

@@ -476,14 +476,21 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
 
     quantize_boxes routes each box through the bin codec first, so the crop
     framing matches what decoded predictions produce at inference time.
+
+    Every record is cropped, and its crop (target_size² × 3 bytes) held,
+    before anything is written: a box that misses its image raises
+    DataSynthError naming the record, and writes nothing.
     """
     from .evaluation import box_crop   # evaluation imports this module
 
     full = BoundingBox(target_size / 2.0, target_size / 2.0, float(target_size), float(target_size))
-
-    def item(rec):
+    items = []
+    for rec in manifest.records:
+        image = load_image(rec)
         box = decode_box(encode_box(rec.box)) if quantize_boxes else rec.box
-        return box_crop(load_image(rec), box, target_size), rec.class_id, full
-
-    return _write_dataset(map(item, manifest.records), manifest.n_classes, out_dir,
-                          f"{manifest.split}_boxcrop")
+        try:
+            crop = box_crop(image, box, target_size)
+        except ValueError as err:
+            raise DataSynthError(f"{rec.path}: box {rec.box} gives no crop: {err}") from None
+        items.append((crop, rec.class_id, full))
+    return _write_dataset(items, manifest.n_classes, out_dir, f"{manifest.split}_boxcrop")

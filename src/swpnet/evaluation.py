@@ -401,6 +401,10 @@ def bench_fps_paired(targets: dict[str, object], batch_sizes=(1, 32), n_images: 
     value raises NumericsError instead of being timed."""
     if n_images < 1:
         raise ValueError("n_images must be positive")
+    for name, target in targets.items():
+        if isinstance(target, TwoStagePipeline) and target.loc_model is None:
+            raise ValueError(f"bench target {name!r} is an oracle pipeline (loc_model=None); "
+                             "a pipeline is timed with its localiser, so it needs one")
     reports = {name: {} for name in targets}
     for bs in batch_sizes:
         n_batches = (n_images + bs - 1) // bs

@@ -168,8 +168,8 @@ class BatchNorm:
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return batchnorm(x, self, train)
+    def __call__(self, x: Tensor, train: bool, relu: bool = False) -> Tensor:
+        return batchnorm(x, self, train, relu=relu)
 
 
 def _bn_axes(shape) -> tuple:
@@ -180,7 +180,13 @@ def _bn_axes(shape) -> tuple:
     raise ShapeMismatch(f"batchnorm expects [B, C, H, W] or [B, C], got {list(shape)}")
 
 
-def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
+def batchnorm(x: Tensor, state: BatchNorm, train: bool, relu: bool = False) -> Tensor:
+    """Normalise x per channel, then scale by gamma and shift by beta.
+
+    relu=True fuses the relu that follows every batch norm of a
+    pre-activation net into this one recorded op, with the bytes of
+    relu(batchnorm(x)) forward and backward.  The finite check runs on the
+    pre-relu value, so a -inf that the relu would zero is still caught."""
     axes = _bn_axes(x.shape)
     if x.shape[1] != state.channels:
         raise ShapeMismatch(f"batchnorm: {x.shape[1]} channels vs state {state.channels}")
@@ -205,9 +211,12 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
     xhat = d * inv
     out = gamma * xhat
     out += beta
+    out = out.astype(x.data.dtype, copy=False)
     need_x = x.requires_grad
 
     def bwd(g):
+        if relu:
+            g = (g * (out > 0)).astype(out.dtype)   # autodiff.relu's rule
         gx = None
         if need_x and train:
             dxhat = g * gamma
@@ -219,7 +228,10 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool) -> Tensor:
             gx = (g * gamma * inv).astype(x.data.dtype)
         return gx, (g * xhat).sum(axis=axes).astype(state.gamma.data.dtype), g.sum(axis=axes).astype(state.beta.data.dtype)
 
-    return record((x, state.gamma, state.beta), out.astype(x.data.dtype, copy=False), bwd, "batchnorm")
+    result = record((x, state.gamma, state.beta), out, bwd, "batchnorm")
+    if relu:
+        np.maximum(out, 0, out=out)   # after the check: the relu hides a -inf
+    return result
 
 
 class Pool2d:

@@ -23,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DEFAULT_DTYPE, Tensor
 from .binning import LOC_OUTPUTS
-from .layers import BatchNorm, Conv2d, Dense, Pool2d, relu
+from .layers import BatchNorm, Conv2d, Dense, Pool2d
+from .layers import relu  # noqa: F401  (unused since bn->relu is fused; callers look it up here)
 from .swp import SWPLayer, SWPSpec
 
 # head kind -> (front, named Dense outputs).  The front is "avgpool", "swp"
@@ -125,10 +126,10 @@ def block_plan(channels: int, stride: int, bottleneck: bool) -> tuple[tuple[int,
 
 
 class Block(Module):
-    """Pre-activation residual block: bn -> relu -> conv for each conv of its
-    plan, plus a shortcut that is a projection 1x1 conv only when the shape
-    changes.  The very first block after the stem skips its leading bn-relu
-    (the stem already applied one)."""
+    """Pre-activation residual block: bn -> relu (one fused op) -> conv for
+    each conv of its plan, plus a shortcut that is a projection 1x1 conv
+    only when the shape changes.  The very first block after the stem skips
+    its leading bn-relu (the stem already applied one)."""
 
     def __init__(self, in_ch: int, channels: int, stride: int, skip_preact: bool,
                  rng: np.random.Generator | None, dtype, bottleneck: bool = False):
@@ -149,7 +150,7 @@ class Block(Module):
     def forward(self, x: Tensor, train: bool) -> Tensor:
         y = x
         for bn, conv in self.steps:
-            y = conv(y if bn is None else relu(bn(y, train)))
+            y = conv(y if bn is None else bn(y, train, relu=True))
         sc = x if self.shortcut is None else self.shortcut(x)
         return ad.add(y, sc)
 
@@ -255,11 +256,11 @@ class Model(Module):
         if x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size:
             raise ad.ShapeMismatch(f"input spatial {x.shape[2]}x{x.shape[3]} != "
                                    f"configured {self.config.input_size}")
-        y = self.stem_pool(relu(self.stem_bn(self.stem_conv(x), train)))
+        y = self.stem_pool(self.stem_bn(self.stem_conv(x), train, relu=True))
         for blocks in self.stages:
             for block in blocks:
                 y = block.forward(y, train)
-        return relu(self.final_bn(y, train))
+        return self.final_bn(y, train, relu=True)
 
     def forward(self, x: Tensor, train: bool = False):
         return self.head.forward(self.backbone(x, train), train)

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from swpnet import autodiff as ad
+from swpnet import layers
 from swpnet.autodiff import GradTape, Tensor, grad_check
 from swpnet.binning import (
     LOCATION_BINS,
@@ -37,7 +38,7 @@ from swpnet.evaluation import (
     topk_hits,
     topk_predictions,
 )
-from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, softmax_cross_entropy
+from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, batchnorm, softmax_cross_entropy
 from swpnet.models import (
     Block,
     ModelConfig,
@@ -89,8 +90,15 @@ def _square_loss(y):
 
 
 def _relu_inputs(fn):
-    """Inputs of every relu that one probe evaluation records on a tape."""
-    with GradTape() as tape:
+    """Inputs of every relu that one probe evaluation records on a tape.  A
+    fused bn->relu runs here as batchnorm then a separate relu, so its
+    pre-relu value is on the tape too."""
+    def unfused(x, state, train, relu=False):
+        out = batchnorm(x, state, train)
+        return ad.relu(out) if relu else out
+
+    with pytest.MonkeyPatch.context() as patch, GradTape() as tape:
+        patch.setattr(layers, "batchnorm", unfused)
         fn()
     return [node.inputs[0].data for node in tape.nodes if node.name == "relu"]
 

@@ -1,15 +1,20 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from swpnet import autodiff as ad
+from swpnet import layers
 from swpnet.autodiff import (
     GradTape,
     Tensor,
     backward,
     grad_check,
 )
-from swpnet.layers import Dense, dense
+from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, dense
+from swpnet.models import ModelConfig, build_model
+from swpnet.swp import SWPLayer, SWPSpec
 
 
 def linear(weight: Tensor, rows: Tensor) -> Tensor:
@@ -181,6 +186,90 @@ class TestNumerics:
         x = Tensor(np.array([1e30], dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(ad.NumericsError):
             ad.mul(ad.mul(x, x), ad.mul(x, x))
+
+
+
+def every_op(dtype):
+    """(name, output) for each recorded op on random inputs of one dtype."""
+    rng = np.random.default_rng(9)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    x, v = t(2, 3, 6, 6), t(4, 5)
+    bn4, bn2 = BatchNorm(3, dtype=dtype), BatchNorm(5, dtype=dtype)
+    out = [("add", ad.add(v, v)), ("mul", ad.mul(v, v)), ("relu", ad.relu(v)),
+           ("scale", ad.scale(v, 0.5)), ("sum", ad.sum_all(v)), ("reshape", ad.reshape(v, (5, 4))),
+           ("conv2d", Conv2d(3, 4, 3, 1, 1, bias=False, rng=rng, dtype=dtype)(x)),
+           ("conv2d+bias", Conv2d(3, 4, 1, 2, 0, rng=rng, dtype=dtype)(x)),
+           ("maxpool2d", Pool2d("max", 3, 2)(x)), ("avgpool2d", Pool2d("average", 2, 2)(x)),
+           ("global avgpool2d", Pool2d("average", 6)(x)),
+           ("dense", Dense(5, 3, rng=rng, dtype=dtype)(v)),
+           ("softmax_cross_entropy", layers.softmax_cross_entropy(v, [0, 1, 2, 3])),
+           ("swp", SWPLayer(SWPSpec(2, 6, 6), dtype=dtype)(x))]
+    for train in (False, True):
+        for relu in (False, True):
+            out += [(f"batchnorm {train=} {relu=}", bn4(x, train, relu=relu)),
+                    (f"batchnorm [B, C] {train=} {relu=}", bn2(v, train, relu=relu))]
+    return out
+
+
+class TestRecord:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_op_returns_its_input_dtype(self, dtype):
+        for name, out in every_op(dtype):
+            assert type(out.data) is np.ndarray, name
+            assert out.dtype == dtype, name
+            assert out.requires_grad, name
+
+    def test_requires_grad_outside_a_tape(self):
+        w = Tensor([1.0, -2.0], requires_grad=True)
+        c = Tensor([3.0, 4.0])
+        for out, wanted in ((ad.add(w, c), True), (ad.add(c, w), True), (ad.add(c, c), False),
+                            (ad.relu(w), True), (ad.relu(c), False)):
+            assert out.requires_grad is wanted
+            assert out._node is None
+            assert out.grad is None
+
+    def test_no_node_for_inputs_that_need_no_grad(self):
+        c = Tensor([3.0, 4.0])
+        with GradTape() as tape:
+            out = ad.add(c, c)
+        assert len(tape) == 0 and out._node is None and not out.requires_grad
+
+    def test_zero_extent_output_rejected(self):
+        with pytest.raises(ad.ShapeMismatch, match="zero extent"):
+            ad.record((), np.zeros((0, 3), dtype=np.float32), lambda g: (), "op")
+
+    def test_untaped_forward_leaves_another_threads_tape_alone(self):
+        """Thread B holds an open tape while this thread runs a forward with
+        none: B's tape gets no node, and B still records its own ops."""
+        model = build_model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 32, 32)).astype(np.float32))
+        opened, forward_done = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_tape():
+            w = Tensor([1.0, -2.0], requires_grad=True)
+            with GradTape() as tape:
+                opened.set()
+                forward_done.wait(timeout=60)
+                seen["before"] = len(tape)
+                ad.relu(w)
+                seen["after"] = len(tape)
+
+        holder = threading.Thread(target=hold_tape)
+        holder.start()
+        assert opened.wait(timeout=60)
+        try:
+            for train in (False, True):
+                out = model.forward(x, train=train)
+                assert out._node is None and out.requires_grad
+        finally:
+            forward_done.set()
+            holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert seen == {"before": 0, "after": 1}
 
 
 class TestGradCheck:

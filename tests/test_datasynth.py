@@ -461,3 +461,15 @@ class TestBoxCropDataset:
         assert len(derived) == len(manifest)
         img = load_image(derived.records[0])
         assert img.shape == (64, 64, 3)
+
+    def test_box_missing_its_image_raises_by_name_and_writes_nothing(self, tmp_path):
+        manifest = generate_dataset(2, 2, 48, tmp_path / "src", seed=7)
+        records = list(manifest.records)
+        bad = records[2]
+        records[2] = ManifestRecord(bad.path, bad.class_id, BoundingBox(500.0, 500.0, bad.box.w, bad.box.h))
+        bad_manifest = DatasetManifest(records, manifest.n_classes, manifest.split)
+        with pytest.raises(DataSynthError) as err:
+            crop_dataset_to_boxes(bad_manifest, tmp_path / "dst", target_size=32)
+        assert bad.path in str(err.value)
+        assert str(records[2].box) in str(err.value)
+        assert not (tmp_path / "dst").exists()   # no PPM, no manifest, no directory

@@ -354,6 +354,13 @@ class TestBench:
         report = bench_fps_paired({"target": pipeline}, batch_sizes=(4,), n_images=8, seed=1)["target"]
         assert report.entries[4].images >= 8
 
+    def test_oracle_pipeline_is_rejected_by_name(self):
+        cls_model = build_model(tiny_cls_config(input_size=32), seed=14)
+        model = build_model(tiny_cls_config(input_size=32), seed=12)
+        targets = {"model": model, "oracle": TwoStagePipeline(None, cls_model)}
+        with pytest.raises(ValueError, match="bench target 'oracle' is an oracle pipeline"):
+            bench_fps_paired(targets, batch_sizes=(1,), n_images=1)
+
     def test_nan_weight_raises_instead_of_being_timed(self):
         model = build_model(tiny_cls_config(input_size=32), seed=16)
         model.stem_conv.weight.data[0, 0, 0, 0] = np.nan

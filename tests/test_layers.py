@@ -253,6 +253,86 @@ class TestBatchNorm:
         assert grad_check(f, [x, bn.gamma, bn.beta]) < 1e-5
 
 
+
+def bn_pair(rng, channels, dtype=np.float32):
+    """Two batch norms with the same random gamma, beta and running stats."""
+    pair = (BatchNorm(channels, dtype=dtype), BatchNorm(channels, dtype=dtype))
+    gamma = rng.normal(size=channels)
+    beta = rng.normal(size=channels)
+    mean = rng.normal(size=channels)
+    var = rng.uniform(0.5, 2.0, size=channels)
+    for bn in pair:
+        bn.gamma.data[:] = gamma
+        bn.beta.data[:] = beta
+        bn.running_mean[:] = mean
+        bn.running_var[:] = var
+    return pair
+
+
+class TestFusedBatchNormRelu:
+    """batchnorm(..., relu=True) is relu(batchnorm(...)) as one recorded op."""
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_bytes_equal_to_relu_of_batchnorm(self, train, batch):
+        rng = np.random.default_rng(batch + 2 * train)
+        fused_bn, plain_bn = bn_pair(rng, 4)
+        x_data = rng.normal(size=(batch, 4, 5, 5)).astype(np.float32)
+        g = Tensor(rng.normal(size=(batch, 4, 5, 5)).astype(np.float32))
+        results = []
+        for bn, run in ((fused_bn, lambda bn, x: bn(x, train, relu=True)),
+                        (plain_bn, lambda bn, x: layers.relu(bn(x, train)))):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            with GradTape() as tape:
+                out = run(bn, x)
+                backward(ad.sum_all(ad.mul(out, g)))
+            results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                            bn.running_mean, bn.running_var, len(tape)))
+        fused, plain = results
+        assert (fused[0] == 0).any() and (fused[0] > 0).any()
+        for got, want in zip(fused[:6], plain[:6]):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert fused[6] == plain[6] - 1   # one op fewer on the tape
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_grad_check(self, train):
+        rng = np.random.default_rng(21)
+        bn, _ = bn_pair(rng, 2, dtype=np.float64)
+        x = Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True, dtype=np.float64)
+        neg_tgt = Tensor(-rng.normal(size=(3, 2, 2, 2)), dtype=np.float64)
+
+        def f():
+            d = ad.add(bn(x, train, relu=True), neg_tgt)
+            return ad.sum_all(ad.mul(d, d))
+
+        assert (bn(x, train, relu=True).data == 0).any()   # some relus are closed
+        assert grad_check(f, [x, bn.gamma, bn.beta]) < 1e-5
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("param", ["gamma", "beta"])
+    def test_non_finite_caught_before_the_relu(self, train, param):
+        """A -inf gamma makes half a channel -inf, a -inf beta all of it; the
+        relu would turn each of those into 0, and the check still fires."""
+        rng = np.random.default_rng(8)
+        bn, _ = bn_pair(rng, 3)
+        getattr(bn, param).data[0] = -np.inf
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+        with pytest.raises(ad.NumericsError, match="batchnorm produced a non-finite value"):
+            bn(x, train, relu=True)
+
+    def test_model_records_no_separate_relu(self):
+        model = build_model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 32, 32)).astype(np.float32))
+        for train in (False, True):
+            with GradTape() as tape:
+                model.forward(x, train=train)
+            names = [node.name for node in tape.nodes]
+            assert "relu" not in names
+            assert names.count("batchnorm") == 17
+            assert len(names) == 49
+
+
 def maxpool_gather_oracle(x, size, stride, g):
     """Max pool forward and backward as computed before the strided running
     maximum: gather every window, take_along_axis at its argmax, and scatter
