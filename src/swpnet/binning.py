@@ -178,8 +178,12 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int,
     return out.astype(image.dtype, copy=False)
 
 
-def largest_side_scale(image: np.ndarray, target: int) -> float:
-    return target / max(image.shape[0], image.shape[1])
+def largest_side_size(h: int, w: int, target: int) -> tuple[int, int]:
+    """(rows, cols) of an h x w image resized so its largest side is target;
+    the short side rounds to whole pixels, so each axis has its own scale."""
+    if h >= w:
+        return target, max(1, round(w * target / h))
+    return max(1, round(h * target / w)), target
 
 
 def resize_largest_side(image: np.ndarray, target: int = 224) -> np.ndarray:
@@ -187,11 +191,7 @@ def resize_largest_side(image: np.ndarray, target: int = 224) -> np.ndarray:
     zero-pad (bottom/right) to a target x target square."""
     if image.size == 0:
         raise ValueError("empty image")
-    h, w = image.shape[:2]
-    if h >= w:
-        new_h, new_w = target, max(1, round(w * target / h))
-    else:
-        new_h, new_w = max(1, round(h * target / w)), target
+    new_h, new_w = largest_side_size(*image.shape[:2], target)
     resized = bilinear_resize(image, new_h, new_w)
     if (new_h, new_w) == (target, target):
         return resized

@@ -3,7 +3,8 @@ training, evaluation, the two-stage pipeline, benchmarking, heatmaps, and
 bin histograms.
 
 Exit codes: 0 success, 1 runtime failure (training divergence included),
-2 usage error.  Reports go to stdout; artifacts only to flagged paths.
+2 usage error: a malformed command line, or a flag value the library
+rejects.  Reports go to stdout; artifacts only to flagged paths.
 The SWPNET_SEED environment variable overrides the default of every --seed
 flag; an explicit flag wins over the environment.
 """
@@ -14,17 +15,43 @@ import argparse
 import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+from . import autodiff, datasynth, evaluation, models, swp, training
 
 
 class UsageError(ValueError):
-    pass
+    """A bad command line or flag value (exit 2).  `usage` is the usage
+    line of the parser that rejected it, empty when a command did."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
 
 
-def _env_seed(default: int = 0) -> int:
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, so it exits the
+    same way as a flag value the library rejects."""
+
+    def error(self, message):
+        raise UsageError(message, self.format_usage())
+
+
+@contextmanager
+def _flag_values():
+    """Wraps a command's step from flags to library settings: a ValueError
+    raised there is a flag value the library rejects, so a usage error."""
+    try:
+        yield
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
+def _env_seed() -> int:
     raw = os.environ.get("SWPNET_SEED")
     if raw is None:
-        return default
+        return 0
     try:
         return int(raw)
     except ValueError:
@@ -48,13 +75,18 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _add_seed(parser, default: int = 0):
-    parser.add_argument("--seed", type=int, default=_env_seed(default),
+def batch_sizes(text: str) -> tuple[int, ...]:
+    """argparse type for --batches: comma-separated integers of at least 1."""
+    return tuple(positive_int(tok) for tok in text.split(","))
+
+
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int, default=_env_seed(),
                         help="global rng seed (env SWPNET_SEED overrides this default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swpnet",
         description="Residual networks with spatially-weighted pooling and "
                     "binned-box localisation, at desk scale.",
@@ -64,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", formatter_class=fmt,
                        help="render a synthetic glyph dataset with exact boxes")
+    p.set_defaults(run=cmd_gen_data)
     p.add_argument("--classes", type=positive_int, default=4, help="number of glyph classes")
     p.add_argument("--per-class", type=positive_int, default=25, help="images per class")
     p.add_argument("--canvas", type=positive_int, default=256, help="square canvas side in pixels")
@@ -79,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", formatter_class=fmt,
                        help="train a classifier or localiser and write a checkpoint")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--task", choices=("cls", "loc"), default="cls", help="training task")
     p.add_argument("--arch", type=int, choices=(18, 34, 50), default=50, help="depth variant")
     p.add_argument("--width", type=float, default=1.0, help="channel width multiplier")
@@ -89,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-size", type=positive_int, default=224, help="network input side in pixels")
     p.add_argument("--manifest", required=True, help="training manifest path")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--resume", default=None, help="checkpoint to continue training from")
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to continue training from (sets the model and input size)")
     p.add_argument("--epochs", type=positive_int, default=30, help="training epochs")
     p.add_argument("--batch-size", type=positive_int, default=8, help="minibatch size")
     p.add_argument("--lr", type=float, default=0.01, help="learning rate")
@@ -103,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", formatter_class=fmt,
                        help="evaluate a checkpoint on a manifest (top-k or per-output bins)")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--manifest", required=True, help="eval manifest path")
     p.add_argument("--batch-size", type=positive_int, default=32, help="eval batch size")
@@ -111,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", formatter_class=fmt,
                        help="two-stage localise-then-classify evaluation")
+    p.set_defaults(run=cmd_pipeline)
     p.add_argument("--loc", default=None, help="localiser checkpoint (required unless --oracle)")
     p.add_argument("--cls", required=True, help="classifier checkpoint")
     p.add_argument("--manifest", required=True, help="eval manifest path")
@@ -120,14 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", formatter_class=fmt,
                        help="inference throughput over synthetic in-memory batches")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--ckpt", required=True, help="model checkpoint (classifier stage)")
     p.add_argument("--loc-ckpt", default=None, help="optional localiser checkpoint (bench the pipeline)")
-    p.add_argument("--batches", default="1,32", help="comma-separated batch sizes")
+    p.add_argument("--batches", type=batch_sizes, default="1,32", help="comma-separated batch sizes")
     p.add_argument("--images", type=positive_int, default=10000, help="images per measurement")
     _add_seed(p)
 
     p = sub.add_parser("heatmap", formatter_class=fmt,
                        help="export SWP output heatmaps as binary graymaps")
+    p.set_defaults(run=cmd_heatmap)
     p.add_argument("--ckpt", required=True, help="checkpoint whose head has an SWP front")
     p.add_argument("--manifest", required=True, help="manifest providing input images")
     p.add_argument("--out-dir", required=True, help="directory for .pgm files")
@@ -137,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-bins", formatter_class=fmt,
                        help="bin-occupancy histograms of manifest boxes (CSV per output)")
+    p.set_defaults(run=cmd_analyze_bins)
     p.add_argument("--manifest", required=True, help="manifest path")
     p.add_argument("--out-prefix", required=True, help="output prefix for the four CSV files")
     p.add_argument("--preprocess", action="store_true",
@@ -146,75 +186,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-max", type=float, default=1.3, help="max rescale when --preprocess is set")
     _add_seed(p)
 
+    for p in sub.choices.values():   # a command's usage error shows its own usage line
+        p.set_defaults(usage=p.format_usage())
     return parser
 
 
 # -- command bodies -----------------------------------------------------------
+# Each command turns its flags into library settings inside `_flag_values()`
+# before it runs, so a value the library rejects exits 2 and writes nothing.
 
 
 def cmd_gen_data(args) -> int:
-    from .datasynth import DataSynthError, generate_dataset, manifest_path
-
-    try:
-        manifest = generate_dataset(args.classes, args.per_class, args.canvas, args.out_dir,
-                                    similarity_margin=args.margin, seed=args.seed, split=args.split,
-                                    scale_range=(args.scale_min, args.scale_max),
-                                    center_jitter=args.jitter, clutter=args.clutter)
-    except DataSynthError as err:   # raised from the arguments, before anything is written
-        raise UsageError(str(err)) from None
-    print(f"manifest: {manifest_path(args.out_dir, args.split)}")
+    with _flag_values():   # generate_dataset checks its arguments before it writes
+        manifest = datasynth.generate_dataset(
+            args.classes, args.per_class, args.canvas, args.out_dir, similarity_margin=args.margin,
+            seed=args.seed, split=args.split, scale_range=(args.scale_min, args.scale_max),
+            center_jitter=args.jitter, clutter=args.clutter)
+    print(f"manifest: {datasynth.manifest_path(args.out_dir, args.split)}")
     print(f"classes: {manifest.n_classes}  images: {len(manifest)}")
     return 0
 
 
 def _train_preprocess(crop_size: int, args):
     """Train-time rescale+crop at crop_size, sharing the eval config's scale."""
-    from .evaluation import default_eval_config
-
-    return dataclasses.replace(default_eval_config(crop_size),
+    return dataclasses.replace(evaluation.default_eval_config(crop_size),
                                scale_range=(args.scale_min, args.scale_max), seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    from .datasynth import load_manifest
-    from .models import ModelConfig, build_model, feature_map_extent, load_checkpoint, save_checkpoint
-    from .swp import SWPSpec
-    from .training import TrainConfig, history_rows, history_to_csv, train_classifier, train_localiser
-
     if args.swp and args.task == "loc":
         print("warning: an SWP head on the localiser reduced accuracy in earlier runs; "
               "proceeding anyway", file=sys.stderr)
 
-    manifest = load_manifest(args.manifest)
-    if args.resume:
-        model = load_checkpoint(args.resume)
-        if (model.config.head == "loc_head") != (args.task == "loc"):
-            raise UsageError(f"--resume checkpoint head {model.config.head!r} "
-                             f"does not fit task {args.task!r}")
-    else:
-        head = "loc_head" if args.task == "loc" else "swp_head" if args.swp else "plain_avgpool_fc"
-        config = ModelConfig(depth_variant=args.arch, num_classes=manifest.n_classes,
-                             width_multiplier=args.width, input_size=args.input_size, head=head)
-        extent = feature_map_extent(config)
-        swp = SWPSpec(args.swp_masks, extent, extent) if args.swp else None
-        model = build_model(config, seed=args.seed, swp_spec=swp, fc_nodes=args.fc_nodes)
+    manifest = datasynth.load_manifest(args.manifest)
+    resumed = models.load_checkpoint(args.resume) if args.resume else None
+    if resumed and (resumed.config.head == "loc_head") != (args.task == "loc"):
+        raise UsageError(f"--resume checkpoint head {resumed.config.head!r} "
+                         f"does not fit task {args.task!r}")
+    head = "loc_head" if args.task == "loc" else "swp_head" if args.swp else "plain_avgpool_fc"
+    with _flag_values():   # after the manifest, which sets the model's class count
+        train_config = training.TrainConfig(
+            lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
+            batch_size=args.batch_size, max_epochs=args.epochs, seed=args.seed,
+            early_stop_accuracy=args.early_stop)
+        config = resumed.config if resumed else models.ModelConfig(
+            depth_variant=args.arch, num_classes=manifest.n_classes, width_multiplier=args.width,
+            input_size=args.input_size, head=head)
+        extent = models.feature_map_extent(config)
+        swp_spec = swp.SWPSpec(args.swp_masks, extent, extent) if args.swp else None
+        preprocess = _train_preprocess(config.input_size, args)
+    model = resumed or models.build_model(config, seed=args.seed, swp_spec=swp_spec,
+                                          fc_nodes=args.fc_nodes)
 
-    train_config = TrainConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
-                               batch_size=args.batch_size, max_epochs=args.epochs, seed=args.seed,
-                               early_stop_accuracy=args.early_stop)
-    preprocess = _train_preprocess(args.input_size, args)
-    if args.task == "loc":
-        history = train_localiser(model, manifest, train_config, preprocess)
-    else:
-        history = train_classifier(model, manifest, train_config, preprocess)
-
-    save_checkpoint(model, args.out)
-    history_path = Path(str(args.out) + ".history.csv")
-    if args.resume and history_path.exists():
-        old = history_path.read_text(encoding="utf-8").rstrip("\n").splitlines()
-        history_path.write_text("\n".join(old + history_rows(history)) + "\n", encoding="utf-8")
-    else:
-        history_to_csv(history, history_path)
+    train = training.train_localiser if args.task == "loc" else training.train_classifier
+    history = train(model, manifest, train_config, preprocess)
+    models.save_checkpoint(model, args.out)
+    training.history_to_csv(history, str(args.out) + ".history.csv", extend=bool(args.resume))
     last = history[-1]
     print(f"checkpoint: {args.out}")
     print(f"epochs: {last.epoch + 1}  steps: {last.steps}  "
@@ -223,68 +250,44 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .datasynth import load_manifest
-    from .evaluation import evaluate_localisation, evaluate_topk
-    from .models import load_checkpoint
-
-    model = load_checkpoint(args.ckpt)
-    manifest = load_manifest(args.manifest)
+    model = models.load_checkpoint(args.ckpt)
+    manifest = datasynth.load_manifest(args.manifest)
     if model.config.head == "loc_head":
         mode = "none" if args.raw else "center"
-        report, stats = evaluate_localisation(model, manifest, preprocess=mode,
-                                              batch_size=args.batch_size)
+        report, stats = evaluation.evaluate_localisation(model, manifest, preprocess=mode,
+                                                         batch_size=args.batch_size)
         print(report.summary())
         print(stats.summary())
     else:
-        report = evaluate_topk(model, manifest, batch_size=args.batch_size)
+        report = evaluation.evaluate_topk(model, manifest, batch_size=args.batch_size)
         print(report.summary())
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    from .datasynth import load_manifest
-    from .evaluation import TwoStagePipeline, evaluate_topk
-    from .models import load_checkpoint
-
     if not args.oracle and args.loc is None:
         raise UsageError("pipeline needs --loc, or --oracle to crop to ground-truth boxes")
-    loc_model = None if args.oracle else load_checkpoint(args.loc)
-    cls_model = load_checkpoint(args.cls)
-    manifest = load_manifest(args.manifest)
-    pipeline = TwoStagePipeline(loc_model, cls_model)
-    report = evaluate_topk(pipeline, manifest, batch_size=args.batch_size)
+    loc_model = None if args.oracle else models.load_checkpoint(args.loc)
+    cls_model = models.load_checkpoint(args.cls)
+    manifest = datasynth.load_manifest(args.manifest)
+    pipeline = evaluation.TwoStagePipeline(loc_model, cls_model)
+    report = evaluation.evaluate_topk(pipeline, manifest, batch_size=args.batch_size)
     print(report.summary())
     return 0
 
 
 def cmd_bench(args) -> int:
-    from .evaluation import TwoStagePipeline, bench_fps_paired
-    from .models import load_checkpoint
-
-    try:
-        batch_sizes = tuple(int(tok) for tok in args.batches.split(",") if tok)
-    except ValueError as err:
-        raise UsageError(f"--batches must be comma-separated integers: {err}") from err
-    if not batch_sizes or any(b < 1 for b in batch_sizes):
-        raise UsageError("--batches needs at least one positive batch size")
-    cls_model = load_checkpoint(args.ckpt)
-    target = cls_model
+    target = models.load_checkpoint(args.ckpt)
     if args.loc_ckpt:
-        target = TwoStagePipeline(load_checkpoint(args.loc_ckpt), cls_model)
-    report = bench_fps_paired({"target": target}, batch_sizes=batch_sizes, n_images=args.images,
-                              seed=args.seed)["target"]
+        target = evaluation.TwoStagePipeline(models.load_checkpoint(args.loc_ckpt), target)
+    report = evaluation.bench_fps_paired({"target": target}, batch_sizes=args.batches,
+                                         n_images=args.images, seed=args.seed)["target"]
     print(report.summary())
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    from .autodiff import Tensor
-    from .datasynth import center_crop_transform, load_image, load_manifest, to_network_input
-    from .evaluation import default_eval_config
-    from .models import load_checkpoint
-    from .swp import swp_heatmap_export
-
-    model = load_checkpoint(args.ckpt)
+    model = models.load_checkpoint(args.ckpt)
     if model.head.swp is None:
         raise UsageError("--ckpt must carry an SWP head")
     k, channels = model.head.swp.spec.num_masks, model.head.channels
@@ -293,16 +296,16 @@ def cmd_heatmap(args) -> int:
     if rows * cols != k * channels:
         raise UsageError(f"layout {rows}x{cols} cannot hold the {k * channels} SWP values "
                          f"({k} masks x {channels} channels)")
-    manifest = load_manifest(args.manifest)
+    manifest = datasynth.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = default_eval_config(model.config.input_size)
+    cfg = evaluation.default_eval_config(model.config.input_size)
     written = []
     for rec in manifest.records[:args.limit]:
-        crop = center_crop_transform(load_image(rec), cfg)[0]
-        vec = model.swp_vector(Tensor(to_network_input([crop]))).data[0]
+        crop = datasynth.center_crop_transform(datasynth.load_image(rec), cfg)[0]
+        vec = model.swp_vector(autodiff.Tensor(datasynth.to_network_input([crop]))).data[0]
         path = out_dir / (Path(rec.path).stem + ".pgm")
-        swp_heatmap_export(vec, (rows, cols), path)
+        swp.swp_heatmap_export(vec, (rows, cols), path)
         written.append(path)
     for path in written:
         print(f"heatmap: {path}")
@@ -310,43 +313,29 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_analyze_bins(args) -> int:
-    from .datasynth import bin_histogram, load_manifest, save_histograms
-
-    manifest = load_manifest(args.manifest)
-    preprocess = _train_preprocess(args.crop, args) if args.preprocess else None
-    counts = bin_histogram(manifest, preprocess=preprocess)
-    paths = save_histograms(counts, args.out_prefix)
+    with _flag_values():
+        preprocess = _train_preprocess(args.crop, args) if args.preprocess else None
+    manifest = datasynth.load_manifest(args.manifest)
+    counts = datasynth.bin_histogram(manifest, preprocess=preprocess)
+    paths = datasynth.save_histograms(counts, args.out_prefix)
     for (key, counted), path in zip(counts.items(), paths):
         print(f"{key}: {path} (total {int(counted.sum())})")
     return 0
 
 
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "pipeline": cmd_pipeline,
-    "bench": cmd_bench,
-    "heatmap": cmd_heatmap,
-    "analyze-bins": cmd_analyze_bins,
-}
-
-
 def main(argv=None) -> int:
+    usage = ""     # a malformed SWPNET_SEED fails build_parser, before any usage line
     try:
         parser = build_parser()
-    except UsageError as err:  # a malformed SWPNET_SEED breaks every --seed default
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    try:
+        usage = parser.format_usage()
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        usage = args.usage
+        return args.run(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
+        print(err.usage or usage, file=sys.stderr, end="")
         return 2
     except Exception as err:  # runtime failures map to exit 1
         print(f"error: {err}", file=sys.stderr)

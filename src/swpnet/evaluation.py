@@ -18,7 +18,7 @@ from .binning import (
     decode_box,
     encode_box,
     enlarge_box,
-    largest_side_scale,
+    largest_side_size,
     resize_largest_side,
 )
 from .datasynth import (
@@ -31,6 +31,7 @@ from .datasynth import (
     transform_box,
 )
 from .imgio import ImageFormatError
+from .layers import softmax
 from .models import Model, ModelBuildError
 
 
@@ -215,7 +216,7 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
 
     preprocess='center' runs the eval centre crop and transforms boxes with
     it; preprocess='none' feeds the raw image resized largest-side-to-input
-    (boxes scaled by the same factor).  A record whose image does not
+    (boxes scaled by its per-axis factors).  A record whose image does not
     decode, whose box the centre crop loses, or whose box cannot be encoded
     is skipped and counted in the report's `skipped`.
     """
@@ -231,8 +232,9 @@ def evaluate_localisation(model: Model, manifest: DatasetManifest, preprocess: s
             crop, sx, sy, ox, oy = center_crop_transform(image, cfg)
             box = clip_box(transform_box(rec.box, sx, sy, ox, oy), cfg.crop_size, cfg.crop_size)
         else:
-            s = largest_side_scale(image, input_size)
-            crop, box = resize_largest_side(image, input_size), transform_box(rec.box, s, s, 0.0, 0.0)
+            rows, cols = largest_side_size(*image.shape[:2], input_size)
+            crop = resize_largest_side(image, input_size)
+            box = transform_box(rec.box, cols / image.shape[1], rows / image.shape[0], 0.0, 0.0)
         target = _encoded(box)
         return None if target is None else (crop, target)
 
@@ -319,7 +321,6 @@ class TwoStagePipeline:
     def predict(self, image: np.ndarray, gt_box: BoundingBox | None = None,
                 return_details: bool = False):
         """Class probability distribution for one raw image."""
-        from .layers import softmax
         logits, details = self.predict_batch([image], None if gt_box is None else [gt_box])
         probs = softmax(logits)[0]
         return (probs, details[0]) if return_details else probs

@@ -362,9 +362,10 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"target id out of range [0, {n_classes})")
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    loss = np.asarray((log_norm - z[np.arange(batch), t]).mean())
-    probs = softmax(logits.data)
+    probs = np.exp(z)
+    norm = probs.sum(axis=1, keepdims=True)
+    loss = np.asarray((np.log(norm[:, 0]) - z[np.arange(batch), t]).mean())
+    probs /= norm
 
     def bwd(g):
         grad = probs.copy()

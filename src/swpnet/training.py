@@ -38,6 +38,9 @@ class TrainConfig:
     early_stop_accuracy: float | None = None
 
     def __post_init__(self):
+        for name in ("lr", "momentum", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # lr == 0 is allowed as a degenerate no-op (useful for harness checks)
         if self.lr < 0:
             raise ValueError(f"lr must not be negative, got {self.lr}")
@@ -59,14 +62,16 @@ class EpochStats:
     lr: float
 
 
-def history_rows(history: list[EpochStats]) -> list[str]:
-    """CSV body rows matching the `epoch,steps,loss,accuracy,lr` header."""
-    return [f"{h.epoch},{h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
-
-
-def history_to_csv(history: list[EpochStats], path) -> None:
-    lines = ["epoch,steps,loss,accuracy,lr"] + history_rows(history)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def history_to_csv(history: list[EpochStats], path, extend: bool = False) -> None:
+    """Write `epoch,steps,loss,accuracy,lr` rows.  With extend, an existing
+    file keeps its rows and the new rows' steps continue from its last row;
+    epochs already continue from the model's trained epochs."""
+    path = Path(path)
+    lines = (path.read_text(encoding="utf-8").rstrip("\n").splitlines() if extend and path.exists()
+             else ["epoch,steps,loss,accuracy,lr"])
+    base = int(lines[-1].split(",")[1]) if len(lines) > 1 else 0
+    lines += [f"{h.epoch},{base + h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class MomentumSGD:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
 from swpnet.binning import BoundingBox
-from swpnet.cli import main
+from swpnet.cli import build_parser, main
 from swpnet.datasynth import ManifestRecord, load_manifest, save_manifest
 from swpnet.models import build_model, load_checkpoint, save_checkpoint
 
@@ -105,6 +106,22 @@ class TestTrain:
         epochs = [int(row.split(",")[0]) for row in lines[1:]]
         assert epochs == [0, 1, 2, 3]
         assert load_checkpoint(ckpt).trained_epochs == 4
+
+    def test_resume_reads_model_and_input_size_from_checkpoint(self, tmp_path):
+        manifest = gen_tiny(tmp_path)
+        first = train_tiny(tmp_path, manifest, "first.ckpt")
+        resumed = {}
+        for name, size_flag in (("given", ["--input-size", "32"]), ("read", [])):
+            ckpt = tmp_path / f"{name}.ckpt"
+            ckpt.write_bytes(first.read_bytes())
+            Path(str(ckpt) + ".history.csv").write_bytes(Path(str(first) + ".history.csv").read_bytes())
+            assert main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--resume", str(ckpt),
+                         "--epochs", "1", "--batch-size", "4", "--scale-min", "0.70",
+                         "--scale-max", "0.80", "--seed", "3", *size_flag]) == 0
+            resumed[name] = ckpt
+        assert resumed["read"].read_bytes() == resumed["given"].read_bytes()
+        rows = Path(str(resumed["read"]) + ".history.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "3"], ["1", "6"], ["2", "9"]]
 
     def test_missing_manifest_is_runtime_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "nope.txt"),
@@ -315,6 +332,39 @@ class TestCountFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRejectedFlagValues:
+    """A flag value the library rejects is a usage error for every command."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--lr", "-1"),
+        ("train", "--lr", "nan"),
+        ("train", "--momentum", "nan"),
+        ("train", "--weight-decay", "inf"),
+        ("train", "--width", "2"),
+        ("train", "--input-size", "8"),
+        ("train", "--scale-min", "0"),
+        ("analyze-bins", "--scale-min", "0"),
+        ("analyze-bins", "--crop", "4"),
+        ("bench", "--batches", "1,ab"),
+        ("bench", "--batches", "0"),
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, swp_run, capsys, command, flag, value):
+        manifest, ckpt = swp_run
+        out = tmp_path / "out"
+        args = {
+            "train": ["--manifest", str(manifest), "--out", str(out), "--arch", "18",
+                      "--width", "0.0625", "--input-size", "32", "--epochs", "1"],
+            "analyze-bins": ["--manifest", str(manifest), "--out-prefix", str(out), "--preprocess",
+                             "--crop", "32"],
+            "bench": ["--ckpt", str(ckpt), "--images", "1"],
+        }[command]
+        assert main([command, *args, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and "usage: swpnet" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHeaderOnlyManifest:
     @pytest.mark.parametrize("command", ["train", "eval", "pipeline", "heatmap", "analyze-bins"])
     def test_is_named_error_and_writes_nothing(self, tmp_path, swp_run, capsys, command):
@@ -410,3 +460,19 @@ class TestHelpContract:
         main(["gen-data", "--help"])
         text = capsys.readouterr().out
         assert "default: 99" in text
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `swpnet` line in README's CLI walkthrough."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = text.split("## CLI walkthrough", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = walkthrough.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("swpnet ")]
+
+
+def test_readme_walkthrough_parses():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"gen-data", "train", "eval", "pipeline", "bench",
+                                              "heatmap", "analyze-bins"}
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -123,6 +123,22 @@ class TestEvaluateEndToEnd:
         report, _ = evaluate_localisation(model, tiny_dataset, preprocess="none")
         assert report.sample_count == len(tiny_dataset)
 
+    def test_raw_mode_scales_each_box_axis_like_the_image(self, tmp_path):
+        # at input 64 a 112-row, 100-column image is resized to 64 x 57, so a
+        # box at cx 49.05 sits at 49.05 * 57/100 = 27.96 px (bin 3), not at
+        # 49.05 * 64/112 = 28.03 px (bin 4)
+        path = tmp_path / "tall.ppm"
+        write_ppm(path, np.zeros((112, 100, 3), dtype=np.uint8))
+        box = BoundingBox(49.05, 56.0, 40.0, 40.0)
+        model = build_model(tiny_loc_config(input_size=64), seed=2)
+        centre_x = model.head.outputs[0]      # now predicts bin 3 for every input
+        centre_x.weight.data[:] = 0.0
+        centre_x.bias.data[:] = 0.0
+        centre_x.bias.data[3] = 1.0
+        manifest = DatasetManifest([ManifestRecord(str(path), 0, box)], 2, "eval")
+        report, _ = evaluate_localisation(model, manifest, preprocess="none")
+        assert report.per_output_accuracy[0] == 100.0
+
     def test_localisation_rejects_bad_mode(self, tiny_dataset):
         model = build_model(tiny_loc_config(), seed=2)
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from swpnet.models import (
     save_checkpoint,
 )
 from swpnet.training import (
+    EpochStats,
     MomentumSGD,
     TrainConfig,
     TrainingDiverged,
@@ -40,6 +41,12 @@ class TestTrainConfig:
     def test_loss_weights_need_one_per_output(self, weights):
         with pytest.raises(ValueError, match="one value per localiser output"):
             TrainConfig(loss_weights=weights)
+
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value})
 
     def test_step_decay_schedule(self):
         cfg = TrainConfig(lr=0.1, max_epochs=100)
@@ -80,6 +87,18 @@ class TestTrainClassifier:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,steps,loss,accuracy,lr"
         assert len(lines) == 3
+
+    def test_extended_csv_continues_steps(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        history_to_csv([EpochStats(0, 3, 0.5, 50.0, 0.1), EpochStats(1, 6, 0.4, 60.0, 0.1)], path)
+        history_to_csv([EpochStats(2, 3, 0.3, 70.0, 0.01)], path, extend=True)
+        assert [row.split(",")[:2] for row in path.read_text().splitlines()] == [
+            ["epoch", "steps"], ["0", "3"], ["1", "6"], ["2", "9"]]
+
+    def test_extend_without_a_file_writes_a_fresh_one(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        history_to_csv([EpochStats(2, 3, 0.3, 70.0, 0.01)], path, extend=True)
+        assert path.read_text() == "epoch,steps,loss,accuracy,lr\n2,3,0.3,70.0,0.01\n"
 
     def test_class_count_mismatch(self, tiny_dataset):
         model = build_model(tiny_cls_config(num_classes=5), seed=1)
