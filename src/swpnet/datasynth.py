@@ -421,7 +421,8 @@ def to_network_input(images) -> np.ndarray:
     arr = np.stack([np.asarray(im) for im in images]) if isinstance(images, (list, tuple)) else np.asarray(images)
     if arr.ndim == 3:
         arr = arr[None]
-    return np.ascontiguousarray(arr.transpose(0, 3, 1, 2).astype(np.float32) / 255.0)
+    nchw = arr.transpose(0, 3, 1, 2)   # one pass: cast, divide and lay out NCHW
+    return np.divide(nchw, np.float32(255), out=np.empty(nchw.shape, np.float32), dtype=np.float32)
 
 
 def load_image(record: ManifestRecord) -> np.ndarray:

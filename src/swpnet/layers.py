@@ -13,6 +13,7 @@ from .autodiff import (
     DEFAULT_DTYPE,
     ShapeMismatch,
     Tensor,
+    active_tape,
     record,
     relu,  # noqa: F401  (re-exported as part of the layer vocabulary)
 )
@@ -63,10 +64,11 @@ _GATHER_INDEX: dict[tuple, np.ndarray] = {}
 
 
 def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, kw: int,
-                    s: int) -> np.ndarray:
+                    s: int, out: np.ndarray | None = None) -> np.ndarray:
     """Every kh x kw window at stride s of each row of `rows`, a flattened
     `[C, hp, wp]` image: `[N, oh·ow, C·kh·kw]`, with (y, x) output pixels
-    along axis 1 and (c, i, j) channel and kernel offsets along axis 2.
+    along axis 1 and (c, i, j) channel and kernel offsets along axis 2,
+    written into `out` when one is given.
 
     The gather index of flat offsets depends on shape only, not on N, so it
     is built once per shape and shared, read-only, by every thread.  Its
@@ -83,7 +85,16 @@ def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, 
         idx = pixel[:, None] + offset
         idx.flags.writeable = False
         idx = _GATHER_INDEX.setdefault(key, idx)
-    return np.take(rows, idx, axis=1, mode="wrap")
+    return rows.take(idx, axis=1, out=out, mode="wrap")
+
+
+# Cap on the bytes of one chunk's im2col columns in a conv that no tape
+# will keep; see conv2d.
+IM2COL_BYTES = 2 << 20
+# OpenBLAS hands a GEMM of at most this many multiply-adds to a small-matrix
+# kernel that sums in another order than its blocked kernel does, so a conv
+# splits its batch only into chunks whose GEMMs are larger.
+SMALL_GEMM_MACS = 100 ** 3
 
 
 def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
@@ -98,27 +109,53 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
         raise ShapeMismatch(f"conv2d: {kh}x{kw} window exceeds padded input {hp}x{wp}")
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
+    inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
+    wmat = spec.weight.data.reshape(spec.out_channels, -1)
+    pixels, depth = oh * ow, channels * kh * kw
 
     # im2col: one row per output pixel, one column per (channel, kernel
-    # offset); the same matrix np.tensordot would build, kept for backward.
-    # A 1x1 stride-1 unpadded conv reads the input in place: at batch 1 this
-    # is a transposed view, and OpenBLAS sums a contiguous copy differently.
-    if kh == kw == 1 and s == 1 and not p:
-        cols = x.data.transpose(0, 2, 3, 1).reshape(-1, channels)
-    else:
-        xp = x.data
+    # offset); the same matrix np.tensordot would build.  A conv that a tape
+    # will keep builds it whole, for backward.  Any other conv pads, gathers
+    # and multiplies one balanced chunk of whole images at a time into those
+    # images of `out`, each chunk's columns at most IM2COL_BYTES (or one
+    # image), unless that would make a GEMM small enough for OpenBLAS's
+    # small-matrix kernel.  The blocked kernel sums each output row over the
+    # same columns in the same order whatever the GEMM's row count or the
+    # columns' layout, so the chunking leaves every byte as the whole matrix
+    # gives it.
+    chunks = 1
+    if batch > 1 and (active_tape() is None or not any(t.requires_grad for t in inputs)):
+        per_chunk = max(1, IM2COL_BYTES // (pixels * depth * x.data.itemsize))
+        fewest = SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1
+        chunks = max(1, min(-(-batch // per_chunk), batch // fewest))
+    largest = -(-batch // chunks)
+    # A 1x1 stride-1 unpadded conv reads the input in place: for one image
+    # this is a transposed view, and at batch 1, where the GEMM may be small,
+    # OpenBLAS sums a contiguous copy differently.
+    pointwise = kh == kw == 1 and s == 1 and not p
+    dtype = x.data.dtype
+    if not pointwise:
+        col_buf = np.empty((largest, pixels, depth), dtype=dtype)
         if p:
-            xp = np.zeros((batch, channels, hp, wp), dtype=x.data.dtype)
-            xp[:, :, p:p + h, p:p + w] = x.data
-        cols = _gather_windows(xp.reshape(batch, -1), channels, hp, wp, kh, kw, s)
-        cols = cols.reshape(batch * oh * ow, channels * kh * kw)
-    wmat = spec.weight.data.reshape(spec.out_channels, -1)
-    out = (cols @ wmat.T).reshape(batch, oh, ow, spec.out_channels)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+            xp = np.zeros((largest, channels, hp, wp), dtype=dtype)
+    prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
+    out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
+    for c in range(chunks):
+        lo, hi = batch * c // chunks, batch * (c + 1) // chunks
+        part = x.data[lo:hi]
+        if pointwise:
+            cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
+        else:
+            if p:   # the chunk's border stays zero: only the interior is rewritten
+                xp[:hi - lo, :, p:p + h, p:p + w] = part
+                part = xp[:hi - lo]
+            cols = _gather_windows(part.reshape(hi - lo, -1), channels, hp, wp, kh, kw, s,
+                                   out=col_buf[:hi - lo]).reshape(-1, depth)
+        prod = np.matmul(cols, wmat.T, out=prod_buf[:(hi - lo) * pixels])
+        out[lo:hi] = prod.reshape(hi - lo, oh, ow, -1).transpose(0, 3, 1, 2)
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 
-    inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
     need_x = x.requires_grad
 
     def bwd(g):

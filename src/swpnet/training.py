@@ -101,9 +101,12 @@ DECAY_FACTOR = 0.1
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
+    """The step-decay rate for `epoch`.  Milestones that round to the same
+    epoch decay once there, and one that rounds to epoch 0 not at all, so a
+    short run does not start at a hundredth of its rate."""
     lr = config.lr
-    for milestone in DECAY_MILESTONES:
-        if epoch >= int(config.max_epochs * milestone):
+    for start in sorted({int(config.max_epochs * m) for m in DECAY_MILESTONES} - {0}):
+        if epoch >= start:
             lr *= DECAY_FACTOR
     return lr
 

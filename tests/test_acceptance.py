@@ -317,6 +317,7 @@ def _overfit_once(manifest, tmp_path, tag):
     return history, path.read_bytes()
 
 
+@pytest.mark.slow
 def test_criterion_6_overfit_oracle(tmp_path):
     start = time.perf_counter()
     with criterion(6, "width-1/8 ResNet-50 overfits 4x10 images, reruns bit-identical"):
@@ -373,6 +374,7 @@ def two_stage_bundle(tmp_path_factory):
     return {"train": train_m, "eval": eval_m, "loc": loc, "plain": plain, "boxcls": boxcls}
 
 
+@pytest.mark.slow
 def test_criterion_7_localisation_oracle(two_stage_bundle):
     with criterion(7, "trained localiser reaches >=90% mean bin accuracy held-out"):
         report, stats = evaluate_localisation(two_stage_bundle["loc"], two_stage_bundle["eval"])
@@ -388,6 +390,7 @@ def test_criterion_7_localisation_oracle(two_stage_bundle):
             stats.fraction_at_least(name, 3)
 
 
+@pytest.mark.slow
 def test_criterion_8_pipeline_direction(two_stage_bundle):
     with criterion(8, "two-stage beats plain central crop on jittered eval"):
         eval_m = two_stage_bundle["eval"]
@@ -424,6 +427,7 @@ def test_criterion_8_pipeline_direction(two_stage_bundle):
 # criterion 9: benchmark directionality over >= 10,000 images
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_bench_directionality():
     with criterion(9, "batch-32 >= batch-1, pipeline <= single model, SWP within 10%"):
         cfg = ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 16, input_size=64)

@@ -23,6 +23,7 @@ from swpnet.datasynth import (
     save_histograms,
     save_manifest,
     synthesize,
+    to_network_input,
     transform_box,
 )
 from swpnet.imgio import write_ppm
@@ -411,6 +412,35 @@ class TestPreprocessEval:
         a = center_crop_transform(img, PreprocessConfig())[0]
         b = center_crop_transform(img, PreprocessConfig())[0]
         assert a.tobytes() == b.tobytes()
+
+
+class TestNetworkInput:
+    @staticmethod
+    def two_pass(arr):
+        """The formula to_network_input replaced: cast, then divide."""
+        return np.ascontiguousarray(arr.transpose(0, 3, 1, 2).astype(np.float32) / 255.0)
+
+    def images(self):
+        # every byte value, in every channel and position, over 4 images
+        values = np.random.default_rng(2).permutation(np.arange(256 * 3, dtype=np.int64) % 256)
+        return values.astype(np.uint8).reshape(4, 8, 8, 3)
+
+    def check(self, got, want):
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_array_input_bytes(self):
+        imgs = self.images()
+        self.check(to_network_input(imgs), self.two_pass(imgs))
+
+    def test_list_input_bytes(self):
+        imgs = self.images()
+        self.check(to_network_input(list(imgs)), self.two_pass(imgs))
+
+    def test_single_hwc_image_bytes(self):
+        img = self.images()[1]
+        self.check(to_network_input(img), self.two_pass(img[None]))
 
 
 class TestHistograms:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -182,6 +183,137 @@ class TestGatherIndexCache:
         for key, idx in layers._GATHER_INDEX.items():
             assert not idx.flags.writeable
             assert np.array_equal(idx, window_index_reference(*key)), key
+
+
+def desk_model():
+    """The benchmark's desk classifier shape, randomly initialised."""
+    return build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                                   input_size=64), seed=0)
+
+
+def gather_spy(monkeypatch):
+    """Record the output of every _gather_windows call."""
+    calls = []
+    gather = layers._gather_windows
+
+    def spy(*args, **kwargs):
+        cols = gather(*args, **kwargs)
+        calls.append(cols)
+        return cols
+
+    monkeypatch.setattr(layers, "_gather_windows", spy)
+    return calls
+
+
+# the desk stem, 7x7/2 p3 over 3 channels of 64 px, gathers these bytes per image
+STEM_COLUMN_BYTES = 32 * 32 * 3 * 7 * 7 * 4
+
+
+class TestChunkedConv:
+    """A conv that no tape keeps gathers and multiplies its batch in chunks
+    of whole images; its output bytes do not depend on the chunking."""
+
+    @pytest.mark.parametrize("kernel, stride, padding",
+                             list(itertools.product((1, 3, 7), (1, 2), (0, 1, 3))))
+    @pytest.mark.parametrize("channels", [(5, 6), (16, 32)], ids=["narrow", "wide"])
+    def test_small_budget_bit_equal_to_tensordot_reference(self, monkeypatch, kernel, stride,
+                                                           padding, channels):
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        calls = gather_spy(monkeypatch)
+        batch = 24
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        spec = Conv2d(*channels, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
+        for size in ((9, 9), (9, 11), (11, 9)):
+            calls.clear()
+            x = Tensor(rng.normal(size=(batch, channels[0]) + size).astype(np.float32))
+            out = spec(x)
+            g = np.zeros(out.shape, dtype=np.float32)
+            ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
+            assert np.array_equal(out.data, ref_out), size
+            if (kernel, stride, padding) == (1, 1, 0):
+                continue                  # reads the input in place: no gather
+            # whole images, each once; a chunk of a split batch stays above
+            # the GEMM size that OpenBLAS gives its small-matrix kernel
+            assert sum(len(cols) for cols in calls) == batch
+            macs_per_image = out.shape[2] * out.shape[3] * spec.weight.data.size
+            if len(calls) > 1:
+                assert min(len(cols) for cols in calls) * macs_per_image > layers.SMALL_GEMM_MACS
+
+    def test_wide_small_budget_splits_the_batch(self, monkeypatch):
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        calls = gather_spy(monkeypatch)
+        rng = np.random.default_rng(3)
+        spec = Conv2d(16, 32, kernel=3, padding=1, bias=False, rng=rng)
+        x = Tensor(rng.normal(size=(24, 16, 11, 9)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        assert len(calls) > 2
+
+    def test_pointwise_one_image_chunks_multiply_the_batch_layout(self, monkeypatch):
+        # one image's GEMM here exceeds SMALL_GEMM_MACS, so each image is a
+        # chunk, whose columns are a transposed view of the input
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        rng = np.random.default_rng(8)
+        spec = Conv2d(64, 64, kernel=1, bias=False, rng=rng)
+        x = Tensor(rng.normal(size=(4, 64, 16, 16)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 0, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+
+    def test_stem_at_real_budget_equals_reference(self, monkeypatch):
+        calls = gather_spy(monkeypatch)
+        rng = np.random.default_rng(4)
+        spec = Conv2d(3, 8, kernel=7, stride=2, padding=3, bias=False, rng=rng)
+        x = Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        assert len(calls) > 1
+        assert max(cols.nbytes for cols in calls) <= layers.IM2COL_BYTES
+        assert sum(cols.nbytes for cols in calls) == 32 * STEM_COLUMN_BYTES
+
+    def test_tape_free_forward_gathers_at_most_the_budget(self, monkeypatch):
+        calls = gather_spy(monkeypatch)
+        model = desk_model()
+        rng = np.random.default_rng(5)
+        model.forward(Tensor(rng.uniform(size=(64, 3, 64, 64)).astype(np.float32)), train=False)
+        assert calls and max(cols.nbytes for cols in calls) <= layers.IM2COL_BYTES
+
+    @pytest.mark.parametrize("kernel, stride, padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
+    def test_open_tape_keeps_the_whole_matrix(self, monkeypatch, kernel, stride, padding):
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        calls = gather_spy(monkeypatch)
+        rng = np.random.default_rng(6)
+        spec = Conv2d(16, 32, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
+        x = Tensor(rng.normal(size=(24, 16, 11, 9)).astype(np.float32), requires_grad=True)
+        with GradTape():
+            out = spec(x)
+            g = rng.normal(size=out.shape).astype(np.float32)
+            gx, gw = out._node.backward_fn(g)
+        ref_out, ref_gx, ref_gw = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(gx, ref_gx)
+        assert np.array_equal(gw, ref_gw)
+        assert len(calls) == (kernel != 1)
+
+    def test_forward_memory_per_image_is_below_half_a_stem_matrix(self):
+        """Between batch 32 and 64, the tracemalloc peak of a desk forward
+        grows by less per image than half the stem's columns for one image:
+        a forward that built each conv's whole matrix grew by ~0.7 MB."""
+        model = desk_model()
+        rng = np.random.default_rng(7)
+        peaks = {}
+        for batch in (32, 64):
+            x = Tensor(rng.uniform(size=(batch, 3, 64, 64)).astype(np.float32))
+            model.forward(x, train=False)       # fills the gather-index cache
+            tracemalloc.start()
+            try:
+                model.forward(x, train=False)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[64] - peaks[32]) / 32 < STEM_COLUMN_BYTES / 2
 
 
 class TestBatchNorm:

@@ -55,6 +55,21 @@ class TestTrainConfig:
         assert lr_at_epoch(cfg, 50) == pytest.approx(0.01)
         assert lr_at_epoch(cfg, 75) == pytest.approx(0.001)
 
+    def test_one_epoch_run_keeps_its_rate(self):
+        # both milestones round to epoch 0, where no decay applies
+        assert lr_at_epoch(TrainConfig(lr=0.1, max_epochs=1), 0) == 0.1
+
+    def test_two_epoch_run_decays_once(self):
+        # both milestones round to epoch 1: one tenfold drop, not a hundredfold
+        cfg = TrainConfig(lr=0.1, max_epochs=2)
+        assert [lr_at_epoch(cfg, e) for e in (0, 1)] == [0.1, pytest.approx(0.01)]
+
+    @pytest.mark.parametrize("max_epochs, starts", [(3, (1, 2)), (4, (2, 3)), (30, (15, 22))])
+    def test_distinct_milestones_each_decay(self, max_epochs, starts):
+        cfg = TrainConfig(lr=1.0, max_epochs=max_epochs)
+        rates = [lr_at_epoch(cfg, e) for e in range(max_epochs)]
+        assert rates == [1.0 * 0.1 ** sum(e >= s for s in starts) for e in range(max_epochs)]
+
 
 class TestTrainClassifier:
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_dataset):
