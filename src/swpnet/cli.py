@@ -241,10 +241,10 @@ def cmd_train(args) -> int:
     train = training.train_localiser if args.task == "loc" else training.train_classifier
     history = train(model, manifest, train_config, preprocess)
     models.save_checkpoint(model, args.out)
-    training.history_to_csv(history, str(args.out) + ".history.csv", extend=bool(args.resume))
+    steps = training.history_to_csv(history, str(args.out) + ".history.csv", extend=bool(args.resume))
     last = history[-1]
     print(f"checkpoint: {args.out}")
-    print(f"epochs: {last.epoch + 1}  steps: {last.steps}  "
+    print(f"epochs: {last.epoch + 1}  steps: {steps}  "
           f"loss: {last.loss:.4f}  accuracy: {last.accuracy:.2f}%")
     return 0
 

@@ -7,16 +7,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import (
-    DEFAULT_DTYPE,
-    ShapeMismatch,
-    Tensor,
-    active_tape,
-    record,
-    relu,  # noqa: F401  (re-exported as part of the layer vocabulary)
-)
+from .autodiff import DEFAULT_DTYPE, ShapeMismatch, Tensor, active_tape, record
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -236,34 +228,35 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool, relu: bool = False) -> T
         if n < 2:
             raise ValueError("batchnorm train mode needs at least 2 elements per channel")
         mean = x.data.mean(axis=axes, keepdims=True)
-        d = x.data - mean
-        var = np.square(d).sum(axis=axes, keepdims=True) / n   # x.var's own formula
+        out = x.data - mean
+        var = np.square(out).sum(axis=axes, keepdims=True) / n   # x.var's own formula
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean.reshape(-1)).astype(state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1.0 - m) * var.reshape(-1)).astype(state.running_var.dtype)
     else:
-        d = x.data - state.running_mean.reshape(pshape)
+        mean = state.running_mean.reshape(pshape)
         var = state.running_var.reshape(pshape)
+        out = x.data - mean
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = d * inv
-    out = gamma * xhat
+    # one buffer: x - mean, then x̂ = (x - mean)·inv, then gamma·x̂ + beta
+    out *= inv
+    out *= gamma
     out += beta
-    out = out.astype(x.data.dtype, copy=False)
     need_x = x.requires_grad
 
     def bwd(g):
         if relu:
-            g = (g * (out > 0)).astype(out.dtype)   # autodiff.relu's rule
+            g = g * (out > 0)   # autodiff.relu's rule
+        xhat = (x.data - mean) * inv   # rebuilt from the input, not kept
         gx = None
         if need_x and train:
             dxhat = g * gamma
             gx = (inv / n) * (n * dxhat
                               - dxhat.sum(axis=axes, keepdims=True)
                               - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-            gx = gx.astype(x.data.dtype)
         elif need_x:
-            gx = (g * gamma * inv).astype(x.data.dtype)
-        return gx, (g * xhat).sum(axis=axes).astype(state.gamma.data.dtype), g.sum(axis=axes).astype(state.beta.data.dtype)
+            gx = g * gamma * inv
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     result = record((x, state.gamma, state.beta), out, bwd, "batchnorm")
     if relu:
@@ -295,55 +288,49 @@ class Pool2d:
 def pool2d(x: Tensor, spec: Pool2d) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"pool2d expects [batch, C, H, W], got {x.shape}")
-    batch, channels, h, w = x.shape
-    ph, pw, s = spec.size, spec.size, spec.stride
-    if ph > h or pw > w:
-        raise ShapeMismatch(f"pool2d: {ph}x{pw} window overruns {h}x{w} input")
-    oh = (h - ph) // s + 1
-    ow = (w - pw) // s + 1
+    h, w = x.shape[2:]
+    k, s = spec.size, spec.stride
+    if k > h or k > w:
+        raise ShapeMismatch(f"pool2d: {k}x{k} window overruns {h}x{w} input")
+    oh = (h - k) // s + 1
+    ow = (w - k) // s + 1
+    is_max = spec.kind == "max"
 
-    if spec.kind == "average":
-        global_pool = (ph, pw) == (h, w)
-        if global_pool:   # as in the heads: one mean over each map
-            out = x.data.mean(axis=(2, 3), keepdims=True)
+    def windows(a):
+        """One strided [B, C, oh, ow] view of `a` per window offset, in (i, j) order."""
+        return [a[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(k) for j in range(k)]
+
+    if not is_max and (k, k) == (h, w):   # as in the heads: one mean over each map
+        out = x.data.mean(axis=(2, 3), keepdims=True)
+    else:
+        # A running maximum (or sum) over the offsets.  The running value is
+        # np.maximum's second operand, which it returns on a tie (0.0 against
+        # -0.0 included), so the earliest maximum wins, as argmax's does.
+        views = windows(x.data)
+        out = views[0].copy()
+        for view in views[1:]:
+            (np.maximum if is_max else np.add)(view, out, out=out)
+        if not is_max:
+            out /= k * k
+
+    def bwd(g):
+        if is_max:   # each window's earliest maximum: the first view equal to out
+            hits, free = [], np.ones(out.shape, dtype=bool)
+            for view in views:
+                hits.append((view == out) & free)
+                free &= ~hits[-1]
         else:
-            out = sliding_window_view(x.data, (ph, pw), axis=(2, 3))[:, :, ::s, ::s].mean(axis=(4, 5))
-
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            share = g / (ph * pw)
-            if global_pool:   # one broadcast add: still one 0.0 + share per pixel
-                gx += share
-                return (gx,)
-            for i in range(ph):
-                for j in range(pw):
-                    gx[:, :, i:i + s * oh:s, j:j + s * ow:s] += share
-            return (gx,)
-
-        return record((x,), out, bwd, "avgpool2d")
-
-    # A running maximum over the window offsets in (i, j) order, one strided
-    # [B, C, oh, ow] view each.  The running value is np.maximum's second
-    # operand, which it returns on a tie (0.0 against -0.0 included), so the
-    # earliest maximum wins, as argmax's does.
-    views = [x.data[:, :, i:i + s * oh:s, j:j + s * ow:s] for i in range(ph) for j in range(pw)]
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(view, out, out=out)
-
-    def bwd_max(g):
-        # Each (batch, channel) plane gathers its windows as a one-channel
-        # conv would; one flat scatter then visits the argmaxes in the order
-        # of g, so overlapping windows sum in a fixed order.
-        flat = _gather_windows(x.data.reshape(batch * channels, -1), 1, h, w, ph, pw, s)
-        arg = flat.reshape(batch, channels, oh, ow, ph * pw).argmax(axis=4)
-        corner = (np.arange(batch * channels).reshape(batch, channels, 1, 1) * (h * w)
-                  + np.arange(oh)[:, None] * (s * w) + np.arange(ow) * s)
+            share = g / (k * k)
+        # A later window reaches a pixel at an earlier offset, so adding from
+        # the last offset to the first sums each pixel's shares in window
+        # order.  np.where, unlike g * hit, adds 0.0 where g is inf.
         gx = np.zeros(x.shape, dtype=x.data.dtype)
-        np.add.at(gx.reshape(-1), (corner + (arg // pw) * w + arg % pw).reshape(-1), g.reshape(-1))
+        gviews = windows(gx)
+        for n in reversed(range(k * k)):
+            gviews[n] += np.where(hits[n], g, 0) if is_max else share
         return (gx,)
 
-    return record((x,), out, bwd_max, "maxpool2d")
+    return record((x,), out, bwd, "maxpool2d" if is_max else "avgpool2d")
 
 
 class Dense:

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DEFAULT_DTYPE, Tensor
+from .autodiff import relu  # noqa: F401  (unused here; bound only because bench/spans.py patches models.relu)
 from .binning import LOC_OUTPUTS
 from .layers import BatchNorm, Conv2d, Dense, Pool2d
-from .layers import relu  # noqa: F401  (unused since bn->relu is fused; callers look it up here)
 from .swp import SWPLayer, SWPSpec
 
 # head kind -> (front, named Dense outputs).  The front is "avgpool", "swp"

@@ -62,16 +62,18 @@ class EpochStats:
     lr: float
 
 
-def history_to_csv(history: list[EpochStats], path, extend: bool = False) -> None:
-    """Write `epoch,steps,loss,accuracy,lr` rows.  With extend, an existing
-    file keeps its rows and the new rows' steps continue from its last row;
-    epochs already continue from the model's trained epochs."""
+def history_to_csv(history: list[EpochStats], path, extend: bool = False) -> int:
+    """Write `epoch,steps,loss,accuracy,lr` rows and return the last row's
+    steps.  With extend, an existing file keeps its rows and the new rows'
+    steps continue from its last row; epochs already continue from the
+    model's trained epochs."""
     path = Path(path)
     lines = (path.read_text(encoding="utf-8").rstrip("\n").splitlines() if extend and path.exists()
              else ["epoch,steps,loss,accuracy,lr"])
     base = int(lines[-1].split(",")[1]) if len(lines) > 1 else 0
     lines += [f"{h.epoch},{base + h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return base + history[-1].steps
 
 
 class MomentumSGD:

@@ -123,6 +123,18 @@ class TestTrain:
         rows = Path(str(resumed["read"]) + ".history.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [["0", "3"], ["1", "6"], ["2", "9"]]
 
+    def test_resume_prints_the_cumulative_steps_of_the_history(self, tmp_path, capsys):
+        manifest = gen_tiny(tmp_path)
+        ckpt = train_tiny(tmp_path, manifest, "c.ckpt")
+        assert "epochs: 2  steps: 6  " in capsys.readouterr().out
+        assert main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--resume", str(ckpt),
+                     "--epochs", "1", "--batch-size", "4", "--scale-min", "0.70",
+                     "--scale-max", "0.80", "--seed", "3"]) == 0
+        printed = re.search(r"epochs: (\d+)  steps: (\d+)  ", capsys.readouterr().out)
+        last_row = Path(str(ckpt) + ".history.csv").read_text().splitlines()[-1].split(",")
+        assert printed.groups() == ("3", "9")
+        assert printed.group(2) == last_row[1]
+
     def test_missing_manifest_is_runtime_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x.ckpt")])
