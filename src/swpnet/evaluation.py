@@ -147,11 +147,12 @@ def _nothing_left(n_records: int, unreadable: list[ImageFormatError], lost: int,
 def _evaluate(manifest: DatasetManifest, prepare, run, batch_size: int, lost_cause: str = _UNENCODABLE):
     """The batching loop of every evaluation.  In manifest order it decodes
     each record's image and turns it into an (input, truth) pair with
-    prepare(record, image), or None to skip the record.  Then run(inputs)
-    scores the kept inputs, batch_size at a time, one row per input.
-    Returns (truths, rows, skipped); an image that does not decode counts
-    as skipped.  No record left is a named ValueError."""
-    pairs, unreadable = [], []
+    prepare(record, image), or None to skip the record.  Each time
+    batch_size inputs are kept, run(inputs) scores them, one row per input,
+    so no more than one batch of inputs is held.  Returns (truths, rows,
+    skipped); an image that does not decode counts as skipped.  No record
+    left is a named ValueError."""
+    truths, rows, inputs, unreadable = [], [], [], []
     for rec in manifest.records:
         try:
             image = load_image(rec)
@@ -159,13 +160,18 @@ def _evaluate(manifest: DatasetManifest, prepare, run, batch_size: int, lost_cau
             unreadable.append(err)
             continue
         pair = prepare(rec, image)
-        if pair is not None:
-            pairs.append(pair)
-    skipped = len(manifest.records) - len(pairs)
-    if not pairs:
+        if pair is None:
+            continue
+        inputs.append(pair[0])
+        truths.append(pair[1])
+        if len(inputs) == batch_size:
+            rows.append(run(inputs))
+            inputs = []
+    skipped = len(manifest.records) - len(truths)
+    if not truths:
         raise _nothing_left(len(manifest.records), unreadable, skipped - len(unreadable), lost_cause)
-    inputs, truths = zip(*pairs)
-    rows = [run(list(inputs[start:start + batch_size])) for start in range(0, len(inputs), batch_size)]
+    if inputs:
+        rows.append(run(inputs))
     return truths, np.concatenate(rows, axis=0), skipped
 
 

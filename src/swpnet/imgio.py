@@ -58,7 +58,13 @@ def read_ppm(path) -> np.ndarray:
             raise ImageFormatError(f"image size {w}x{h} in {where}: width and height must be at least 1")
         if maxval != 255:
             raise ImageFormatError(f"only 8-bit images supported, maxval={maxval} in {where}")
-        raw = f.read(w * h * 3)
-    if len(raw) != w * h * 3:
+        # a corrupt header can claim any size: one no array can hold fails
+        # here, and a merely large one is written only as far as the file goes
+        try:
+            image = np.empty((h, w, 3), dtype=np.uint8)
+        except (ValueError, MemoryError):
+            raise ImageFormatError(f"image size {w}x{h} in {where} is too large to allocate") from None
+        filled = f.readinto(image)
+    if filled != image.nbytes:
         raise ImageFormatError(f"truncated pixel data in {where}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()
+    return image

@@ -142,15 +142,17 @@ def _step(model: Model, opt: MomentumSGD, batch: Tensor, targets, weights, lr: f
 
 def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
                 preprocess: PreprocessConfig, targets, weights) -> list[EpochStats]:
-    """targets(class_ids, crop_boxes) gives a batch's target column per head output."""
-    images = [load_image(r) for r in manifest.records]
-    class_ids = np.array([r.class_id for r in manifest.records], dtype=np.int64)
+    """targets(class_ids, crop_boxes) gives a batch's target column per head output.
+    Each batch decodes its own images, so no more than one batch of them is
+    held; an image that does not decode fails the step that reads it."""
+    records = manifest.records
+    class_ids = np.array([r.class_id for r in records], dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     params = [t for _, t in model.parameters()]
     opt = MomentumSGD(params, config.momentum, config.weight_decay)
     history: list[EpochStats] = []
     steps = 0
-    n = len(images)
+    n = len(records)
     epoch_base = model.trained_epochs  # resumed runs continue the numbering
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config, epoch)
@@ -161,7 +163,7 @@ def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
             idx = order[start:start + config.batch_size]
             crops, crop_boxes = [], []
             for i in idx:
-                crop, box = preprocess_train(images[i], manifest.records[i].box, preprocess, rng)
+                crop, box = preprocess_train(load_image(records[i]), records[i].box, preprocess, rng)
                 crops.append(crop)
                 crop_boxes.append(box)
             batch = Tensor(to_network_input(crops))

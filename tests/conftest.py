@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from swpnet.datasynth import PreprocessConfig, generate_dataset
+from swpnet.datasynth import DatasetManifest, PreprocessConfig, generate_dataset
 from swpnet.models import ModelConfig
 
 
@@ -20,6 +22,16 @@ def tiny_preprocess(crop=32, eval_scale=36, scale_range=(0.70, 0.80), seed=0):
                             scale_range=scale_range, seed=seed)
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset(tmp_path_factory):
     """Two visually distinct classes on a 48px canvas, 6 images each."""
@@ -27,3 +39,27 @@ def tiny_dataset(tmp_path_factory):
     manifest = generate_dataset(2, 6, 48, root, seed=13, scale_range=(0.55, 0.65),
                                 center_jitter=0.05, clutter=1)
     return manifest
+
+
+# the decoded image of one record of `stream_manifests`: 48 px, RGB, uint8
+STREAM_IMAGE_BYTES = 48 * 48 * 3
+
+
+@pytest.fixture(scope="session")
+def stream_manifests(tmp_path_factory):
+    """16 records on a 48px canvas, then the same records repeated 4 and 64
+    times: (N, 4N, warm-up) manifests for peak_growth."""
+    root = tmp_path_factory.mktemp("streamds")
+    base = generate_dataset(2, 8, 48, root, seed=13, scale_range=(0.55, 0.65),
+                            center_jitter=0.05, clutter=1)
+    return tuple(DatasetManifest(base.records * k, base.n_classes, base.split) for k in (1, 4, 64))
+
+
+def peak_growth(run, manifests) -> int:
+    """How many bytes the tracemalloc peak of run(manifest) grows by from N
+    records to 4N.  An untraced run over the warm-up manifest comes first:
+    the interpreter keeps freed small objects (tuples, floats) for reuse,
+    and until those caches fill, their growth reads as up to 15 KB more."""
+    small, large, warm = manifests
+    run(warm)
+    return traced_peak(lambda: run(large)) - traced_peak(lambda: run(small))

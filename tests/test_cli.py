@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
+from swpnet import training
 from swpnet.binning import BoundingBox
 from swpnet.cli import build_parser, main
-from swpnet.datasynth import ManifestRecord, load_manifest, save_manifest
+from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest, save_manifest
 from swpnet.models import build_model, load_checkpoint, save_checkpoint
 
 
@@ -134,6 +135,17 @@ class TestTrain:
         last_row = Path(str(ckpt) + ".history.csv").read_text().splitlines()[-1].split(",")
         assert printed.groups() == ("3", "9")
         assert printed.group(2) == last_row[1]
+
+    def test_resume_into_a_new_checkpoint_continues_the_resumed_history(self, tmp_path, capsys):
+        manifest = gen_tiny(tmp_path)
+        first = train_tiny(tmp_path, manifest, "a.ckpt")
+        out = tmp_path / "b.ckpt"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out), "--resume", str(first),
+                     "--epochs", "1", "--batch-size", "4", "--scale-min", "0.70",
+                     "--scale-max", "0.80", "--seed", "3"]) == 0
+        assert "epochs: 3  steps: 9  " in capsys.readouterr().out
+        rows = Path(str(out) + ".history.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "3"], ["1", "6"], ["2", "9"]]
 
     def test_missing_manifest_is_runtime_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "nope.txt"),
@@ -418,12 +430,27 @@ class TestTruncatedImage:
         assert main([command, "--manifest", str(path), *args]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [f"samples: {n_records - 1}", "skipped: 1"]
 
-    def test_training_still_fails(self, bad_manifest, tmp_path, capsys):
-        out = tmp_path / "m.ckpt"
-        assert main(["train", "--manifest", str(bad_manifest[0]), "--out", str(out), "--arch", "18",
-                     "--width", "0.0625", "--input-size", "32", "--epochs", "1"]) == 1
-        assert f"error: truncated pixel data in {tmp_path / 'bad.ppm'}" in capsys.readouterr().err
-        assert not out.exists()
+    def test_training_still_fails(self, bad_manifest, tmp_path, capsys, monkeypatch):
+        """Training fails at the batch that reads the bad image and writes
+        nothing.  With seed 4 the first record falls in the epoch's first
+        batch, and the last record in its third, after two steps have run."""
+        steps = []
+        step = training._step
+        monkeypatch.setattr(training, "_step", lambda *args: steps.append(1) or step(*args))
+        first = load_manifest(bad_manifest[0])
+        recs = first.records
+        last = tmp_path / "bad_last.txt"
+        save_manifest(DatasetManifest([*recs[1:], recs[0]], first.n_classes, first.split), last)
+        for manifest, name, steps_run in ((bad_manifest[0], "first.ckpt", 0), (last, "last.ckpt", 2)):
+            out = tmp_path / name
+            steps.clear()
+            assert main(["train", "--manifest", str(manifest), "--out", str(out), "--arch", "18",
+                         "--width", "0.0625", "--input-size", "32", "--epochs", "1",
+                         "--batch-size", "4", "--seed", "4"]) == 1
+            assert f"error: truncated pixel data in {tmp_path / 'bad.ppm'}" in capsys.readouterr().err
+            assert len(steps) == steps_run
+            assert not out.exists()
+            assert not Path(str(out) + ".history.csv").exists()
 
 
 class TestUnencodableBox:

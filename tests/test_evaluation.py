@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import tiny_cls_config, tiny_loc_config
+from conftest import STREAM_IMAGE_BYTES, peak_growth, tiny_cls_config, tiny_loc_config
 from swpnet.autodiff import NumericsError, Tensor
 from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
@@ -260,6 +260,20 @@ class TestSkipsAcrossBatches:
             evaluate_topk(TwoStagePipeline(None, build_model(tiny_cls_config(), seed=9)), off_image)
         with pytest.raises(ValueError, match=r"^no record to evaluate: the eval crop lost 2 of 2 boxes$"):
             evaluate_localisation(build_model(tiny_loc_config(), seed=2), off_image)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("kind", ["model", "pipeline"])
+    def test_memory_does_not_grow_with_the_manifest(self, stream_manifests, kind):
+        """Evaluation holds one batch of inputs: 48 more records raise its
+        peak by less than one record's decoded image (about 3-4 KB here, for
+        the per-record truths and logit rows; 155 KiB for the classifier and
+        336 KiB for the pipeline when every record was prepared first)."""
+        cls_model = build_model(tiny_cls_config(), seed=1)
+        target = {"model": cls_model,
+                  "pipeline": TwoStagePipeline(build_model(tiny_loc_config(), seed=8), cls_model)}[kind]
+        assert peak_growth(lambda manifest: evaluate_topk(target, manifest, batch_size=4),
+                           stream_manifests) < STREAM_IMAGE_BYTES
 
 
 class TestTwoStagePipeline:

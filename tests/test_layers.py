@@ -1,7 +1,6 @@
 import gc
 import itertools
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +8,7 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
 from swpnet import autodiff as ad
 from swpnet import layers
 from swpnet.autodiff import GradTape, Tensor, backward, grad_check
@@ -307,12 +307,7 @@ def forward_peaks(model, batches, seed):
     for batch in batches:
         x = Tensor(rng.uniform(size=(batch, 3, 64, 64)).astype(np.float32))
         model.forward(x, train=False)       # fills the gather-index cache
-        tracemalloc.start()
-        try:
-            model.forward(x, train=False)
-            peaks[batch] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[batch] = traced_peak(lambda: model.forward(x, train=False))
     return peaks
 
 
