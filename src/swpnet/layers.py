@@ -5,6 +5,9 @@ rule recorded on the gradient tape."""
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -89,6 +92,77 @@ IM2COL_BYTES = 2 << 20
 SMALL_GEMM_MACS = 100 ** 3
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Lanes a conv that no tape keeps spreads its chunks over: one per core this
+# process may run on, when BLAS runs one thread per GEMM (swpnet/__init__.py
+# asks for that before numpy loads).  A BLAS left to thread its own GEMMs
+# gets one lane, so the two never contend for the cores.
+LANES = _usable_cores() if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1
+
+# Work for the threads that run lanes 1, 2, ... of a conv, each a tuple
+# (work, lane, done): the threads are started on first use, and a forked
+# child, which inherits none of them, starts its own.
+_LANE_TASKS: queue.SimpleQueue | None = None
+_LANE_LOCK = threading.Lock()
+
+
+def _forget_lanes() -> None:
+    global _LANE_TASKS, _LANE_LOCK
+    _LANE_TASKS, _LANE_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lanes)
+
+
+def _serve_lanes(tasks: queue.SimpleQueue) -> None:
+    while True:
+        _run_lane(*tasks.get())
+
+
+def _run_lane(work, lane: int, done: queue.SimpleQueue) -> None:
+    """One lane's work, whose error goes to the conv's caller.  A call of
+    its own, so that nothing of the conv (its buffers, its output) outlives
+    the task in the lane thread's locals."""
+    try:
+        work(lane)
+    except BaseException as err:
+        done.put((lane, err))
+    else:
+        done.put((lane, None))
+
+
+def _run_lanes(work, lanes: int) -> None:
+    """work(0) on this thread and work(1), ..., work(lanes - 1) on the lane
+    threads.  Returns once every lane has finished, raising the error of the
+    lowest lane that failed."""
+    global _LANE_TASKS
+    if lanes == 1:
+        return work(0)
+    with _LANE_LOCK:
+        if _LANE_TASKS is None:
+            _LANE_TASKS = queue.SimpleQueue()
+            for n in range(1, LANES):
+                threading.Thread(target=_serve_lanes, args=(_LANE_TASKS,),
+                                 name=f"swpnet-lane-{n}", daemon=True).start()
+        tasks = _LANE_TASKS
+    done = queue.SimpleQueue()
+    for lane in range(1, lanes):
+        tasks.put((work, lane, done))
+    try:
+        work(0)
+    finally:
+        outcomes = sorted(done.get() for _ in range(1, lanes))
+    for _, err in outcomes:
+        if err is not None:
+            raise err
+
+
 def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"conv2d expects [batch, C, H, W], got {x.shape}")
@@ -107,44 +181,67 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
 
     # im2col: one row per output pixel, one column per (channel, kernel
     # offset); the same matrix np.tensordot would build.  A conv that a tape
-    # will keep builds it whole, for backward.  Any other conv pads, gathers
-    # and multiplies one balanced chunk of whole images at a time into those
-    # images of `out`, each chunk's columns at most IM2COL_BYTES (or one
-    # image), unless that would make a GEMM small enough for OpenBLAS's
-    # small-matrix kernel.  The blocked kernel sums each output row over the
-    # same columns in the same order whatever the GEMM's row count or the
-    # columns' layout, so the chunking leaves every byte as the whole matrix
-    # gives it.
-    chunks = 1
+    # will keep builds it whole, for backward.  Any other conv splits its
+    # batch into balanced chunks of whole images, each chunk's columns at
+    # most IM2COL_BYTES (or one image), and into at least one chunk per lane,
+    # unless that would make a GEMM small enough for OpenBLAS's small-matrix
+    # kernel.  Chunk c runs on lane c % lanes, which pads, gathers and
+    # multiplies it into its images of `out`.  The blocked kernel sums each
+    # output row over the same columns in the same order whatever the GEMM's
+    # row count or the columns' layout, so neither the chunking nor the
+    # lanes change a byte of what the whole matrix gives.
+    chunks = lanes = 1
     if batch > 1 and (active_tape() is None or not any(t.requires_grad for t in inputs)):
         per_chunk = max(1, IM2COL_BYTES // (pixels * depth * x.data.itemsize))
-        fewest = SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1
-        chunks = max(1, min(-(-batch // per_chunk), batch // fewest))
-    largest = -(-batch // chunks)
+        most = batch // (SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1)
+        lanes = max(1, min(LANES, most))
+        chunks = max(lanes, min(-(-batch // per_chunk), most))
     # A 1x1 stride-1 unpadded conv reads the input in place: for one image
     # this is a transposed view, and at batch 1, where the GEMM may be small,
     # OpenBLAS sums a contiguous copy differently.
     pointwise = kh == kw == 1 and s == 1 and not p
     dtype = x.data.dtype
-    if not pointwise:
-        col_buf = np.empty((largest, pixels, depth), dtype=dtype)
-        if p:
-            xp = np.zeros((largest, channels, hp, wp), dtype=dtype)
-    prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
-    out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
-    for c in range(chunks):
-        lo, hi = batch * c // chunks, batch * (c + 1) // chunks
-        part = x.data[lo:hi]
+    if chunks == 1:
         if pointwise:
-            cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
+            cols = x.data.transpose(0, 2, 3, 1).reshape(-1, channels)
         else:
-            if p:   # the chunk's border stays zero: only the interior is rewritten
-                xp[:hi - lo, :, p:p + h, p:p + w] = part
-                part = xp[:hi - lo]
-            cols = _gather_windows(part.reshape(hi - lo, -1), channels, hp, wp, kh, kw, s,
-                                   out=col_buf[:hi - lo]).reshape(-1, depth)
-        prod = np.matmul(cols, wmat.T, out=prod_buf[:(hi - lo) * pixels])
-        out[lo:hi] = prod.reshape(hi - lo, oh, ow, -1).transpose(0, 3, 1, 2)
+            xp = x.data
+            if p:
+                xp = np.zeros((batch, channels, hp, wp), dtype=dtype)
+                xp[:, :, p:p + h, p:p + w] = x.data
+            cols = _gather_windows(xp.reshape(batch, -1), channels, hp, wp, kh, kw, s).reshape(-1, depth)
+        out = np.ascontiguousarray((cols @ wmat.T).reshape(batch, oh, ow, -1).transpose(0, 3, 1, 2))
+    else:
+        out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
+        largest = -(-batch // chunks)
+        # each lane's pad, column and product buffers, made here so that a
+        # lane allocates nothing large; a pad's border stays zero, as only
+        # the interior is rewritten
+        buffers = [(np.zeros((largest, channels, hp, wp), dtype=dtype) if p else None,
+                    np.empty((largest * pixels, depth), dtype=dtype),
+                    np.empty((largest * pixels, spec.out_channels), dtype=dtype))
+                   for _ in range(lanes)]
+
+        def run_lane(lane):
+            xp, col_buf, prod_buf = buffers[lane]
+            for c in range(lane, chunks, lanes):
+                lo, hi = batch * c // chunks, batch * (c + 1) // chunks
+                n, part = hi - lo, x.data[lo:hi]
+                cols = col_buf[:n * pixels]
+                if pointwise and n == 1:
+                    cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
+                elif pointwise:
+                    cols.reshape(n, oh, ow, channels)[...] = part.transpose(0, 2, 3, 1)
+                else:
+                    if p:
+                        xp[:n, :, p:p + h, p:p + w] = part
+                        part = xp[:n]
+                    _gather_windows(part.reshape(n, -1), channels, hp, wp, kh, kw, s,
+                                    out=cols.reshape(n, pixels, depth))
+                prod = np.matmul(cols, wmat.T, out=prod_buf[:n * pixels])
+                out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+
+        _run_lanes(run_lane, lanes)
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 

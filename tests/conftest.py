@@ -1,7 +1,10 @@
+import gc
 import tracemalloc
 
-import numpy as np
-import pytest
+import swpnet  # noqa: F401  (first: it pins BLAS to one thread before numpy loads, as the CLI does)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from swpnet.datasynth import DatasetManifest, PreprocessConfig, generate_dataset
 from swpnet.models import ModelConfig
@@ -59,7 +62,16 @@ def peak_growth(run, manifests) -> int:
     """How many bytes the tracemalloc peak of run(manifest) grows by from N
     records to 4N.  An untraced run over the warm-up manifest comes first:
     the interpreter keeps freed small objects (tuples, floats) for reuse,
-    and until those caches fill, their growth reads as up to 15 KB more."""
+    and until those caches fill, their growth reads as up to 15 KB more.
+    A full collection empties those caches again, and the next run's refill
+    of them reads as growth, so the collector is held off from the warm-up to
+    the last traced run (the runs measured here leave no reference cycles)."""
     small, large, warm = manifests
-    run(warm)
-    return traced_peak(lambda: run(large)) - traced_peak(lambda: run(small))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run(warm)
+        return traced_peak(lambda: run(large)) - traced_peak(lambda: run(small))
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,13 +1,21 @@
 import gc
 import itertools
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import swpnet
 from conftest import traced_peak
 from swpnet import autodiff as ad
 from swpnet import layers
@@ -178,6 +186,11 @@ class TestGatherIndexCache:
             assert np.array_equal(idx, window_index_reference(*key)), key
 
 
+# the src directory this swpnet was imported from, for a subprocess's PYTHONPATH
+SRC = str(Path(swpnet.__file__).resolve().parents[1])
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def desk_model():
     """The benchmark's desk classifier shape, randomly initialised."""
     return build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
@@ -204,35 +217,51 @@ STEM_COLUMN_BYTES = 32 * 32 * 3 * 7 * 7 * 4
 STEM_ACTIVATION_BYTES = 8 * 32 * 32 * 4
 
 
+CONV_GEOMETRIES = list(itertools.product((1, 3, 7), (1, 2), (0, 1, 3)))
+
+
+def assert_chunks_match_reference(calls, kernel, stride, padding, channels):
+    """An untaped conv of 24 images equals the tensordot reference bit for
+    bit, and gathers whole images, each once, in chunks whose GEMMs stay
+    above the size OpenBLAS gives its small-matrix kernel; `calls` is a
+    gather_spy list."""
+    batch = 24
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    spec = Conv2d(*channels, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
+    for size in ((9, 9), (9, 11), (11, 9)):
+        calls.clear()
+        x = Tensor(rng.normal(size=(batch, channels[0]) + size).astype(np.float32))
+        out = spec(x)
+        g = np.zeros(out.shape, dtype=np.float32)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
+        assert np.array_equal(out.data, ref_out), (kernel, stride, padding, channels, size)
+        if (kernel, stride, padding) == (1, 1, 0):
+            continue                  # reads the input in place: no gather
+        assert sum(len(cols) for cols in calls) == batch
+        macs_per_image = out.shape[2] * out.shape[3] * spec.weight.data.size
+        if len(calls) > 1:
+            assert min(len(cols) for cols in calls) * macs_per_image > layers.SMALL_GEMM_MACS
+
+
 class TestChunkedConv:
     """A conv that no tape keeps gathers and multiplies its batch in chunks
     of whole images; its output bytes do not depend on the chunking."""
 
-    @pytest.mark.parametrize("kernel, stride, padding",
-                             list(itertools.product((1, 3, 7), (1, 2), (0, 1, 3))))
+    @pytest.mark.parametrize("kernel, stride, padding", CONV_GEOMETRIES)
     @pytest.mark.parametrize("channels", [(5, 6), (16, 32)], ids=["narrow", "wide"])
     def test_small_budget_bit_equal_to_tensordot_reference(self, monkeypatch, kernel, stride,
                                                            padding, channels):
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        assert_chunks_match_reference(gather_spy(monkeypatch), kernel, stride, padding, channels)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_small_budget_in_lanes_bit_equal_to_tensordot_reference(self, monkeypatch, lanes):
+        monkeypatch.setattr(layers, "LANES", lanes)
+        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
         calls = gather_spy(monkeypatch)
-        batch = 24
-        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-        spec = Conv2d(*channels, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
-        for size in ((9, 9), (9, 11), (11, 9)):
-            calls.clear()
-            x = Tensor(rng.normal(size=(batch, channels[0]) + size).astype(np.float32))
-            out = spec(x)
-            g = np.zeros(out.shape, dtype=np.float32)
-            ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, stride, padding, g)
-            assert np.array_equal(out.data, ref_out), size
-            if (kernel, stride, padding) == (1, 1, 0):
-                continue                  # reads the input in place: no gather
-            # whole images, each once; a chunk of a split batch stays above
-            # the GEMM size that OpenBLAS gives its small-matrix kernel
-            assert sum(len(cols) for cols in calls) == batch
-            macs_per_image = out.shape[2] * out.shape[3] * spec.weight.data.size
-            if len(calls) > 1:
-                assert min(len(cols) for cols in calls) * macs_per_image > layers.SMALL_GEMM_MACS
+        for kernel, stride, padding in CONV_GEOMETRIES:
+            for channels in ((5, 6), (16, 32)):
+                assert_chunks_match_reference(calls, kernel, stride, padding, channels)
 
     def test_wide_small_budget_splits_the_batch(self, monkeypatch):
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
@@ -309,6 +338,130 @@ def forward_peaks(model, batches, seed):
         model.forward(x, train=False)       # fills the gather-index cache
         peaks[batch] = traced_peak(lambda: model.forward(x, train=False))
     return peaks
+
+
+def lane_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("swpnet-lane")}
+
+
+def on_lane_thread() -> bool:
+    return threading.current_thread().name.startswith("swpnet-lane")
+
+
+class LaneFault(RuntimeError):
+    pass
+
+
+def desk_stem(seed=9):
+    """The desk stem conv and a batch of 32 for it: 11 chunks of at most 3
+    images each at the real IM2COL_BYTES."""
+    rng = np.random.default_rng(seed)
+    spec = Conv2d(3, 8, kernel=7, stride=2, padding=3, bias=False, rng=rng)
+    return spec, Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32))
+
+
+class TestLanes:
+    """An untaped conv runs chunk c of its batch on lane c % lanes: lane 0
+    on the calling thread, the others on swpnet-lane threads."""
+
+    def test_two_lanes_run_alternate_chunks_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(layers, "LANES", 2)
+        lanes, gather = [], layers._gather_windows
+
+        def spy(rows, *args, **kwargs):
+            lanes.append((on_lane_thread(), len(rows)))
+            return gather(rows, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "_gather_windows", spy)
+        spec, x = desk_stem()
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        # chunks 0, 2, ..., 10 here, chunks 1, 3, ..., 9 on a lane thread
+        assert sorted(lanes) == sorted([(False, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(0, 11, 2)]
+                                       + [(True, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(1, 11, 2)])
+        # a stage-0 desk conv fits one chunk, and still splits in two
+        lanes.clear()
+        spec = Conv2d(8, 8, kernel=3, padding=1, bias=False, rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(2).normal(size=(32, 8, 15, 15)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        assert sorted(lanes) == [(False, 16), (True, 16)]
+
+    def test_a_lane_error_reaches_the_caller_and_the_next_forward_succeeds(self, monkeypatch):
+        monkeypatch.setattr(layers, "LANES", 2)
+        spec, x = desk_stem()
+        expected = spec(x).data.tobytes()
+        gather = layers._gather_windows
+
+        def failing(*args, **kwargs):
+            if on_lane_thread():          # lane 1's first chunk: the second chunk
+                raise LaneFault("chunk 1")
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "_gather_windows", failing)
+        with pytest.raises(LaneFault, match="chunk 1"):
+            spec(x)
+        monkeypatch.setattr(layers, "_gather_windows", gather)
+        assert spec(x).data.tobytes() == expected
+
+    def test_the_caller_raises_only_after_every_lane_has_finished(self, monkeypatch):
+        monkeypatch.setattr(layers, "LANES", 2)
+        spec, x = desk_stem()
+        finished, gather = [], layers._gather_windows
+
+        def slow_lane(*args, **kwargs):
+            if not on_lane_thread():
+                raise LaneFault("chunk 0")
+            time.sleep(0.01)
+            cols = gather(*args, **kwargs)
+            finished.append(cols)
+            return cols
+
+        monkeypatch.setattr(layers, "_gather_windows", slow_lane)
+        with pytest.raises(LaneFault, match="chunk 0"):
+            spec(x)
+        assert len(finished) == 5         # chunks 1, 3, 5, 7 and 9
+
+    def test_a_taped_step_and_a_batch_1_forward_start_no_lane_thread(self, monkeypatch):
+        monkeypatch.setattr(layers, "LANES", 2)
+        monkeypatch.setattr(layers, "_LANE_TASKS", None)
+        before = lane_threads()
+        model = desk_model()
+        rng = np.random.default_rng(11)
+        model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
+        with GradTape():
+            backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(8, 3, 64, 64)).astype(np.float32)),
+                                              train=True)))
+        assert layers._LANE_TASKS is None
+        assert lane_threads() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_child_forked_after_a_laned_forward_runs_its_own_lanes(self, monkeypatch):
+        monkeypatch.setattr(layers, "LANES", 2)
+        model = desk_model()
+        x = Tensor(np.random.default_rng(12).uniform(size=(32, 3, 64, 64)).astype(np.float32))
+        expected = model.forward(x, train=False).data.tobytes()
+        assert lane_threads()
+        pid = os.fork()
+        if pid == 0:   # the child exits 0 on equal bytes; SIGALRM ends a forward that hangs
+            try:
+                signal.alarm(20)
+                os._exit(0 if model.forward(x, train=False).data.tobytes() == expected else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("threads, lanes", [("1", layers._usable_cores()), ("2", 1)])
+    def test_a_blas_that_threads_its_own_gemms_gets_one_lane(self, threads, lanes):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+        script = "import swpnet.layers as layers; print(layers.LANES)"
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert int(run.stdout) == lanes
 
 
 class TestBatchNorm:

@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 import threading
 from pathlib import Path
 
@@ -420,12 +421,26 @@ class TestRegistryContract:
 
 class TestSharedInference:
     def test_two_threads_match_single_thread(self, monkeypatch):
+        self.assert_two_threads_match_single_thread(monkeypatch, batch=2)
+
+    def test_two_threads_match_single_thread_in_two_lanes(self, monkeypatch):
+        # at batch 16 the stem splits into two lanes, so both callers hand
+        # their lane 1 to the same lane threads
+        monkeypatch.setattr(layers, "LANES", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            self.assert_two_threads_match_single_thread(monkeypatch, batch=16)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def assert_two_threads_match_single_thread(self, monkeypatch, batch):
         monkeypatch.setattr(layers, "_GATHER_INDEX", {})
         extent = feature_map_extent(toy_config())
         model = build_model(toy_config(head="swp_head"), seed=12,
                             swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
         model.forward(rand_images(4, 64, seed=1), train=True)   # non-trivial running stats
-        inputs = [rand_images(2, 64, seed=20 + i) for i in range(6)]
+        inputs = [rand_images(batch, 64, seed=20 + i) for i in range(6)]
         expected = [model.forward(x, train=False).data.tobytes() for x in inputs]
         serial_keys = set(layers._GATHER_INDEX)
         # both threads start on a cold gather-index cache and fill it concurrently

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import swpnet
 from conftest import STREAM_IMAGE_BYTES, peak_growth, tiny_cls_config, tiny_loc_config, tiny_preprocess
 from swpnet.binning import BoundingBox, encode_box
 from swpnet.datasynth import generate_dataset
@@ -176,6 +181,43 @@ class TestTrainLocaliser:
         model = build_model(tiny_cls_config(), seed=1)
         with pytest.raises(ModelBuildError):
             train_localiser(model, tiny_dataset, TrainConfig(max_epochs=1), tiny_preprocess())
+
+
+# One desk training step (ResNet-18, width 1/8, 64 px, batch 8), importing
+# swpnet before numpy as the CLI does; prints the sha256 of its parameters.
+DESK_STEP = """
+import hashlib
+import swpnet
+import numpy as np
+from swpnet.autodiff import Tensor
+from swpnet.models import ModelConfig, build_model
+from swpnet.training import MomentumSGD, _step
+model = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                                input_size=64), seed=0)
+opt = MomentumSGD([t for _, t in model.parameters()], momentum=0.9, weight_decay=1e-4)
+rng = np.random.default_rng(1)
+batch = Tensor(rng.uniform(size=(8, 3, 64, 64)).astype(np.float32))
+_step(model, opt, batch, [rng.integers(0, 10, size=8)], [1.0], 0.1)
+print(hashlib.sha256(b"".join(t.data.tobytes() for _, t in model.parameters())).hexdigest())
+"""
+
+
+def desk_step_digest(**blas_env) -> str:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(blas_env, PYTHONPATH=str(Path(swpnet.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", DESK_STEP], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return run.stdout.strip()
+
+
+class TestBlasThreads:
+    def test_a_step_without_blas_settings_writes_the_one_thread_bytes(self):
+        """Importing swpnet first pins BLAS to one thread, so a step's
+        weight gradients sum in the same order whatever the core count: a
+        step left to OpenBLAS's default, one thread per core, wrote other
+        parameter bytes on a 2-core host."""
+        assert desk_step_digest() == desk_step_digest(OPENBLAS_NUM_THREADS="1")
 
 
 class TestMomentumSGD:
