@@ -417,11 +417,8 @@ def center_crop_transform(image: np.ndarray, config: PreprocessConfig
 
 
 def to_network_input(images) -> np.ndarray:
-    """Stack HWC uint8 rasters into a [B, 3, H, W] float32 batch in [0, 1]."""
-    arr = np.stack([np.asarray(im) for im in images]) if isinstance(images, (list, tuple)) else np.asarray(images)
-    if arr.ndim == 3:
-        arr = arr[None]
-    nchw = arr.transpose(0, 3, 1, 2)   # one pass: cast, divide and lay out NCHW
+    """Stack a list of HWC uint8 rasters into a [B, 3, H, W] float32 batch in [0, 1]."""
+    nchw = np.stack(images).transpose(0, 3, 1, 2)   # one pass: cast, divide and lay out NCHW
     return np.divide(nchw, np.float32(255), out=np.empty(nchw.shape, np.float32), dtype=np.float32)
 
 

@@ -4,6 +4,7 @@ rule recorded on the gradient tape."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import queue
@@ -54,8 +55,17 @@ class Conv2d:
         return conv2d(x, self)
 
 
-# (channels, hp, wp, kh, kw, stride) -> read-only gather index; see _gather_windows
-_GATHER_INDEX: dict[tuple, np.ndarray] = {}
+@functools.cache
+def _window_index(channels: int, hp: int, wp: int, kh: int, kw: int, s: int) -> np.ndarray:
+    """Flat offsets of every kh x kw window at stride s of a flattened
+    `[C, hp, wp]` image, `[oh·ow, C·kh·kw]`, built once per shape and shared
+    by every thread.  It stays writeable, as np.take copies any other index
+    on every call; its one reader, _gather_windows, never writes it."""
+    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    pixel = (np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s).reshape(-1)
+    offset = (np.arange(channels)[:, None, None] * (hp * wp)
+              + np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1)
+    return pixel[:, None] + offset
 
 
 def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, kw: int,
@@ -65,22 +75,10 @@ def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, 
     along axis 1 and (c, i, j) channel and kernel offsets along axis 2,
     written into `out` when one is given.
 
-    The gather index of flat offsets depends on shape only, not on N, so it
-    is built once per shape and shared, read-only, by every thread.  Its
-    offsets lie in range by construction: mode="wrap" skips np.take's
+    The offsets lie in range by construction: mode="wrap" skips np.take's
     per-offset bounds error path, which measured ~25% faster on the desk
     model's conv shapes."""
-    key = (channels, hp, wp, kh, kw, s)
-    idx = _GATHER_INDEX.get(key)
-    if idx is None:
-        oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
-        pixel = (np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s).reshape(-1)
-        offset = (np.arange(channels)[:, None, None] * (hp * wp)
-                  + np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1)
-        idx = pixel[:, None] + offset
-        idx.flags.writeable = False
-        idx = _GATHER_INDEX.setdefault(key, idx)
-    return rows.take(idx, axis=1, out=out, mode="wrap")
+    return rows.take(_window_index(channels, hp, wp, kh, kw, s), axis=1, out=out, mode="wrap")
 
 
 # Cap on the bytes of one chunk's im2col columns in a conv that no tape

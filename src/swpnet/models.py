@@ -446,7 +446,7 @@ def load_checkpoint(path) -> Model:
     if r.pos != len(r.data):
         raise CheckpointError("trailing bytes after checkpoint payload")
 
-    def apply(stored, expected, setter):
+    def apply(stored, expected):
         if len(stored) != len(expected):
             raise CheckpointError(f"array count mismatch: {len(stored)} stored, {len(expected)} expected")
         by_name = dict(stored)
@@ -454,13 +454,12 @@ def load_checkpoint(path) -> Model:
             if name not in by_name:
                 raise CheckpointError(f"missing array {name!r}")
             data = by_name[name]
-            tshape = target.shape if isinstance(target, np.ndarray) else target.data.shape
-            if data.shape != tshape:
-                raise CheckpointError(f"shape mismatch for {name!r}: {data.shape} vs {tshape}")
+            if data.shape != target.shape:
+                raise CheckpointError(f"shape mismatch for {name!r}: {data.shape} vs {target.shape}")
             if not np.isfinite(data).all():
                 raise CheckpointError(f"non-finite values in array {name!r}")
-            setter(name, target, data)
+            target[...] = data
 
-    apply(stored_params, model.parameters(), lambda n, t, d: t.data.__setitem__(Ellipsis, d))
-    apply(stored_buffers, model.buffers(), lambda n, t, d: t.__setitem__(Ellipsis, d))
+    apply(stored_params, [(name, t.data) for name, t in model.parameters()])
+    apply(stored_buffers, model.buffers())
     return model

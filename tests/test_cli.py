@@ -106,6 +106,8 @@ class TestTrain:
         lines = (ckpt.parent / (ckpt.name + ".history.csv")).read_text().splitlines()
         epochs = [int(row.split(",")[0]) for row in lines[1:]]
         assert epochs == [0, 1, 2, 3]
+        # the resumed run's lr schedule starts over at its own epoch 0
+        assert [float(row.split(",")[4]) for row in lines[1:]] == pytest.approx([0.01, 0.001, 0.01, 0.001])
         assert load_checkpoint(ckpt).trained_epochs == 4
 
     def test_resume_reads_model_and_input_size_from_checkpoint(self, tmp_path):

@@ -438,10 +438,6 @@ class TestNetworkInput:
         imgs = self.images()
         self.check(to_network_input(list(imgs)), self.two_pass(imgs))
 
-    def test_single_hwc_image_bytes(self):
-        img = self.images()[1]
-        self.check(to_network_input(img), self.two_pass(img[None]))
-
 
 class TestHistograms:
     def test_each_histogram_sums_to_record_count(self, tmp_path):

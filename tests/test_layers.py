@@ -153,9 +153,19 @@ def window_index_reference(channels, hp, wp, kh, kw, s):
     return windows.transpose(1, 2, 0, 3, 4).reshape(-1, channels * kh * kw)
 
 
+def assert_cached_index_matches_reference(shapes):
+    """_window_index caches exactly `shapes`, and each entry still holds the
+    reference offsets: a hit for every shape, and no miss."""
+    info = layers._window_index.cache_info()
+    assert info.currsize == len(shapes)
+    for shape in shapes:
+        assert np.array_equal(layers._window_index(*shape), window_index_reference(*shape)), shape
+    assert layers._window_index.cache_info().misses == info.misses
+
+
 class TestGatherIndexCache:
     def test_desk_model_one_entry_per_shape_independent_of_batch(self, monkeypatch):
-        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
+        layers._window_index.cache_clear()
         conv_shapes = set()
         conv2d = layers.conv2d
 
@@ -171,19 +181,32 @@ class TestGatherIndexCache:
                                         input_size=64), seed=0)
         rng = np.random.default_rng(0)
         model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
-        after_b1 = dict(layers._GATHER_INDEX)
-        assert conv_shapes and set(after_b1) == conv_shapes
+        assert conv_shapes and layers._window_index.cache_info().currsize == len(conv_shapes)
+        after_b1 = {shape: layers._window_index(*shape) for shape in conv_shapes}
+        assert layers._window_index.cache_info().misses == len(conv_shapes)
         model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
-        assert set(layers._GATHER_INDEX) == conv_shapes
+        assert_cached_index_matches_reference(conv_shapes)
         # pooling, forward and backward, reads strided views and indexes nothing
         with GradTape():
             backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32)),
                                               train=True)))
-        assert set(layers._GATHER_INDEX) == conv_shapes
-        assert all(layers._GATHER_INDEX[key] is idx for key, idx in after_b1.items())
-        for key, idx in layers._GATHER_INDEX.items():
-            assert not idx.flags.writeable
-            assert np.array_equal(idx, window_index_reference(*key)), key
+        assert_cached_index_matches_reference(conv_shapes)
+        monkeypatch.setattr(layers, "LANES", 2)
+        model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
+        assert_cached_index_matches_reference(conv_shapes)
+        assert all(layers._window_index(*shape) is idx for shape, idx in after_b1.items())
+
+    def test_a_gather_into_out_allocates_no_copy_of_its_index(self):
+        # the desk stem's 3-image chunk: 7x7 windows at stride 2 over 70 x 70
+        # padded pixels, a [1024, 147] index of 1.2 MB
+        shape = (3, 70, 70, 7, 7, 2)
+        rows = np.random.default_rng(4).uniform(size=(3, 3 * 70 * 70)).astype(np.float32)
+        out = np.empty((3, 32 * 32, 3 * 7 * 7), dtype=np.float32)
+        index = window_index_reference(*shape)
+        assert index.nbytes > 1_000_000
+        layers._gather_windows(rows, *shape, out=out)       # the index is built here, not traced
+        assert traced_peak(lambda: layers._gather_windows(rows, *shape, out=out)) < index.nbytes // 20
+        assert np.array_equal(out, rows[:, index])
 
 
 # the src directory this swpnet was imported from, for a subprocess's PYTHONPATH

@@ -420,8 +420,8 @@ class TestRegistryContract:
 
 
 class TestSharedInference:
-    def test_two_threads_match_single_thread(self, monkeypatch):
-        self.assert_two_threads_match_single_thread(monkeypatch, batch=2)
+    def test_two_threads_match_single_thread(self):
+        self.assert_two_threads_match_single_thread(batch=2)
 
     def test_two_threads_match_single_thread_in_two_lanes(self, monkeypatch):
         # at batch 16 the stem splits into two lanes, so both callers hand
@@ -430,21 +430,21 @@ class TestSharedInference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
-            self.assert_two_threads_match_single_thread(monkeypatch, batch=16)
+            self.assert_two_threads_match_single_thread(batch=16)
         finally:
             sys.setswitchinterval(interval)
 
-    def assert_two_threads_match_single_thread(self, monkeypatch, batch):
-        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
+    def assert_two_threads_match_single_thread(self, batch):
+        layers._window_index.cache_clear()
         extent = feature_map_extent(toy_config())
         model = build_model(toy_config(head="swp_head"), seed=12,
                             swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
         model.forward(rand_images(4, 64, seed=1), train=True)   # non-trivial running stats
         inputs = [rand_images(batch, 64, seed=20 + i) for i in range(6)]
         expected = [model.forward(x, train=False).data.tobytes() for x in inputs]
-        serial_keys = set(layers._GATHER_INDEX)
+        serial_entries = layers._window_index.cache_info().currsize
         # both threads start on a cold gather-index cache and fill it concurrently
-        monkeypatch.setattr(layers, "_GATHER_INDEX", {})
+        layers._window_index.cache_clear()
         results = [[], []]
         start = threading.Barrier(2)
 
@@ -460,4 +460,4 @@ class TestSharedInference:
             t.join(timeout=120)
             assert not t.is_alive()
         assert results == [expected * 3, expected * 3]
-        assert set(layers._GATHER_INDEX) == serial_keys
+        assert layers._window_index.cache_info().currsize == serial_entries
