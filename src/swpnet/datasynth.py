@@ -96,36 +96,49 @@ def make_class_specs(n_classes: int, similarity_margin: float = 0.25) -> list[Gl
 _WHEEL_RGB = (28, 28, 34)
 
 
+def _span(lo: float, hi: float, size: int) -> slice:
+    """The integers c in [0, size) with lo <= c < hi, as a slice.  For an
+    integer c, c >= lo exactly when c >= ceil(lo), and c < hi exactly when
+    c < ceil(hi); a NaN bound admits none, as a comparison with NaN does."""
+    if math.isnan(lo) or math.isnan(hi):
+        return slice(0, 0)
+    return slice(math.ceil(min(max(lo, 0), size)), math.ceil(min(max(hi, 0), size)))
+
+
 def render_glyph(canvas: np.ndarray, spec: GlyphClassSpec, cx: float, cy: float,
                  height: float) -> tuple[BoundingBox, np.ndarray]:
     """Paint one glyph onto the canvas in place; returns the exact pixel
-    bounding box and the boolean glyph mask."""
+    bounding box and the boolean glyph mask.  Each part is evaluated only
+    over its own window of the canvas."""
     h_img, w_img = canvas.shape[:2]
     gh = height
     gw = gh * spec.body_aspect
     x0, y0 = cx - gw / 2.0, cy - gh / 2.0
-    ys, xs = np.mgrid[0:h_img, 0:w_img]
     mask = np.zeros((h_img, w_img), dtype=bool)
 
-    def rect(rx0, ry0, rx1, ry1):
-        return (xs >= rx0) & (xs < rx1) & (ys >= ry0) & (ys < ry1)
+    def rect(rx0, ry0, rx1, ry1, rgb):
+        window = _span(ry0, ry1, h_img), _span(rx0, rx1, w_img)
+        canvas[window] = rgb
+        mask[window] = True
 
     # body slab across the full glyph width
-    body = rect(x0, y0 + 0.34 * gh, x0 + gw, y0 + 0.80 * gh)
+    rect(x0, y0 + 0.34 * gh, x0 + gw, y0 + 0.80 * gh, spec.body_rgb)
     # cabin block on top, shifted by the class's offset fraction
     cab_w = 0.42 * gw
     cab_x = x0 + spec.cabin_offset * (gw - cab_w)
-    cabin = rect(cab_x, y0, cab_x + cab_w, y0 + 0.36 * gh)
-    # wheels tangent to the glyph bottom
+    rect(cab_x, y0, cab_x + cab_w, y0 + 0.36 * gh, spec.cabin_rgb)
+    # wheels tangent to the glyph bottom, each tested on its box plus a
+    # one-pixel margin against rounding
     r = spec.wheel_radius * gh
     wy = y0 + gh - r
-    wheels = np.zeros_like(mask)
+    reach = abs(r) + 1
     for wx in (x0 + 0.22 * gw, x0 + 0.78 * gw):
-        wheels |= (xs - wx) ** 2 + (ys - wy) ** 2 <= r * r
-
-    for part, rgb in ((body, spec.body_rgb), (cabin, spec.cabin_rgb), (wheels, _WHEEL_RGB)):
-        canvas[part] = rgb
-        mask |= part
+        rows, cols = _span(wy - reach, wy + reach, h_img), _span(wx - reach, wx + reach, w_img)
+        ys = np.arange(rows.start, rows.stop)[:, None]
+        xs = np.arange(cols.start, cols.stop)
+        wheel = (xs - wx) ** 2 + (ys - wy) ** 2 <= r * r
+        canvas[rows, cols][wheel] = _WHEEL_RGB
+        mask[rows, cols] |= wheel
 
     if not mask.any():
         raise DataSynthError("glyph fell entirely outside the canvas")
@@ -140,8 +153,10 @@ def render_glyph(canvas: np.ndarray, spec: GlyphClassSpec, cx: float, cy: float,
 def _paint_background(canvas: np.ndarray, rng: np.random.Generator, clutter: int) -> None:
     h, w = canvas.shape[:2]
     base = int(rng.integers(168, 212))
-    noise = rng.integers(-6, 7, size=(h, w, 1), dtype=np.int16)
-    canvas[:] = np.clip(base + noise, 0, 255).astype(np.uint8)
+    noise = rng.integers(-6, 7, size=(h, w), dtype=np.int16)
+    plane = (base + noise).astype(np.uint8)   # base ± 6 lies inside [0, 255]
+    for channel in range(canvas.shape[2]):   # one plane at a time: a broadcast write is slower
+        canvas[..., channel] = plane
     for _ in range(clutter):
         shade = int(rng.integers(120, 160))
         cw = int(rng.integers(max(2, w // 10), max(3, w // 3)))
@@ -169,6 +184,8 @@ def synthesize(n_classes: int, per_class: int, canvas: int, similarity_margin: f
     """
     if per_class < 1:
         raise DataSynthError("per_class must be at least 1")
+    if not math.isfinite(center_jitter):
+        raise DataSynthError(f"center_jitter must be finite, got {center_jitter}")
     if not 0 < scale_range[0] <= scale_range[1] <= 0.92:
         raise DataSynthError(f"scale range must lie in (0, 0.92], got {scale_range}")
     specs = make_class_specs(n_classes, similarity_margin)
@@ -296,11 +313,12 @@ def _write_dataset(items, n_classes: int, out_dir, split: str) -> DatasetManifes
     out_dir/images, then the split's manifest, and return the manifest."""
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    records = []
+    records, real_dirs = [], {}
     for idx, (image, class_id, box) in enumerate(items):
-        img_path = out_dir / "images" / f"{split}_{idx:05d}_c{class_id}.ppm"
-        write_ppm(img_path, image)
-        records.append(ManifestRecord(str(img_path.resolve()), class_id, box))
+        rel = os.path.join("images", f"{split}_{idx:05d}_c{class_id}.ppm")
+        write_ppm(out_dir / rel, image)
+        # the reader's rule, so a record's path is the one load_manifest gives
+        records.append(ManifestRecord(_resolve_image(out_dir, rel, real_dirs), class_id, box))
     manifest = DatasetManifest(records, n_classes, split)
     save_manifest(manifest, manifest_path(out_dir, split))
     return manifest

@@ -345,6 +345,13 @@ class TestCountFlags:
         assert "usage:" in err and "argument --clutter: must be at least 0, got -2" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_jitter_is_usage_error_and_writes_nothing(self, tmp_path, capsys, value):
+        assert main(["gen-data", "--out-dir", str(tmp_path / "out"), f"--jitter={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"center_jitter must be finite, got {float(value)}" in err
+        assert list(tmp_path.iterdir()) == []
+
 
     @pytest.mark.parametrize("flag, value", [
         ("--scale-min", "0"),

@@ -1,10 +1,13 @@
 import hashlib
+import json
+import os
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import traced_peak
 from swpnet import datasynth
 from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
@@ -19,7 +22,9 @@ from swpnet.datasynth import (
     load_image,
     load_manifest,
     make_class_specs,
+    manifest_path,
     preprocess_train,
+    render_glyph,
     save_histograms,
     save_manifest,
     synthesize,
@@ -28,6 +33,10 @@ from swpnet.datasynth import (
 )
 from swpnet.imgio import write_ppm
 from test_binning import reference_bilinear_resize
+
+DATA = Path(__file__).parent / "data"
+# the benchmark's glyph set (bench/common.py)
+GLYPHS = dict(scale_range=(0.30, 0.45), center_jitter=0.15, clutter=4, similarity_margin=0.25)
 
 
 def tree_digest(root) -> str:
@@ -89,6 +98,227 @@ class TestGeneration:
     def test_canvas_too_small(self, tmp_path):
         with pytest.raises(DataSynthError):
             generate_dataset(2, 1, 16, tmp_path)
+
+
+class TestCenterJitter:
+    @pytest.mark.parametrize("jitter", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_jitter_is_named_before_rendering(self, monkeypatch, jitter):
+        monkeypatch.setattr(datasynth, "_paint_background", lambda *a: pytest.fail("rendered"))
+        with pytest.raises(DataSynthError) as err:
+            synthesize(2, 1, 64, center_jitter=jitter)
+        assert str(err.value) == f"center_jitter must be finite, got {jitter}"
+
+
+# -- rendering oracle -----------------------------------------------------------
+# render_glyph and _paint_background as they were before each part was drawn
+# over its own window only: every part tested against full-canvas grids, and
+# the noise plane broadcast into the three channels.
+
+_WHEEL_RGB = (28, 28, 34)
+
+
+def reference_render_glyph(canvas: np.ndarray, spec, cx: float, cy: float,
+                           height: float) -> tuple[BoundingBox, np.ndarray]:
+    """Paint one glyph onto the canvas in place; returns the exact pixel
+    bounding box and the boolean glyph mask."""
+    h_img, w_img = canvas.shape[:2]
+    gh = height
+    gw = gh * spec.body_aspect
+    x0, y0 = cx - gw / 2.0, cy - gh / 2.0
+    ys, xs = np.mgrid[0:h_img, 0:w_img]
+    mask = np.zeros((h_img, w_img), dtype=bool)
+
+    def rect(rx0, ry0, rx1, ry1):
+        return (xs >= rx0) & (xs < rx1) & (ys >= ry0) & (ys < ry1)
+
+    # body slab across the full glyph width
+    body = rect(x0, y0 + 0.34 * gh, x0 + gw, y0 + 0.80 * gh)
+    # cabin block on top, shifted by the class's offset fraction
+    cab_w = 0.42 * gw
+    cab_x = x0 + spec.cabin_offset * (gw - cab_w)
+    cabin = rect(cab_x, y0, cab_x + cab_w, y0 + 0.36 * gh)
+    # wheels tangent to the glyph bottom
+    r = spec.wheel_radius * gh
+    wy = y0 + gh - r
+    wheels = np.zeros_like(mask)
+    for wx in (x0 + 0.22 * gw, x0 + 0.78 * gw):
+        wheels |= (xs - wx) ** 2 + (ys - wy) ** 2 <= r * r
+
+    for part, rgb in ((body, spec.body_rgb), (cabin, spec.cabin_rgb), (wheels, _WHEEL_RGB)):
+        canvas[part] = rgb
+        mask |= part
+
+    if not mask.any():
+        raise DataSynthError("glyph fell entirely outside the canvas")
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    py0, py1 = int(rows[0]), int(rows[-1]) + 1
+    px0, px1 = int(cols[0]), int(cols[-1]) + 1
+    box = BoundingBox((px0 + px1) / 2.0, (py0 + py1) / 2.0, float(px1 - px0), float(py1 - py0))
+    return box, mask
+
+
+def reference_paint_background(canvas: np.ndarray, rng: np.random.Generator, clutter: int) -> None:
+    h, w = canvas.shape[:2]
+    base = int(rng.integers(168, 212))
+    noise = rng.integers(-6, 7, size=(h, w, 1), dtype=np.int16)
+    canvas[:] = np.clip(base + noise, 0, 255).astype(np.uint8)
+    for _ in range(clutter):
+        shade = int(rng.integers(120, 160))
+        cw = int(rng.integers(max(2, w // 10), max(3, w // 3)))
+        ch = int(rng.integers(max(2, h // 10), max(3, h // 3)))
+        x = int(rng.integers(0, max(1, w - cw)))
+        y = int(rng.integers(0, max(1, h - ch)))
+        canvas[y:y + ch, x:x + cw] = (shade, shade, shade + 6)
+
+
+def sample_bytes(samples) -> list[tuple]:
+    return [(s.class_id, s.box, s.image.shape, s.image.tobytes(), s.glyph_mask.tobytes())
+            for s in samples]
+
+
+def samples_digest(samples) -> str:
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.image.tobytes())
+        h.update(s.glyph_mask.tobytes())
+        h.update(repr((s.class_id, s.box.cx, s.box.cy, s.box.w, s.box.h)).encode())
+    return h.hexdigest()
+
+
+def render_outcome(render, canvas, *args):
+    """(box, mask bytes, canvas bytes) of one render, or its DataSynthError
+    message and the canvas bytes."""
+    try:
+        box, mask = render(canvas, *args)
+        return box, mask.shape, mask.tobytes(), canvas.tobytes()
+    except DataSynthError as err:
+        return str(err), canvas.tobytes()
+
+
+class TestRenderOracle:
+    """Windowed rendering gives the bytes of the full-canvas reference: every
+    image, mask, box and class id of synthesize, and every direct render."""
+
+    SYNTH_CASES = [
+        dict(n_classes=10, per_class=3, canvas=112, **GLYPHS),          # the bench glyph set
+        dict(n_classes=4, per_class=3, canvas=256),                     # gen-data defaults
+        dict(n_classes=4, per_class=3, canvas=96, clutter=0),
+        dict(n_classes=3, per_class=4, canvas=80, scale_range=(0.88, 0.92), center_jitter=0.6),
+        dict(n_classes=12, per_class=2, canvas=60, center_jitter=0.45, clutter=7),
+    ]
+
+    @staticmethod
+    def both(monkeypatch, **kwargs):
+        got = synthesize(**kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(datasynth, "render_glyph", reference_render_glyph)
+            m.setattr(datasynth, "_paint_background", reference_paint_background)
+            want = synthesize(**kwargs)
+        return sample_bytes(got), sample_bytes(want)
+
+    @pytest.mark.parametrize("case", SYNTH_CASES, ids=lambda c: f"{c['n_classes']}x{c['canvas']}")
+    @pytest.mark.parametrize("seed", [0, 2017])
+    def test_synthesize_matches_reference(self, monkeypatch, case, seed):
+        got, want = self.both(monkeypatch, seed=seed, **case)
+        for i, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g == w, f"sample {i} differs"
+
+    @pytest.mark.parametrize("canvas, scale", [
+        (18, 0.92), (19, 0.92), (21, 0.92), (24, 0.92), (29, 0.9),      # the glyph's clip can bind
+        (48, 0.45), (64, 0.45), (97, 0.45), (150, 0.45), (224, 0.45),
+    ])
+    def test_canvas_sizes_match_reference(self, monkeypatch, canvas, scale):
+        got, want = self.both(monkeypatch, n_classes=6, per_class=2, canvas=canvas,
+                              scale_range=(scale, 0.92), center_jitter=0.3, seed=canvas)
+        for i, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g == w, f"sample {i} differs"
+
+    def test_eighteen_is_the_smallest_canvas(self):
+        # a 2-class set has body aspect 1.6, so an 18 px canvas holds a
+        # 0.92 * 18 / 1.6 = 10.35 px glyph and a 17 px one does not
+        synthesize(2, 1, 18, scale_range=(0.92, 0.92))
+        with pytest.raises(DataSynthError, match="too small"):
+            synthesize(2, 1, 17, scale_range=(0.92, 0.92))
+
+    SPECS = make_class_specs(125)[::13]     # every aspect, wheel and cabin level
+
+    @staticmethod
+    def check_render(spec, cx, cy, height, shape=(37, 53, 3)):
+        background = np.random.default_rng(7).integers(0, 256, size=shape, dtype=np.uint8)
+        got = render_outcome(render_glyph, background.copy(), spec, cx, cy, height)
+        want = render_outcome(reference_render_glyph, background.copy(), spec, cx, cy, height)
+        assert got == want, (spec.class_id, cx, cy, height)
+        return got
+
+    def test_glyphs_clipped_at_each_edge_and_corner(self):
+        # a non-square canvas, so a swapped axis shows; centres on, inside and
+        # past each edge, and heights whose parts end on whole pixels
+        cxs = (-6.5, -2.0, 0.0, 3.25, 26.5, 50.0, 53.0, 55.75, 60.0)
+        cys = (-4.0, -1.5, 0.0, 2.5, 18.5, 35.0, 37.0, 39.25, 44.0)
+        errors = 0
+        for spec in self.SPECS:
+            for cx in cxs:
+                for cy in cys:
+                    for height in (5.0, 12.5, 25.0):
+                        errors += isinstance(self.check_render(spec, cx, cy, height)[0], str)
+        assert errors > 0     # some of these glyphs miss the canvas altogether
+
+    def test_random_and_grid_aligned_geometry(self):
+        rng = np.random.default_rng(20)
+        for i in range(600):
+            cx, cy = rng.uniform(-15, 68), rng.uniform(-15, 52)
+            height = rng.uniform(3, 40)
+            if i % 2:      # on a 1/8 px grid, so more part edges land on whole pixels
+                cx, cy, height = (round(v * 8) / 8 for v in (cx, cy, height))
+            self.check_render(self.SPECS[i % len(self.SPECS)], cx, cy, height)
+
+    @pytest.mark.parametrize("cx, cy", [(-60.0, 18.0), (120.0, 18.0), (26.0, -40.0), (26.0, 90.0),
+                                        (float("nan"), 18.0), (26.0, float("inf"))])
+    def test_glyph_off_the_canvas_raises_the_same_error(self, cx, cy):
+        got = self.check_render(self.SPECS[0], cx, cy, 12.0)
+        assert got[0] == "glyph fell entirely outside the canvas"
+
+    def test_negative_height_draws_the_reference_wheels(self):
+        # a negative height empties both rectangles; the wheel test squares r
+        for spec in self.SPECS:
+            self.check_render(spec, 26.0, 18.0, -14.0)
+
+    def test_render_peak_stays_near_its_mask(self):
+        # a 16 px glyph on a 512 px canvas: the returned mask is 256 KiB; the
+        # full-canvas int64 grids the parts were once tested on took 4 MiB
+        canvas = np.zeros((512, 512, 3), dtype=np.uint8)
+        mask_bytes = 512 * 512
+        for spec in self.SPECS:
+            peak = traced_peak(lambda: render_glyph(canvas, spec, 256.0, 256.0, 16.0))
+            assert peak < mask_bytes + 32 * 1024
+
+
+class TestSynthesisGolden:
+    """sha256 of synthesize samples and of generate_dataset trees, written
+    before the windowed renderer replaced the full-canvas one."""
+
+    GOLDEN = json.loads((DATA / "datasynth_golden.json").read_text())
+
+    @staticmethod
+    def args(case):
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in case["args"].items()}
+
+    def note(self) -> str:
+        return (f"synthesis bytes differ under numpy {np.__version__}; the expected hashes were "
+                f"written under numpy {self.GOLDEN['numpy']}, and the random streams behind them "
+                "follow numpy's Generator")
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN["synthesize"])))
+    def test_synthesize_bytes(self, index):
+        case = self.GOLDEN["synthesize"][index]
+        assert samples_digest(synthesize(**self.args(case))) == case["sha256"], self.note()
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN["generate_dataset"])))
+    def test_generate_dataset_tree(self, tmp_path, index):
+        case = self.GOLDEN["generate_dataset"][index]
+        generate_dataset(out_dir=tmp_path, **self.args(case))
+        assert tree_digest(tmp_path) == case["sha256"], self.note()
 
 
 class TestManifests:
@@ -210,6 +440,60 @@ class TestManifestPaths:
             self.load(tree, [rel])
         assert str(err.value).startswith(f"{tree / 'm.txt'}:2: cannot resolve image path {rel!r}: ")
         assert "loop" in str(err.value).split(": ", 2)[2].lower()
+
+
+class TestWrittenPaths:
+    """generate_dataset records each image under the reader's rule: the path
+    load_manifest gives, str(path.resolve()), with one resolve of the images
+    directory and a full resolve only for a symlinked image."""
+
+    @staticmethod
+    def count_resolves(monkeypatch) -> list:
+        calls = []
+        real = Path.resolve
+        monkeypatch.setattr(Path, "resolve", lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+        return calls
+
+    @staticmethod
+    def check(out_dir, manifest):
+        names = sorted(p.name for p in (out_dir / "images").iterdir())
+        assert [r.path for r in manifest.records] == [str((out_dir / "images" / n).resolve()) for n in names]
+        assert [r.path for r in load_manifest(manifest_path(out_dir, "train")).records] == \
+            [r.path for r in manifest.records]
+
+    def test_plain_directory_resolves_once(self, tmp_path, monkeypatch):
+        calls = self.count_resolves(monkeypatch)
+        manifest = generate_dataset(2, 3, 48, tmp_path / "out", seed=1)
+        assert calls == [tmp_path / "out" / "images"]
+        monkeypatch.undo()
+        self.check(tmp_path / "out", manifest)
+
+    def test_symlinked_images_directory(self, tmp_path):
+        real = tmp_path / "elsewhere" / "pool"
+        real.mkdir(parents=True)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "images").symlink_to(real, target_is_directory=True)
+        manifest = generate_dataset(2, 2, 48, tmp_path / "out", seed=1)
+        assert all(Path(r.path).parent == real.resolve() for r in manifest.records)
+        self.check(tmp_path / "out", manifest)
+        rel = manifest_path(tmp_path / "out", "train").read_text().splitlines()[1].split(",")[0]
+        assert rel == os.path.join("..", "elsewhere", "pool", "train_00000_c0.ppm")
+
+    def test_reused_out_dir_with_a_symlinked_image(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        generate_dataset(2, 2, 48, out, seed=1)
+        target = tmp_path / "kept.ppm"
+        link = out / "images" / "train_00001_c0.ppm"
+        link.unlink()
+        link.symlink_to(target)
+        write_ppm(target, np.zeros((3, 3, 3), dtype=np.uint8))
+        calls = self.count_resolves(monkeypatch)
+        manifest = generate_dataset(2, 2, 48, out, seed=1)
+        assert calls == [out / "images", link]
+        monkeypatch.undo()
+        assert manifest.records[1].path == str(target.resolve())
+        assert load_image(manifest.records[1]).shape == (48, 48, 3)   # written through the link
+        self.check(out, manifest)
 
 
 class TestPreprocessTrain:
