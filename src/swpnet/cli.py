@@ -220,6 +220,7 @@ def cmd_train(args) -> int:
 
     manifest = datasynth.load_manifest(args.manifest)
     resumed = models.load_checkpoint(args.resume) if args.resume else None
+    past = training.read_history(args.resume) if args.resume else []
     if resumed and (resumed.config.head == "loc_head") != (args.task == "loc"):
         raise UsageError(f"--resume checkpoint head {resumed.config.head!r} "
                          f"does not fit task {args.task!r}")
@@ -241,12 +242,7 @@ def cmd_train(args) -> int:
     train = training.train_localiser if args.task == "loc" else training.train_classifier
     history = train(model, manifest, train_config, preprocess)
     models.save_checkpoint(model, args.out)
-    history_path = Path(str(args.out) + ".history.csv")
-    resumed_history = Path(str(args.resume) + ".history.csv") if args.resume else None
-    if resumed_history and not history_path.exists() and resumed_history.exists():
-        # a resume into a new checkpoint continues the resumed run's history
-        history_path.write_bytes(resumed_history.read_bytes())
-    steps = training.history_to_csv(history, history_path, extend=bool(args.resume))
+    steps = training.write_history(args.out, past, history)
     last = history[-1]
     print(f"checkpoint: {args.out}")
     print(f"epochs: {last.epoch + 1}  steps: {steps}  "

@@ -233,10 +233,20 @@ class DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
+    """Each record's path is written relative to the manifest's directory,
+    with one relpath per image directory."""
     path = Path(path)
     lines = [f"classes={manifest.n_classes} split={manifest.split}"]
+    rel_dirs: dict[str, str] = {}
     for rec in manifest.records:
-        rel = os.path.relpath(rec.path, path.parent)
+        head, name = os.path.split(rec.path)
+        if name in ("", ".", ".."):
+            rel = os.path.relpath(rec.path, path.parent)
+        else:
+            rel_dir = rel_dirs.get(head)
+            if rel_dir is None:
+                rel_dir = rel_dirs[head] = os.path.relpath(head or os.curdir, path.parent)
+            rel = name if rel_dir == os.curdir else os.path.join(rel_dir, name)
         b = rec.box
         lines.append(f"{rel},{rec.class_id},{b.cx!r},{b.cy!r},{b.w!r},{b.h!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,6 +14,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import secrets
 import struct
 import typing
 from dataclasses import dataclass
@@ -368,8 +370,18 @@ def save_checkpoint(model: Model, path) -> None:
     buf.write(struct.pack("<I", len(buffers)))
     for name, data in buffers:
         _write_array(buf, name, data)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    # a temporary file beside the target, moved over it once whole, so a
+    # failed write leaves the old checkpoint as it was
+    target = os.path.realpath(path)
+    tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(buf.getvalue())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:

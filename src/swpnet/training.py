@@ -62,17 +62,53 @@ class EpochStats:
     lr: float
 
 
-def history_to_csv(history: list[EpochStats], path, extend: bool = False) -> int:
-    """Write `epoch,steps,loss,accuracy,lr` rows and return the last row's
-    steps.  With extend, an existing file keeps its rows and the new rows'
-    steps continue from its last row; epochs already continue from the
-    model's trained epochs."""
-    path = Path(path)
-    lines = (path.read_text(encoding="utf-8").rstrip("\n").splitlines() if extend and path.exists()
-             else ["epoch,steps,loss,accuracy,lr"])
-    base = int(lines[-1].split(",")[1]) if len(lines) > 1 else 0
-    lines += [f"{h.epoch},{base + h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+HISTORY_HEADER = "epoch,steps,loss,accuracy,lr"
+
+
+class HistoryError(ValueError):
+    """A run history that a resumed run cannot continue; names `path:line`."""
+
+
+def history_path(checkpoint) -> Path:
+    """The run history kept beside a checkpoint: one row per trained epoch."""
+    return Path(str(checkpoint) + ".history.csv")
+
+
+def read_history(checkpoint) -> list[str]:
+    """The rows of `checkpoint`'s history, which a run resumed from it
+    continues; none when it has no history.  The file must hold the exact
+    header and rows of five fields whose epoch and steps are integers."""
+    path = history_path(checkpoint)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise HistoryError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
+    header, *rows = text.rstrip("\n").split("\n")
+    if header != HISTORY_HEADER:
+        raise HistoryError(f"{path}:1: expected the header {HISTORY_HEADER!r}, got {header!r}")
+    for lineno, row in enumerate(rows, start=2):
+        fields = row.split(",")
+        if len(fields) != 5:
+            raise HistoryError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        for name, value in zip(("epoch", "steps"), fields):
+            if not (value.isascii() and value.isdigit()):
+                raise HistoryError(f"{path}:{lineno}: {name} must be an integer, got {value!r}")
+    return rows
+
+
+def write_history(checkpoint, past: list[str], history: list[EpochStats]) -> int:
+    """Write `checkpoint`'s history: the rows `past` of the run it resumed,
+    then one row per epoch of `history`, whose steps continue from the last
+    of them.  Returns the last row's steps."""
+    base = int(past[-1].split(",")[1]) if past else 0
+    rows = [f"{h.epoch},{base + h.steps},{h.loss!r},{h.accuracy!r},{h.lr!r}" for h in history]
+    history_path(checkpoint).write_text("\n".join([HISTORY_HEADER, *past, *rows]) + "\n",
+                                        encoding="utf-8")
     return base + history[-1].steps
 
 

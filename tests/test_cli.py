@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import re
 import shlex
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
-from swpnet import training
+from swpnet import models, training
 from swpnet.binning import BoundingBox
 from swpnet.cli import build_parser, main
 from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest, save_manifest
@@ -178,6 +179,99 @@ class TestTrain:
         a = train_tiny(tmp_path, manifest, "a.ckpt")
         b = train_tiny(tmp_path, manifest, "b.ckpt")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestResumeHistory:
+    """A resumed run continues one history, its checkpoint's, read before
+    the first step."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("resume")
+        manifest = gen_tiny(root)
+        return manifest, train_tiny(root, manifest, "a.ckpt")
+
+    @staticmethod
+    def resume(manifest, ckpt, out):
+        return main(["train", "--manifest", str(manifest), "--out", str(out), "--resume", str(ckpt),
+                     "--epochs", "1", "--batch-size", "4", "--scale-min", "0.70",
+                     "--scale-max", "0.80", "--seed", "3"])
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("epoch,step,loss,accuracy,lr\n0,3,0.5,50.0,0.01\n", 1),
+        ("epoch,steps,loss,accuracy,lr\n0,3,0.5,50.0,0.01\n1,6,0.4,60.0\n", 3),
+        ("epoch,steps,loss,accuracy,lr\n0,3,0.5,50.0,0.01\n1,six,0.4,60.0,0.001\n", 3),
+    ], ids=["empty", "other-header", "short-row", "non-integer-steps"])
+    def test_bad_history_fails_before_the_first_step(self, run, tmp_path, capsys, monkeypatch,
+                                                     text, line):
+        manifest, first = run
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(first.read_bytes())
+        history = training.history_path(ckpt)
+        history.write_text(text)
+        steps = []
+        step = training._step
+        monkeypatch.setattr(training, "_step", lambda *args: steps.append(1) or step(*args))
+        capsys.readouterr()
+        assert self.resume(manifest, ckpt, ckpt) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {history}:{line}: ")
+        assert captured.out == ""
+        assert steps == []
+        assert ckpt.read_bytes() == first.read_bytes()
+        assert history.read_text() == text
+
+    def test_resume_into_another_runs_checkpoint_continues_the_resumed_history(self, run, tmp_path,
+                                                                              capsys):
+        manifest, first = run
+        out = tmp_path / "b.ckpt"
+        training.history_path(out).write_text("epoch,steps,loss,accuracy,lr\n0,1,9.0,0.0,0.5\n")
+        assert self.resume(manifest, first, out) == 0
+        assert "epochs: 3  steps: 9  " in capsys.readouterr().out
+        resumed = training.history_path(first).read_text()
+        written = training.history_path(out).read_text()
+        assert written.startswith(resumed)
+        assert written[len(resumed):].split(",")[:2] == ["2", "9"]
+        assert written.count("\n") == resumed.count("\n") + 1
+
+    def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, run, tmp_path, capsys,
+                                                             monkeypatch):
+        manifest, first = run
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(first.read_bytes())
+        history = training.history_path(ckpt)
+        history.write_bytes(training.history_path(first).read_bytes())
+
+        class FullDisk:
+            """Takes half of a write, then fails as a full disk does."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_for_models(path, mode="r", *args, **kwargs):
+            f = open(path, mode, *args, **kwargs)
+            return FullDisk(f) if mode[0] in "wxa" else f
+
+        monkeypatch.setattr(models, "open", open_for_models, raising=False)
+        capsys.readouterr()
+        assert self.resume(manifest, ckpt, ckpt) == 1
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and captured.out == ""
+        assert ckpt.read_bytes() == first.read_bytes()
+        assert history.read_bytes() == training.history_path(first).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.history.csv"]
 
 
 class TestEvalAndPipeline:

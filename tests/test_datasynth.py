@@ -496,6 +496,36 @@ class TestWrittenPaths:
         self.check(out, manifest)
 
 
+class TestSavedPaths:
+    """save_manifest writes each record's path relative to the manifest's
+    directory, as os.path.relpath gives it, with one relpath per image
+    directory."""
+
+    @staticmethod
+    def count_relpaths(monkeypatch) -> list:
+        calls = []
+        real = os.path.relpath
+        monkeypatch.setattr(os.path, "relpath", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_one_relpath_per_image_directory(self, tmp_path, monkeypatch):
+        calls = self.count_relpaths(monkeypatch)
+        generate_dataset(2, 3, 48, tmp_path / "out", seed=1)
+        assert calls == [(str((tmp_path / "out" / "images").resolve()), tmp_path / "out")]
+
+    def test_bytes_equal_a_relpath_per_record(self, tmp_path):
+        box = BoundingBox(1.0, 2.0, 3.0, 4.0)
+        paths = [str(tmp_path / "m" / "own.ppm"), str(tmp_path / "m" / "sub" / "a.ppm"),
+                 str(tmp_path / "other" / "b.ppm"), str(tmp_path / "m" / "sub" / "c.ppm"),
+                 "relative.ppm", "dir/./d.ppm", str(tmp_path / "m" / "sub" / ".."), "/e.ppm"]
+        path = tmp_path / "m" / "manifest.txt"
+        path.parent.mkdir()
+        save_manifest(DatasetManifest([ManifestRecord(p, 0, box) for p in paths], 1, "t"), path)
+        assert path.read_text().splitlines()[1:] == [
+            f"{os.path.relpath(p, path.parent)},0,1.0,2.0,3.0,4.0" for p in paths]
+        assert path.read_text().splitlines()[1].startswith("own.ppm,")
+
+
 class TestPreprocessTrain:
     def test_identity_transform(self):
         box = BoundingBox(10, 12, 6, 4)

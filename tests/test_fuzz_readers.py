@@ -1,5 +1,6 @@
-"""Corrupted input for the two file readers: `load_checkpoint` may only
-raise CheckpointError and `load_manifest` only DataSynthError.  Examples are
+"""Corrupted input for the three file readers: `load_checkpoint` may only
+raise CheckpointError, `load_manifest` only DataSynthError and
+`read_history` only HistoryError.  Examples are
 derandomized so a run is repeatable; raise max_examples locally to search
 further."""
 
@@ -14,6 +15,7 @@ from swpnet import models
 from swpnet.datasynth import DatasetManifest, DataSynthError, generate_dataset, load_manifest
 from swpnet.models import CheckpointError, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from swpnet.swp import SWPSpec
+from swpnet.training import HistoryError, history_path, read_history
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -133,3 +135,53 @@ def test_non_utf8_manifest_is_named(tiny_manifest):
     fuzzed.write_bytes(original + "café.ppm,0,1,1,1,1\n".encode("latin-1"))
     with pytest.raises(DataSynthError, match="latin1.txt.*UTF-8"):
         load_manifest(fuzzed)
+
+
+HISTORY = (b"epoch,steps,loss,accuracy,lr\n0,3,0.5,50.0,0.01\n1,6,0.4,62.5,0.001\n"
+           b"2,9,0.375,70.0,0.01\n")
+
+
+# a line of five fields, so the check of each field is reached
+HISTORY_LINE = LINE | st.lists(st.text(st.characters(blacklist_characters=",\n"), max_size=6),
+                               min_size=5, max_size=5).map(lambda fields: ",".join(fields).encode(
+                                   "utf-8", "surrogatepass"))
+
+
+def _read_history_bytes(ckpt, data):
+    history_path(ckpt).write_bytes(data)
+    try:
+        rows = read_history(ckpt)
+    except HistoryError:
+        return
+    assert all(isinstance(row, str) and row.count(",") == 4 for row in rows)
+
+
+@FUZZ
+@given(edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), HISTORY_LINE), min_size=1,
+                      max_size=3),
+       drop=st.booleans())
+def test_history_line_corruption(tmp_path, edits, drop):
+    lines = HISTORY.split(b"\n")
+    for where, line in edits:
+        at = int(where * len(lines))
+        if drop:
+            lines[at] = line
+        else:
+            lines.insert(at, line)
+    _read_history_bytes(tmp_path / "fuzz.ckpt", b"\n".join(lines))
+
+
+def _edit(data: bytearray, edits) -> bytearray:
+    for where, value in edits:
+        data[int(where * len(data))] = value
+    return data
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=200),
+                      st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                               min_size=1, max_size=6).map(
+                          lambda edits: bytes(_edit(bytearray(HISTORY), edits)))))
+def test_history_bytes(tmp_path, data):
+    _read_history_bytes(tmp_path / "fuzz.ckpt", data)
+

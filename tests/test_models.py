@@ -210,6 +210,18 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         assert param_count(loaded) == param_count(model)
 
+    def test_save_replaces_a_symlinks_target_and_leaves_no_temporary_file(self, tmp_path):
+        """The new file is moved over the link's target, so the link keeps
+        pointing at the checkpoint, which holds the new bytes."""
+        kept, link = tmp_path / "kept" / "m.ckpt", tmp_path / "m.ckpt"
+        kept.parent.mkdir()
+        save_checkpoint(build_model(toy_config(), seed=1), kept)
+        link.symlink_to(kept)
+        save_checkpoint(build_model(toy_config(), seed=2), link)
+        save_checkpoint(build_model(toy_config(), seed=2), tmp_path / "direct.ckpt")
+        assert link.is_symlink() and kept.read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+        assert sorted(p.name for p in kept.parent.iterdir()) == ["m.ckpt"]
+
     def test_forward_identical_after_roundtrip(self, tmp_path):
         model = build_model(toy_config(depth_variant=50, width_multiplier=1 / 16), seed=4)
         path = tmp_path / "m.ckpt"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,11 +22,14 @@ from swpnet.training import (
     EpochStats,
     MomentumSGD,
     TrainConfig,
+    HistoryError,
     TrainingDiverged,
-    history_to_csv,
+    history_path,
     lr_at_epoch,
+    read_history,
     train_classifier,
     train_localiser,
+    write_history,
 )
 
 
@@ -102,23 +106,56 @@ class TestTrainClassifier:
                                    tiny_preprocess())
         assert [h.epoch for h in history] == [0, 1]
         assert history[-1].steps == 2 * ((len(tiny_dataset) + 7) // 8)
-        path = tmp_path / "hist.csv"
-        history_to_csv(history, path)
-        lines = path.read_text().splitlines()
+        ckpt = tmp_path / "m.ckpt"
+        assert write_history(ckpt, [], history) == history[-1].steps
+        lines = history_path(ckpt).read_text().splitlines()
         assert lines[0] == "epoch,steps,loss,accuracy,lr"
         assert len(lines) == 3
+        assert read_history(ckpt) == lines[1:]
 
     def test_extended_csv_continues_steps(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        history_to_csv([EpochStats(0, 3, 0.5, 50.0, 0.1), EpochStats(1, 6, 0.4, 60.0, 0.1)], path)
-        history_to_csv([EpochStats(2, 3, 0.3, 70.0, 0.01)], path, extend=True)
-        assert [row.split(",")[:2] for row in path.read_text().splitlines()] == [
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        write_history(a, [], [EpochStats(0, 3, 0.5, 50.0, 0.1), EpochStats(1, 6, 0.4, 60.0, 0.1)])
+        assert write_history(b, read_history(a), [EpochStats(2, 3, 0.3, 70.0, 0.01)]) == 9
+        assert [row.split(",")[:2] for row in history_path(b).read_text().splitlines()] == [
             ["epoch", "steps"], ["0", "3"], ["1", "6"], ["2", "9"]]
 
     def test_extend_without_a_file_writes_a_fresh_one(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        history_to_csv([EpochStats(2, 3, 0.3, 70.0, 0.01)], path, extend=True)
-        assert path.read_text() == "epoch,steps,loss,accuracy,lr\n2,3,0.3,70.0,0.01\n"
+        ckpt = tmp_path / "m.ckpt"
+        assert read_history(ckpt) == []
+        write_history(ckpt, read_history(ckpt), [EpochStats(2, 3, 0.3, 70.0, 0.01)])
+        assert history_path(ckpt).read_text() == "epoch,steps,loss,accuracy,lr\n2,3,0.3,70.0,0.01\n"
+
+    def test_continued_rows_keep_their_bytes(self, tmp_path):
+        """A resumed history is copied row for row, not re-formatted, and a
+        header-only file continues from step 0."""
+        ckpt = tmp_path / "m.ckpt"
+        history_path(ckpt).write_text("epoch,steps,loss,accuracy,lr\n0,3,0.50,x,1e-2\n\n")
+        assert read_history(ckpt) == ["0,3,0.50,x,1e-2"]
+        history_path(ckpt).write_text("epoch,steps,loss,accuracy,lr\n")
+        assert read_history(ckpt) == []
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("", 1, "expected the header"),
+        ("epoch,step,loss,accuracy,lr\n", 1, "expected the header"),
+        ("epoch,steps,loss,accuracy,lr\r\n0,3,0.5,50.0,0.1\r\n", 1, "expected the header"),
+        ("epoch,steps,loss,accuracy,lr\n0,3,0.5,50.0,0.1\n1,6,0.4\n", 3, "expected 5 fields, got 3"),
+        ("epoch,steps,loss,accuracy,lr\n\n0,3,0.5,50.0,0.1\n", 2, "expected 5 fields, got 1"),
+        ("epoch,steps,loss,accuracy,lr\n0,3.0,0.5,50.0,0.1\n", 2, "steps must be an integer, got '3.0'"),
+        ("epoch,steps,loss,accuracy,lr\n-1,3,0.5,50.0,0.1\n", 2, "epoch must be an integer, got '-1'"),
+        ("epoch,steps,loss,accuracy,lr\n0, 3,0.5,50.0,0.1\n", 2, "steps must be an integer"),
+    ])
+    def test_bad_history_is_named(self, tmp_path, text, where, message):
+        ckpt = tmp_path / "m.ckpt"
+        history_path(ckpt).write_text(text)
+        with pytest.raises(HistoryError, match=f"^{re.escape(str(history_path(ckpt)))}:{where}: {message}"):
+            read_history(ckpt)
+
+    def test_non_utf8_history_names_its_line(self, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        history_path(ckpt).write_bytes(b"epoch,steps,loss,accuracy,lr\n0,3,caf\xe9,50.0,0.1\n")
+        with pytest.raises(HistoryError, match=r"m\.ckpt\.history\.csv:2: not UTF-8 text"):
+            read_history(ckpt)
 
     def test_class_count_mismatch(self, tiny_dataset):
         model = build_model(tiny_cls_config(num_classes=5), seed=1)
