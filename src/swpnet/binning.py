@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,15 +54,6 @@ class BoundingBox:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
 
-class LocTarget(NamedTuple):
-    """One bin id per LOC_OUTPUTS entry, in table order."""
-
-    bx: int
-    by: int
-    bw: int
-    bh: int
-
-
 def encode_value(v: float, spec: BinSpec) -> int:
     v = float(v)
     if not math.isfinite(v) or v < 0:
@@ -77,11 +67,12 @@ def decode_bin(b: int, spec: BinSpec) -> float:
     return b * spec.bin_size + spec.bin_size / 2.0
 
 
-def encode_box(box: BoundingBox) -> LocTarget:
-    return LocTarget(*(encode_value(getattr(box, name), spec) for name, spec in LOC_OUTPUTS))
+def encode_box(box: BoundingBox) -> tuple[int, ...]:
+    """One bin id per LOC_OUTPUTS entry, in table order."""
+    return tuple(encode_value(getattr(box, name), spec) for name, spec in LOC_OUTPUTS)
 
 
-def decode_box(target: LocTarget) -> BoundingBox:
+def decode_box(target: tuple[int, ...]) -> BoundingBox:
     return BoundingBox(*(decode_bin(b, spec) for b, (_, spec) in zip(target, LOC_OUTPUTS)))
 
 

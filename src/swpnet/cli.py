@@ -236,8 +236,7 @@ def cmd_train(args) -> int:
         extent = models.feature_map_extent(config)
         swp_spec = swp.SWPSpec(args.swp_masks, extent, extent) if args.swp else None
         preprocess = _train_preprocess(config.input_size, args)
-    model = resumed or models.build_model(config, seed=args.seed, swp_spec=swp_spec,
-                                          fc_nodes=args.fc_nodes)
+    model = resumed or models.Model(config, seed=args.seed, swp_spec=swp_spec, fc_nodes=args.fc_nodes)
 
     train = training.train_localiser if args.task == "loc" else training.train_classifier
     history = train(model, manifest, train_config, preprocess)

@@ -357,6 +357,8 @@ class PreprocessConfig:
 
     The rescale range is a declared default; crop_size must fit inside the
     smallest rescaled image and eval_scale must be at least crop_size.
+    `seed` seeds only `bin_histogram`'s per-record streams: training draws
+    its augmentation from `TrainConfig.seed`, never from this one.
     """
 
     crop_size: int = 224

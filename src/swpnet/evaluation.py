@@ -13,7 +13,6 @@ from .autodiff import Tensor
 from .binning import (
     LOC_OUTPUTS,
     BoundingBox,
-    LocTarget,
     crop_to_box,
     decode_box,
     encode_box,
@@ -93,17 +92,12 @@ class BinErrorStats:
         return "\n".join(lines)
 
 
-def mean_output_accuracy(per_output) -> float:
-    values = tuple(float(v) for v in per_output)
-    if len(values) != len(LOC_OUTPUTS):
-        raise ValueError(f"expected {len(LOC_OUTPUTS)} per-output accuracies")
-    return float(np.mean(values))
-
-
 def loc_metrics(per_output, sample_count: int) -> MetricsReport:
     per_output = tuple(float(v) for v in per_output)
+    if len(per_output) != len(LOC_OUTPUTS):
+        raise ValueError(f"expected {len(LOC_OUTPUTS)} per-output accuracies")
     return MetricsReport(sample_count=sample_count, per_output_accuracy=per_output,
-                         mean_accuracy=mean_output_accuracy(per_output))
+                         mean_accuracy=float(np.mean(per_output)))
 
 
 # -- top-k --------------------------------------------------------------------
@@ -175,7 +169,7 @@ def _evaluate(manifest: DatasetManifest, prepare, run, batch_size: int, lost_cau
     return truths, np.concatenate(rows, axis=0), skipped
 
 
-def _encoded(box: BoundingBox | None) -> LocTarget | None:
+def _encoded(box: BoundingBox | None) -> tuple[int, ...] | None:
     """The box's bins; None for no box or one the codec cannot encode."""
     try:
         return None if box is None else encode_box(box)
@@ -289,7 +283,7 @@ class TwoStagePipeline:
         self.cls_model = cls_model
 
     def _stage_one(self, images: list[np.ndarray], gt_boxes) -> list[tuple]:
-        """(LocTarget, sx, sy, ox, oy) per image."""
+        """(box bins, sx, sy, ox, oy) per image."""
         if self.loc_model is None:
             if gt_boxes is None or any(b is None for b in gt_boxes):
                 raise ValueError("oracle mode needs a ground-truth box per image")
@@ -297,7 +291,7 @@ class TwoStagePipeline:
         cfg = default_eval_config(self.loc_model.config.input_size)
         cropped = [center_crop_transform(image, cfg) for image in images]
         bins = _predicted_bins(self.loc_model, [crop for crop, *_ in cropped])
-        return [(LocTarget(*map(int, row)), *transform) for row, (_, *transform) in zip(bins, cropped)]
+        return [(tuple(map(int, row)), *transform) for row, (_, *transform) in zip(bins, cropped)]
 
     def _stage_two_crop(self, image: np.ndarray, stage_one: tuple
                         ) -> tuple[np.ndarray, PipelineDetails]:

@@ -11,7 +11,6 @@ stage structure and the final spatial map.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import os
@@ -285,11 +284,6 @@ class Model(Module):
         return [block for blocks in self.stages for block in blocks]
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE,
-                swp_spec: SWPSpec | None = None, fc_nodes: int = 1024) -> Model:
-    return Model(config, seed=seed, dtype=dtype, swp_spec=swp_spec, fc_nodes=fc_nodes)
-
-
 def attach_swp_head(model: Model, swp_spec: SWPSpec, fc_nodes: int = 1024) -> Model:
     """Replace a plain average-pool head with swp -> bn -> dense -> classifier,
     keeping every backbone parameter.  The new head draws its weights from
@@ -350,7 +344,7 @@ def _write_array(f, name: str, data: np.ndarray) -> None:
     f.write(struct.pack("<B", data.ndim))
     for extent in data.shape:
         f.write(struct.pack("<I", extent))
-    f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    f.write(np.ascontiguousarray(data, dtype="<f4"))
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -358,18 +352,7 @@ def save_checkpoint(model: Model, path) -> None:
         raise CheckpointError("checkpoints store float32 models only")
     params = model.parameters()
     buffers = model.buffers()
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     echo = json.dumps(_config_echo(model), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf.write(struct.pack("<I", len(echo)))
-    buf.write(echo)
-    buf.write(struct.pack("<I", len(params)))
-    for name, tensor in params:
-        _write_array(buf, name, tensor.data)
-    buf.write(struct.pack("<I", len(buffers)))
-    for name, data in buffers:
-        _write_array(buf, name, data)
     # a temporary file beside the target, moved over it once whole, so a
     # failed write leaves the old checkpoint as it was
     target = os.path.realpath(path)
@@ -377,7 +360,16 @@ def save_checkpoint(model: Model, path) -> None:
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(buf.getvalue())
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(echo)))
+            f.write(echo)
+            f.write(struct.pack("<I", len(params)))
+            for name, tensor in params:
+                _write_array(f, name, tensor.data)
+            f.write(struct.pack("<I", len(buffers)))
+            for name, data in buffers:
+                _write_array(f, name, data)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -385,11 +377,13 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 class _Reader:
+    """Slices of one memoryview of the file's bytes, so reading copies nothing."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError("truncated checkpoint file")
         chunk = self.data[self.pos:self.pos + n]
@@ -408,13 +402,13 @@ class _Reader:
 
 def _read_array(r: _Reader) -> tuple[str, np.ndarray]:
     try:
-        name = r.take(r.u16()).decode("utf-8")
+        name = str(r.take(r.u16()), "utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"array name at byte {r.pos} is not UTF-8") from None
     shape = tuple(r.u32() for _ in range(r.u8()))
     data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4")
     try:
-        return name, data.reshape(shape).astype(np.float32)
+        return name, data.reshape(shape)
     except ValueError:
         raise CheckpointError(f"array {name!r} has an unusable shape {shape}") from None
 
@@ -428,7 +422,7 @@ def load_checkpoint(path) -> Model:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        echo = json.loads(r.take(r.u32()).decode("utf-8"))
+        echo = json.loads(str(r.take(r.u32()), "utf-8"))
     except ValueError as err:
         raise CheckpointError(f"unreadable config echo: {err}") from None
 
@@ -452,6 +446,8 @@ def load_checkpoint(path) -> Model:
     except (ValueError, ad.AutodiffError) as err:
         raise CheckpointError(f"config echo describes no buildable model: {err}") from None
     model.trained_epochs = _typed(echo.get("trained_epochs", 0), int, "config echo 'trained_epochs'")
+    if model.trained_epochs < 0:
+        raise CheckpointError(f"config echo 'trained_epochs' must be at least 0, got {model.trained_epochs}")
 
     stored_params = [_read_array(r) for _ in range(r.u32())]
     stored_buffers = [_read_array(r) for _ in range(r.u32())]

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError(f"lr must not be negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if len(self.loss_weights) != len(LOC_OUTPUTS):
             raise ValueError(f"loss weights need one value per localiser output "
                              f"({len(LOC_OUTPUTS)}), got {len(self.loss_weights)}")

@@ -41,9 +41,9 @@ from swpnet.evaluation import (
 from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, batchnorm, softmax_cross_entropy
 from swpnet.models import (
     Block,
+    Model,
     ModelConfig,
     attach_swp_head,
-    build_model,
     feature_map_extent,
     load_checkpoint,
     param_count,
@@ -167,7 +167,7 @@ def test_criterion_1_gradient_correctness():
         def build_loc(seed):
             cfg = ModelConfig(depth_variant=18, num_classes=2, width_multiplier=1 / 64,
                               input_size=24, head="loc_head")
-            model = build_model(cfg, seed=300 + seed, dtype=np.float64)
+            model = Model(cfg, seed=300 + seed, dtype=np.float64)
             lrng = np.random.default_rng(400 + seed)
             xin = Tensor(lrng.uniform(0, 1, size=(2, 3, 24, 24)), dtype=np.float64)
             targets = [np.array([1, 3]), np.array([0, 2]), np.array([4, 1]), np.array([2, 0])]
@@ -209,7 +209,7 @@ def test_criterion_2_swp_anchors():
         assert swp_param_count(SWPSpec(9, 7, 7)) == 441
 
         cfg = ModelConfig(depth_variant=18, num_classes=4, width_multiplier=1 / 8, input_size=64)
-        model = build_model(cfg, seed=9)
+        model = Model(cfg, seed=9)
         extent = feature_map_extent(cfg)
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(0, 1, size=(2, 3, 64, 64)).astype(np.float32))
@@ -236,10 +236,10 @@ def test_criterion_2_swp_anchors():
 def test_criterion_3_parameter_accounting():
     start = time.perf_counter()
     with criterion(3, "21M / 24M / 43M parameter anchors within 10%"):
-        c34 = param_count(build_model(ModelConfig(depth_variant=34, num_classes=431)))
+        c34 = param_count(Model(ModelConfig(depth_variant=34, num_classes=431)))
         assert abs(c34 - 21e6) <= 0.10 * 21e6, f"ResNet-34 count {c34:,}"
 
-        plain50 = build_model(ModelConfig(depth_variant=50, num_classes=431))
+        plain50 = Model(ModelConfig(depth_variant=50, num_classes=431))
         c50 = param_count(plain50)
         assert abs(c50 - 24e6) <= 0.10 * 24e6, f"ResNet-50 count {c50:,}"
 
@@ -308,7 +308,7 @@ def test_criterion_5_metric_arithmetic():
 
 def _overfit_once(manifest, tmp_path, tag):
     cfg = ModelConfig(depth_variant=50, num_classes=4, width_multiplier=1 / 8, input_size=64)
-    model = build_model(cfg, seed=1)
+    model = Model(cfg, seed=1)
     pre = PreprocessConfig(crop_size=64, eval_scale=73, scale_range=(0.8, 0.8), seed=0)
     tc = TrainConfig(lr=0.02, batch_size=8, max_epochs=200, seed=7, early_stop_accuracy=99.0)
     history = train_classifier(model, manifest, tc, pre)
@@ -352,20 +352,20 @@ def two_stage_bundle(tmp_path_factory):
 
     loc_cfg = ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
                           input_size=64, head="loc_head")
-    loc = build_model(loc_cfg, seed=4)
+    loc = Model(loc_cfg, seed=4)
     train_localiser(loc, train_m,
                     TrainConfig(lr=0.025, batch_size=8, max_epochs=50, seed=14,
                                 loss_weights=(1, 1, 2, 2)), TRAIN_PRE)
 
     cls_cfg = ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8, input_size=64)
-    plain = build_model(cls_cfg, seed=5)
+    plain = Model(cls_cfg, seed=5)
     train_classifier(plain, train_m,
                      TrainConfig(lr=0.02, batch_size=8, max_epochs=60, seed=15,
                                  early_stop_accuracy=100.0), TRAIN_PRE)
 
     box_train = crop_dataset_to_boxes(train_m, root / "train_box", target_size=80,
                                       quantize_boxes=True)
-    boxcls = build_model(cls_cfg, seed=6)
+    boxcls = Model(cls_cfg, seed=6)
     box_pre = PreprocessConfig(crop_size=64, eval_scale=73, scale_range=(0.82, 1.0), seed=2)
     train_classifier(boxcls, box_train,
                      TrainConfig(lr=0.02, batch_size=8, max_epochs=60, seed=16,
@@ -431,14 +431,14 @@ def test_criterion_8_pipeline_direction(two_stage_bundle):
 def test_criterion_9_bench_directionality():
     with criterion(9, "batch-32 >= batch-1, pipeline <= single model, SWP within 10%"):
         cfg = ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 16, input_size=64)
-        plain = build_model(cfg, seed=1)
+        plain = Model(cfg, seed=1)
         extent = feature_map_extent(cfg)
-        swp = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 16,
-                                      input_size=64, head="swp_head"),
-                          seed=1, swp_spec=SWPSpec(9, extent, extent), fc_nodes=64)
-        loc = build_model(ModelConfig(depth_variant=18, num_classes=10,
-                                      width_multiplier=1 / 16, input_size=64,
-                                      head="loc_head"), seed=2)
+        swp = Model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 16,
+                                input_size=64, head="swp_head"),
+                    seed=1, swp_spec=SWPSpec(9, extent, extent), fc_nodes=64)
+        loc = Model(ModelConfig(depth_variant=18, num_classes=10,
+                                width_multiplier=1 / 16, input_size=64,
+                                head="loc_head"), seed=2)
         pipeline = TwoStagePipeline(loc, plain)
         reports = bench_fps_paired({"plain": plain, "swp": swp, "pipeline": pipeline},
                                    batch_sizes=(1, 32), n_images=10000, seed=0)
@@ -462,7 +462,7 @@ def test_criterion_9_bench_directionality():
 def test_criterion_10_round_trips(tmp_path):
     with criterion(10, "checkpoint, dataset, and heatmap round-trips"):
         cfg = ModelConfig(depth_variant=50, num_classes=4, width_multiplier=1 / 16, input_size=64)
-        model = build_model(cfg, seed=3)
+        model = Model(cfg, seed=3)
         rng = np.random.default_rng(0)
         warm = Tensor(rng.uniform(0, 1, size=(4, 3, 64, 64)).astype(np.float32))
         model.forward(warm, train=True)  # non-trivial running stats

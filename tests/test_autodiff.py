@@ -13,7 +13,7 @@ from swpnet.autodiff import (
     grad_check,
 )
 from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, dense
-from swpnet.models import ModelConfig, build_model
+from swpnet.models import Model, ModelConfig
 from swpnet.swp import SWPLayer, SWPSpec
 
 
@@ -244,7 +244,7 @@ class TestRecord:
     def test_untaped_forward_leaves_another_threads_tape_alone(self):
         """Thread B holds an open tape while this thread runs a forward with
         none: B's tape gets no node, and B still records its own ops."""
-        model = build_model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
+        model = Model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 32, 32)).astype(np.float32))
         opened, forward_done = threading.Event(), threading.Event()
         seen = {}

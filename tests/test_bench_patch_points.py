@@ -9,7 +9,7 @@ from conftest import tiny_cls_config, tiny_loc_config
 from swpnet import evaluation, layers
 from swpnet.datasynth import DatasetManifest, generate_dataset
 from swpnet.evaluation import TwoStagePipeline, evaluate_localisation, evaluate_topk
-from swpnet.models import build_model
+from swpnet.models import Model
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,8 +38,8 @@ def test_eval_paths_reach_the_tracer(monkeypatch, tmp_path):
     spans = importlib.import_module("spans")
     full = generate_dataset(2, 3, 48, tmp_path, seed=3, scale_range=(0.55, 0.65), clutter=1)
     manifest = DatasetManifest(full.records[:5], 2, "eval")
-    loc_model = build_model(tiny_loc_config(), seed=1)
-    cls_model = build_model(tiny_cls_config(), seed=2)
+    loc_model = Model(tiny_loc_config(), seed=1)
+    cls_model = Model(tiny_cls_config(), seed=2)
     with spans.Tracer().install() as tracer:
         evaluate_localisation(loc_model, manifest, batch_size=2)
         evaluate_localisation(loc_model, manifest, preprocess="none", batch_size=2)

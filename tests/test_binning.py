@@ -8,7 +8,6 @@ from swpnet.binning import (
     LOCATION_BINS,
     SIZE_BINS,
     BoundingBox,
-    LocTarget,
     bilinear_resize,
     crop_to_box,
     decode_bin,
@@ -72,16 +71,14 @@ class TestEncodeDecode:
 
 class TestBoxCodec:
     def test_encode_example(self):
-        t = encode_box(BoundingBox(84, 84, 140, 140))
-        assert (t.bx, t.by, t.bw, t.bh) == (12, 12, 20, 20)
+        assert encode_box(BoundingBox(84, 84, 140, 140)) == (12, 12, 20, 20)
 
     def test_decode_example(self):
-        b = decode_box(LocTarget(12, 12, 20, 20))
+        b = decode_box((12, 12, 20, 20))
         assert (b.cx, b.cy, b.w, b.h) == pytest.approx((87.5, 87.5, 143.5, 143.5))
 
     def test_width_overflow(self):
-        t = encode_box(BoundingBox(84, 84, 300, 140))
-        assert t.bw == 39
+        assert encode_box(BoundingBox(84, 84, 300, 140)) == (12, 12, 39, 20)
 
     def test_invalid_box(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from swpnet import models, training
 from swpnet.binning import BoundingBox
 from swpnet.cli import build_parser, main
 from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest, save_manifest
-from swpnet.models import build_model, load_checkpoint, save_checkpoint
+from swpnet.models import Model, load_checkpoint, save_checkpoint
 
 
 def tree_digest(root) -> str:
@@ -235,6 +235,22 @@ class TestResumeHistory:
         assert written[len(resumed):].split(",")[:2] == ["2", "9"]
         assert written.count("\n") == resumed.count("\n") + 1
 
+    @pytest.mark.parametrize("into", ["m.ckpt", "out.ckpt"])
+    def test_negative_trained_epochs_fails_before_writing(self, run, tmp_path, capsys, into):
+        manifest, first = run
+        ckpt = tmp_path / "m.ckpt"
+        model = load_checkpoint(first)
+        model.trained_epochs = -2
+        save_checkpoint(model, ckpt)
+        saved = ckpt.read_bytes()
+        capsys.readouterr()
+        assert self.resume(manifest, ckpt, tmp_path / into) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config echo 'trained_epochs' must be at least 0, got -2\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+        assert ckpt.read_bytes() == saved
+
     def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, run, tmp_path, capsys,
                                                              monkeypatch):
         manifest, first = run
@@ -326,7 +342,7 @@ class TestBenchHeatmapBins:
 
     def test_bench_non_finite_forward_exits_1(self, tmp_path, capsys):
         # finite weights, so the checkpoint loads, that overflow to Inf in the forward
-        model = build_model(tiny_cls_config(input_size=32), seed=4)
+        model = Model(tiny_cls_config(input_size=32), seed=4)
         model.stem_conv.weight.data[:] = 3e38
         ckpt = tmp_path / "huge.ckpt"
         save_checkpoint(model, ckpt)
@@ -567,7 +583,7 @@ class TestUnencodableBox:
         manifest.records[3] = ManifestRecord(rec.path, rec.class_id, BoundingBox(-5.0, 20.0, 4.0, 6.0))
         save_manifest(manifest, tmp_path / "m.txt")
         loc = tmp_path / "loc.ckpt"
-        save_checkpoint(build_model(tiny_loc_config(), seed=2), loc)
+        save_checkpoint(Model(tiny_loc_config(), seed=2), loc)
         args = {"eval": ["--ckpt", str(loc), "--raw"],
                 "pipeline": ["--cls", str(swp_run[1]), "--oracle"]}[command]
         assert main([command, "--manifest", str(tmp_path / "m.txt"), "--batch-size", "5", *args]) == 0

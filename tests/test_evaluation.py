@@ -22,12 +22,11 @@ from swpnet.evaluation import (
     evaluate_localisation,
     evaluate_topk,
     loc_metrics,
-    mean_output_accuracy,
     topk_hits,
     topk_predictions,
 )
 from swpnet.imgio import write_ppm
-from swpnet.models import build_model
+from swpnet.models import Model
 
 
 class TestTopK:
@@ -60,8 +59,8 @@ class TestLocMetrics:
         assert report.mean_accuracy == pytest.approx(82.888, abs=1e-3)
 
     def test_mean_requires_four_outputs(self):
-        with pytest.raises(ValueError):
-            mean_output_accuracy((1.0, 2.0))
+        with pytest.raises(ValueError, match="expected 4 per-output accuracies"):
+            loc_metrics((1.0, 2.0), sample_count=2)
 
     def test_perfect_distance_stats(self):
         counts = {name: np.bincount([0, 0, 0], minlength=40) for name in ("cx", "cy", "w", "h")}
@@ -86,13 +85,13 @@ class TestLocMetrics:
 
 class TestEvaluateEndToEnd:
     def test_topk_on_tiny_model(self, tiny_dataset):
-        model = build_model(tiny_cls_config(), seed=1)
+        model = Model(tiny_cls_config(), seed=1)
         report = evaluate_topk(model, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
         assert 0.0 <= report.top1 <= report.top5 <= 100.0
 
     def test_localisation_report_consistent(self, tiny_dataset):
-        model = build_model(tiny_loc_config(), seed=2)
+        model = Model(tiny_loc_config(), seed=2)
         report, stats = evaluate_localisation(model, tiny_dataset)
         assert report.mean_accuracy == pytest.approx(np.mean(report.per_output_accuracy), abs=1e-9)
         for name in ("cx", "cy", "w", "h"):
@@ -111,7 +110,7 @@ class TestEvaluateEndToEnd:
             path = tmp_path / f"{i}.ppm"
             write_ppm(path, rng.integers(0, 256, size=(112, 112, 3), dtype=np.uint8))
             records.append(ManifestRecord(str(path), 0, box))
-        model = build_model(tiny_loc_config(input_size=64), seed=2)
+        model = Model(tiny_loc_config(input_size=64), seed=2)
         report, stats = evaluate_localisation(model, DatasetManifest(records, 2, "eval"))
         assert report.sample_count == 2
         assert report.skipped == 1
@@ -119,7 +118,7 @@ class TestEvaluateEndToEnd:
         assert "skipped: 1" in report.summary().splitlines()
 
     def test_localisation_raw_mode(self, tiny_dataset):
-        model = build_model(tiny_loc_config(), seed=2)
+        model = Model(tiny_loc_config(), seed=2)
         report, _ = evaluate_localisation(model, tiny_dataset, preprocess="none")
         assert report.sample_count == len(tiny_dataset)
 
@@ -130,7 +129,7 @@ class TestEvaluateEndToEnd:
         path = tmp_path / "tall.ppm"
         write_ppm(path, np.zeros((112, 100, 3), dtype=np.uint8))
         box = BoundingBox(49.05, 56.0, 40.0, 40.0)
-        model = build_model(tiny_loc_config(input_size=64), seed=2)
+        model = Model(tiny_loc_config(input_size=64), seed=2)
         centre_x = model.head.outputs[0]      # now predicts bin 3 for every input
         centre_x.weight.data[:] = 0.0
         centre_x.bias.data[:] = 0.0
@@ -140,7 +139,7 @@ class TestEvaluateEndToEnd:
         assert report.per_output_accuracy[0] == 100.0
 
     def test_localisation_rejects_bad_mode(self, tiny_dataset):
-        model = build_model(tiny_loc_config(), seed=2)
+        model = Model(tiny_loc_config(), seed=2)
         with pytest.raises(ValueError):
             evaluate_localisation(model, tiny_dataset, preprocess="sideways")
 
@@ -164,7 +163,7 @@ class TestUnreadableImages:
         return DatasetManifest([bad[0], *recs[:5], bad[1], *recs[5:]], tiny_dataset.n_classes, "eval")
 
     def test_topk_skips_and_counts(self, tiny_dataset, with_bad):
-        model = build_model(tiny_cls_config(), seed=1)
+        model = Model(tiny_cls_config(), seed=1)
         clean = evaluate_topk(model, tiny_dataset, batch_size=4)
         report = evaluate_topk(model, with_bad, batch_size=4)
         assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
@@ -172,7 +171,7 @@ class TestUnreadableImages:
         assert "skipped: 2" in report.summary().splitlines()
 
     def test_localisation_skips_and_counts(self, tiny_dataset, with_bad):
-        model = build_model(tiny_loc_config(), seed=2)
+        model = Model(tiny_loc_config(), seed=2)
         clean, clean_stats = evaluate_localisation(model, tiny_dataset, batch_size=4)
         report, stats = evaluate_localisation(model, with_bad, batch_size=4)
         assert (report.sample_count, report.skipped) == (len(tiny_dataset), 2)
@@ -181,8 +180,8 @@ class TestUnreadableImages:
             npt.assert_array_equal(stats.counts[name], clean_stats.counts[name])
 
     def test_pipeline_skips_and_counts(self, tiny_dataset, with_bad):
-        pipeline = TwoStagePipeline(build_model(tiny_loc_config(), seed=8),
-                                    build_model(tiny_cls_config(input_size=32), seed=9))
+        pipeline = TwoStagePipeline(Model(tiny_loc_config(), seed=8),
+                                    Model(tiny_cls_config(input_size=32), seed=9))
         clean = evaluate_topk(pipeline, tiny_dataset, batch_size=4)
         report = evaluate_topk(pipeline, with_bad, batch_size=4)
         assert report == replace(clean, skipped=2)
@@ -192,11 +191,11 @@ class TestUnreadableImages:
         bad = DatasetManifest([truncated_copy(r, tmp_path / f"bad{i}.ppm")
                                for i, r in enumerate(tiny_dataset.records[:2])], 2, "eval")
         named = r"no record to evaluate: 2 of 2 images do not decode \(first: truncated pixel data in .*bad0\.ppm\)$"
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=9)
         with pytest.raises(ValueError, match=named):
             evaluate_topk(cls_model, bad)
         with pytest.raises(ValueError, match=named):
-            evaluate_localisation(build_model(tiny_loc_config(), seed=2), bad)
+            evaluate_localisation(Model(tiny_loc_config(), seed=2), bad)
         with pytest.raises(ValueError, match=named):
             evaluate_topk(TwoStagePipeline(None, cls_model), bad)
 
@@ -205,7 +204,7 @@ class TestUnreadableImages:
         lost = ManifestRecord(rec.path, rec.class_id, BoundingBox(1.0, 1.0, 2.0, 2.0))
         bad = truncated_copy(rec, tmp_path / "bad.ppm")
         with pytest.raises(ValueError, match=r"1 of 2 images do not decode .* and the eval crop lost 1 of 2 boxes$"):
-            evaluate_localisation(build_model(tiny_loc_config(), seed=2), DatasetManifest([bad, lost], 2, "eval"))
+            evaluate_localisation(Model(tiny_loc_config(), seed=2), DatasetManifest([bad, lost], 2, "eval"))
 
 
 class TestSkipsAcrossBatches:
@@ -230,9 +229,9 @@ class TestSkipsAcrossBatches:
     @pytest.mark.parametrize("kind", ["model", "pipeline", "oracle"])
     def test_topk(self, manifests, batch_size, kind):
         mixed, readable, clean = manifests
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=9)
         target = {"model": cls_model,
-                  "pipeline": TwoStagePipeline(build_model(tiny_loc_config(), seed=8), cls_model),
+                  "pipeline": TwoStagePipeline(Model(tiny_loc_config(), seed=8), cls_model),
                   "oracle": TwoStagePipeline(None, cls_model)}[kind]
         # only the oracle reads the box; the others keep the off-image record
         expected = evaluate_topk(target, clean if kind == "oracle" else readable, batch_size=batch_size)
@@ -243,7 +242,7 @@ class TestSkipsAcrossBatches:
     @pytest.mark.parametrize("preprocess", ["center", "none"])
     def test_localisation(self, manifests, batch_size, preprocess):
         mixed, _, clean = manifests
-        model = build_model(tiny_loc_config(), seed=2)
+        model = Model(tiny_loc_config(), seed=2)
         expected, expected_stats = evaluate_localisation(model, clean, preprocess, batch_size)
         report, stats = evaluate_localisation(model, mixed, preprocess, batch_size)
         assert report == replace(expected, skipped=2)
@@ -255,11 +254,11 @@ class TestSkipsAcrossBatches:
                                      for r in tiny_dataset.records[:2]], 2, "eval")
         named = r"^no record to evaluate: 2 of 2 boxes cannot be encoded$"
         with pytest.raises(ValueError, match=named):
-            evaluate_localisation(build_model(tiny_loc_config(), seed=2), off_image, preprocess="none")
+            evaluate_localisation(Model(tiny_loc_config(), seed=2), off_image, preprocess="none")
         with pytest.raises(ValueError, match=named):
-            evaluate_topk(TwoStagePipeline(None, build_model(tiny_cls_config(), seed=9)), off_image)
+            evaluate_topk(TwoStagePipeline(None, Model(tiny_cls_config(), seed=9)), off_image)
         with pytest.raises(ValueError, match=r"^no record to evaluate: the eval crop lost 2 of 2 boxes$"):
-            evaluate_localisation(build_model(tiny_loc_config(), seed=2), off_image)
+            evaluate_localisation(Model(tiny_loc_config(), seed=2), off_image)
 
 
 class TestStreaming:
@@ -269,9 +268,9 @@ class TestStreaming:
         peak by less than one record's decoded image (about 3-4 KB here, for
         the per-record truths and logit rows; 155 KiB for the classifier and
         336 KiB for the pipeline when every record was prepared first)."""
-        cls_model = build_model(tiny_cls_config(), seed=1)
+        cls_model = Model(tiny_cls_config(), seed=1)
         target = {"model": cls_model,
-                  "pipeline": TwoStagePipeline(build_model(tiny_loc_config(), seed=8), cls_model)}[kind]
+                  "pipeline": TwoStagePipeline(Model(tiny_loc_config(), seed=8), cls_model)}[kind]
         assert peak_growth(lambda manifest: evaluate_topk(target, manifest, batch_size=4),
                            stream_manifests) < STREAM_IMAGE_BYTES
 
@@ -280,7 +279,7 @@ class TestTwoStagePipeline:
     def test_oracle_crop_contains_glyph(self):
         from swpnet.datasynth import synthesize
         samples = synthesize(2, 3, 96, seed=31, scale_range=(0.5, 0.6), center_jitter=0.1)
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=3)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=3)
         pipeline = TwoStagePipeline(None, cls_model)
         for s in samples:
             probs, details = pipeline.predict(s.image, gt_box=s.box, return_details=True)
@@ -291,7 +290,7 @@ class TestTwoStagePipeline:
     def test_enlargement_applied_exactly_once(self):
         rng = np.random.default_rng(5)
         image = rng.integers(0, 255, size=(224, 224, 3), dtype=np.uint8)
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=4)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=4)
         pipeline = TwoStagePipeline(None, cls_model)
         gt = BoundingBox(112, 112, 100, 80)
         _, details = pipeline.predict(image, gt_box=gt, return_details=True)
@@ -301,7 +300,7 @@ class TestTwoStagePipeline:
     def test_oracle_crop_matches_box_crop_dataset(self, tmp_path):
         """The second stage sees, bit for bit, the crops it is trained on."""
         manifest = generate_dataset(2, 2, 64, tmp_path / "raw", seed=17, scale_range=(0.5, 0.6), clutter=1)
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=18)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=18)
         derived = crop_dataset_to_boxes(manifest, tmp_path / "box", target_size=32, quantize_boxes=True)
         pipeline = TwoStagePipeline(None, cls_model)
         for rec, crop_rec in zip(manifest.records, derived.records):
@@ -334,8 +333,8 @@ class TestTwoStagePipeline:
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     def test_single_image_predict(self):
-        loc_model = build_model(tiny_loc_config(), seed=8)
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=9)
+        loc_model = Model(tiny_loc_config(), seed=8)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=9)
         rng = np.random.default_rng(10)
         image = rng.integers(0, 255, size=(64, 64, 3), dtype=np.uint8)
         probs = TwoStagePipeline(loc_model, cls_model).predict(image)
@@ -343,7 +342,7 @@ class TestTwoStagePipeline:
         assert np.isfinite(probs).all()
 
     def test_pipeline_evaluate_topk(self, tiny_dataset):
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=11)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=11)
         pipeline = TwoStagePipeline(None, cls_model)
         report = evaluate_topk(pipeline, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
@@ -357,18 +356,18 @@ def model_outputs(loc_model):
 def corner_box_pipeline():
     """A pipeline whose localiser is rigged to predict the far corner with a
     tiny box, which maps fully outside a small image."""
-    loc_model = build_model(tiny_loc_config(), seed=5)
+    loc_model = Model(tiny_loc_config(), seed=5)
     for layer, hot in zip(model_outputs(loc_model), (24, 24, 0, 0)):
         layer.weight.data[:] = 0.0
         layer.bias.data[:] = 0.0
         layer.bias.data[hot] = 10.0
-    cls_model = build_model(tiny_cls_config(input_size=32), seed=6)
+    cls_model = Model(tiny_cls_config(input_size=32), seed=6)
     return TwoStagePipeline(loc_model, cls_model)
 
 
 class TestBench:
     def test_report_structure(self):
-        model = build_model(tiny_cls_config(input_size=32), seed=12)
+        model = Model(tiny_cls_config(input_size=32), seed=12)
         report = bench_fps_paired({"target": model}, batch_sizes=(1, 4), n_images=24, seed=0)["target"]
         assert set(report.entries) == {1, 4}
         for entry in report.entries.values():
@@ -378,26 +377,26 @@ class TestBench:
         assert "batch 1:" in report.summary()
 
     def test_pipeline_bench_runs(self):
-        loc_model = build_model(tiny_loc_config(), seed=13)
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=14)
+        loc_model = Model(tiny_loc_config(), seed=13)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=14)
         pipeline = TwoStagePipeline(loc_model, cls_model)
         report = bench_fps_paired({"target": pipeline}, batch_sizes=(4,), n_images=8, seed=1)["target"]
         assert report.entries[4].images >= 8
 
     def test_oracle_pipeline_is_rejected_by_name(self):
-        cls_model = build_model(tiny_cls_config(input_size=32), seed=14)
-        model = build_model(tiny_cls_config(input_size=32), seed=12)
+        cls_model = Model(tiny_cls_config(input_size=32), seed=14)
+        model = Model(tiny_cls_config(input_size=32), seed=12)
         targets = {"model": model, "oracle": TwoStagePipeline(None, cls_model)}
         with pytest.raises(ValueError, match="bench target 'oracle' is an oracle pipeline"):
             bench_fps_paired(targets, batch_sizes=(1,), n_images=1)
 
     def test_nan_weight_raises_instead_of_being_timed(self):
-        model = build_model(tiny_cls_config(input_size=32), seed=16)
+        model = Model(tiny_cls_config(input_size=32), seed=16)
         model.stem_conv.weight.data[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericsError, match="conv2d produced a non-finite value"):
             bench_fps_paired({"target": model}, batch_sizes=(1,), n_images=1)
 
     def test_rejects_zero_images(self):
-        model = build_model(tiny_cls_config(input_size=32), seed=15)
+        model = Model(tiny_cls_config(input_size=32), seed=15)
         with pytest.raises(ValueError):
             bench_fps_paired({"target": model}, batch_sizes=(1,), n_images=0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from swpnet import models
 from swpnet.datasynth import DatasetManifest, DataSynthError, generate_dataset, load_manifest
-from swpnet.models import CheckpointError, ModelConfig, build_model, load_checkpoint, save_checkpoint
+from swpnet.models import CheckpointError, Model, ModelConfig, load_checkpoint, save_checkpoint
 from swpnet.swp import SWPSpec
 from swpnet.training import HistoryError, history_path, read_history
 
@@ -27,7 +27,7 @@ def tiny_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
     config = ModelConfig(depth_variant=18, num_classes=3, width_multiplier=1 / 64,
                          input_size=32, head="swp_head")
-    save_checkpoint(build_model(config, seed=1, swp_spec=SWPSpec(2, 1, 1), fc_nodes=4), path)
+    save_checkpoint(Model(config, seed=1, swp_spec=SWPSpec(2, 1, 1), fc_nodes=4), path)
     return path.read_bytes()
 
 

@@ -21,7 +21,7 @@ from swpnet import autodiff as ad
 from swpnet import layers
 from swpnet.autodiff import GradTape, Tensor, backward, grad_check
 from swpnet.layers import BatchNorm, Conv2d, Dense, Pool2d, softmax_cross_entropy
-from swpnet.models import ModelConfig, build_model
+from swpnet.models import Model, ModelConfig
 
 
 def conv_loop_oracle(x, w, b, stride, padding):
@@ -177,8 +177,8 @@ class TestGatherIndexCache:
             return conv2d(x, spec)
 
         monkeypatch.setattr(layers, "conv2d", seen_conv)
-        model = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
-                                        input_size=64), seed=0)
+        model = Model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                                  input_size=64), seed=0)
         rng = np.random.default_rng(0)
         model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
         assert conv_shapes and layers._window_index.cache_info().currsize == len(conv_shapes)
@@ -216,8 +216,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def desk_model():
     """The benchmark's desk classifier shape, randomly initialised."""
-    return build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
-                                   input_size=64), seed=0)
+    return Model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                             input_size=64), seed=0)
 
 
 def gather_spy(monkeypatch):
@@ -696,7 +696,7 @@ class TestFusedBatchNormRelu:
             bn(x, train, relu=True)
 
     def test_model_records_no_separate_relu(self):
-        model = build_model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
+        model = Model(ModelConfig(18, 3, width_multiplier=1 / 16, input_size=32), seed=1)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 32, 32)).astype(np.float32))
         for train in (False, True):
             with GradTape() as tape:

@@ -8,15 +8,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import traced_peak
 from swpnet import layers, models
 from swpnet.autodiff import Tensor
 from swpnet.layers import BatchNorm, Conv2d
 from swpnet.models import (
     CheckpointError,
+    Model,
     ModelBuildError,
     ModelConfig,
     attach_swp_head,
-    build_model,
     feature_map_extent,
     load_checkpoint,
     param_count,
@@ -72,34 +73,34 @@ class TestStagePlan:
 
 class TestForwardShapes:
     def test_resnet34_full_width_431_classes(self):
-        model = build_model(ModelConfig(depth_variant=34, num_classes=431))
+        model = Model(ModelConfig(depth_variant=34, num_classes=431))
         out = model.forward(rand_images(1, 224))
         assert out.shape == (1, 431)
 
     def test_resnet50_eighth_width_forward(self):
-        model = build_model(ModelConfig(depth_variant=50, num_classes=4, width_multiplier=1 / 8))
+        model = Model(ModelConfig(depth_variant=50, num_classes=4, width_multiplier=1 / 8))
         out = model.forward(rand_images(2, 224))
         assert out.shape == (2, 4)
 
     def test_loc_head_output_shapes(self):
         cfg = toy_config(depth_variant=50, head="loc_head", width_multiplier=1 / 8)
-        model = build_model(cfg)
+        model = Model(cfg)
         outs = model.forward(rand_images(3, 64))
         assert [o.shape for o in outs] == [(3, 25), (3, 25), (3, 40), (3, 40)]
 
     def test_loc_head_zero_image_finite(self):
-        model = build_model(toy_config(head="loc_head"))
+        model = Model(toy_config(head="loc_head"))
         outs = model.forward(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
         for o in outs:
             assert np.isfinite(o.data).all()
 
     def test_loc_head_shapes_independent_of_width(self):
-        model = build_model(toy_config(head="loc_head", width_multiplier=1 / 8))
+        model = Model(toy_config(head="loc_head", width_multiplier=1 / 8))
         outs = model.forward(rand_images(1, 64))
         assert [o.shape[1] for o in outs] == [25, 25, 40, 40]
 
     def test_wrong_input_size_rejected(self):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         from swpnet.autodiff import ShapeMismatch
         with pytest.raises(ShapeMismatch):
             model.forward(rand_images(1, 96))
@@ -107,7 +108,7 @@ class TestForwardShapes:
 
 class TestSWPHead:
     def test_attach_replaces_plain_head(self):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         extent = feature_map_extent(model.config)
         attach_swp_head(model, SWPSpec(9, extent, extent), fc_nodes=32)
         assert model.config.head == "swp_head"
@@ -116,18 +117,18 @@ class TestSWPHead:
         assert model.head.outputs[-1].in_features == 32
 
     def test_mask_size_gate(self):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         extent = feature_map_extent(model.config)
         with pytest.raises(ModelBuildError):
             attach_swp_head(model, SWPSpec(9, extent + 1, extent + 1))
 
     def test_attach_requires_plain_head(self):
-        model = build_model(toy_config(head="loc_head"))
+        model = Model(toy_config(head="loc_head"))
         with pytest.raises(ModelBuildError):
             attach_swp_head(model, SWPSpec(9, 2, 2))
 
     def test_backbone_preserved_by_attach(self):
-        model = build_model(toy_config(), seed=5)
+        model = Model(toy_config(), seed=5)
         before = {n: t.data.copy() for n, t in model.parameters() if not n.startswith("head.")}
         extent = feature_map_extent(model.config)
         attach_swp_head(model, SWPSpec(4, extent, extent), fc_nodes=16)
@@ -146,7 +147,7 @@ class TestResidualIdentity:
     def test_zeroed_branches_are_identity(self):
         for depth in (18, 50):
             cfg = toy_config(depth_variant=depth)
-            model = build_model(cfg, seed=3)
+            model = Model(cfg, seed=3)
             for _, bn in model.layers():
                 if isinstance(bn, BatchNorm):
                     bn.running_mean[:] = 0.0
@@ -170,31 +171,31 @@ class TestResidualIdentity:
 
 class TestDeterminism:
     def test_same_config_seed_identical_bytes(self):
-        a = build_model(toy_config(), seed=11)
-        b = build_model(toy_config(), seed=11)
+        a = Model(toy_config(), seed=11)
+        b = Model(toy_config(), seed=11)
         for (na, ta), (nb, tb) in zip(a.parameters(), b.parameters()):
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_different_seed_differs(self):
-        a = build_model(toy_config(), seed=1)
-        b = build_model(toy_config(), seed=2)
+        a = Model(toy_config(), seed=1)
+        b = Model(toy_config(), seed=2)
         assert any(ta.data.tobytes() != tb.data.tobytes()
                    for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()))
 
     def test_parameter_names_unique(self):
-        model = build_model(toy_config(depth_variant=50, head="swp_head"))
+        model = Model(toy_config(depth_variant=50, head="swp_head"))
         names = [n for n, _ in model.parameters()]
         assert len(names) == len(set(names))
 
 
 class TestParamCount:
     def test_additive_over_registry(self):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         assert param_count(model) == sum(t.size for _, t in model.parameters())
 
     def test_excludes_running_stats(self):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         buffer_scalars = sum(b.size for _, b in model.buffers())
         assert buffer_scalars > 0
         assert param_count(model) == sum(t.size for _, t in model.parameters())
@@ -202,7 +203,7 @@ class TestParamCount:
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical_files(self, tmp_path):
-        model = build_model(toy_config(), seed=9)
+        model = Model(toy_config(), seed=9)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, p1)
         loaded = load_checkpoint(p1)
@@ -215,15 +216,15 @@ class TestCheckpoint:
         pointing at the checkpoint, which holds the new bytes."""
         kept, link = tmp_path / "kept" / "m.ckpt", tmp_path / "m.ckpt"
         kept.parent.mkdir()
-        save_checkpoint(build_model(toy_config(), seed=1), kept)
+        save_checkpoint(Model(toy_config(), seed=1), kept)
         link.symlink_to(kept)
-        save_checkpoint(build_model(toy_config(), seed=2), link)
-        save_checkpoint(build_model(toy_config(), seed=2), tmp_path / "direct.ckpt")
+        save_checkpoint(Model(toy_config(), seed=2), link)
+        save_checkpoint(Model(toy_config(), seed=2), tmp_path / "direct.ckpt")
         assert link.is_symlink() and kept.read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
         assert sorted(p.name for p in kept.parent.iterdir()) == ["m.ckpt"]
 
     def test_forward_identical_after_roundtrip(self, tmp_path):
-        model = build_model(toy_config(depth_variant=50, width_multiplier=1 / 16), seed=4)
+        model = Model(toy_config(depth_variant=50, width_multiplier=1 / 16), seed=4)
         path = tmp_path / "m.ckpt"
         # non-trivial running stats so buffers are exercised too
         model.forward(rand_images(4, 64, seed=1), train=True)
@@ -235,7 +236,7 @@ class TestCheckpoint:
     def test_swp_loc_head_roundtrip(self, tmp_path):
         cfg = toy_config(head="loc_head")
         extent = feature_map_extent(cfg)
-        model = build_model(cfg, swp_spec=SWPSpec(3, extent, extent), fc_nodes=16)
+        model = Model(cfg, swp_spec=SWPSpec(3, extent, extent), fc_nodes=16)
         path = tmp_path / "loc.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -256,11 +257,11 @@ class TestCheckpoint:
 
     def test_seedless_model_has_zero_weights(self, monkeypatch):
         monkeypatch.setattr(layers, "he_normal", lambda *a, **k: pytest.fail("drew init values"))
-        model = build_model(toy_config(head="swp_head"), seed=None, swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
+        model = Model(toy_config(head="swp_head"), seed=None, swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
         assert all(not t.data.any() for name, t in model.parameters() if name.endswith(".weight"))
 
     def test_corrupted_magic(self, tmp_path):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
@@ -270,7 +271,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:-20])
@@ -278,7 +279,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        model = build_model(toy_config())
+        model = Model(toy_config())
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
@@ -289,7 +290,7 @@ class TestCheckpoint:
 
     def test_missing_config_key_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_model(toy_config()), path)
+        save_checkpoint(Model(toy_config()), path)
         # rename the key in place so every length field stays valid
         data = path.read_bytes().replace(b'"depth_variant"', b'"depth_varianX"', 1)
         path.write_bytes(data)
@@ -298,7 +299,7 @@ class TestCheckpoint:
 
     def test_unreadable_config_echo_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_model(toy_config()), path)
+        save_checkpoint(Model(toy_config()), path)
         data = bytearray(path.read_bytes())
         data[16] = 0xFF      # first echo byte, after magic, version and length: no longer UTF-8
         path.write_bytes(bytes(data))
@@ -307,7 +308,7 @@ class TestCheckpoint:
 
     def test_non_finite_array_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        model = build_model(toy_config())
+        model = Model(toy_config())
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
         name = b"stages.1.blocks.0.conv1.weight"
@@ -340,7 +341,7 @@ class TestCheckpoint:
     ])
     def test_wrong_config_echo_type_is_named(self, tmp_path, field, value):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_model(toy_config()), path)
+        save_checkpoint(Model(toy_config()), path)
         self._with_echo(path, lambda echo: echo.__setitem__(field, value))
         with pytest.raises(CheckpointError, match=f"config echo '{field}' must be"):
             load_checkpoint(path)
@@ -348,7 +349,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", ["num_masks", "mask_h", "mask_w", "fc_nodes"])
     def test_wrong_swp_extras_type_is_named(self, tmp_path, key):
         path = tmp_path / "m.ckpt"
-        model = build_model(toy_config(head="swp_head"), swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
+        model = Model(toy_config(head="swp_head"), swp_spec=SWPSpec(2, 2, 2), fc_nodes=8)
         save_checkpoint(model, path)
         self._with_echo(path, lambda echo: echo["head_extras"]["swp"].__setitem__(key, 2.5))
         with pytest.raises(CheckpointError, match=f"head_extras.swp '{key}' must be int"):
@@ -356,17 +357,49 @@ class TestCheckpoint:
 
     def test_missing_pre_activation_is_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_model(toy_config()), path)
+        save_checkpoint(Model(toy_config()), path)
         self._with_echo(path, lambda echo: echo.pop("pre_activation"))
         with pytest.raises(CheckpointError, match="config echo lacks 'pre_activation'"):
             load_checkpoint(path)
 
     def test_unbuildable_config_echo_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(build_model(toy_config()), path)
+        save_checkpoint(Model(toy_config()), path)
         self._with_echo(path, lambda echo: echo.__setitem__("depth_variant", 19))
         with pytest.raises(CheckpointError, match="no buildable model.*depth"):
             load_checkpoint(path)
+
+    def test_negative_trained_epochs_is_named(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = Model(toy_config())
+        model.trained_epochs = -2
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="^config echo 'trained_epochs' must be at least 0, got -2$"):
+            load_checkpoint(path)
+
+
+class TestCheckpointMemory:
+    """A save streams each array into the file, and a load copies each array
+    once, from a view of the file's bytes into the model."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model = Model(toy_config(num_classes=10, width_multiplier=1 / 2), seed=0)
+        path = tmp_path_factory.mktemp("memory") / "m.ckpt"
+        save_checkpoint(model, path)
+        assert path.stat().st_size > 5_000_000
+        return model, path
+
+    def test_save_holds_no_copy_of_the_file(self, saved, tmp_path):
+        model, path = saved
+        peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "again.ckpt"))
+        assert peak < path.stat().st_size / 10
+
+    def test_load_holds_the_file_and_the_model_once(self, saved):
+        model, path = saved
+        arrays = sum(t.data.nbytes for _, t in model.parameters()) + sum(b.nbytes for _, b in model.buffers())
+        peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak < 1.1 * (path.stat().st_size + arrays)
 
 
 
@@ -376,20 +409,20 @@ def _registry_variants():
         f"d{depth}_{name}": make
         for depth in (34, 50)
         for name, make in (
-            ("plain", lambda depth=depth: build_model(toy_config(depth_variant=depth), seed=7)),
-            ("loc_head_swp", lambda depth=depth: build_model(toy_config(depth_variant=depth, head="loc_head"),
-                                                             seed=7, swp_spec=SWPSpec(3, extent, extent),
-                                                             fc_nodes=16)),
+            ("plain", lambda depth=depth: Model(toy_config(depth_variant=depth), seed=7)),
+            ("loc_head_swp", lambda depth=depth: Model(toy_config(depth_variant=depth, head="loc_head"),
+                                                       seed=7, swp_spec=SWPSpec(3, extent, extent),
+                                                       fc_nodes=16)),
         )
     }
     return bottleneck | {
-        "plain": lambda: build_model(toy_config(), seed=7),
-        "swp_head": lambda: build_model(toy_config(head="swp_head"), seed=7,
-                                        swp_spec=SWPSpec(4, extent, extent), fc_nodes=16),
-        "loc_head": lambda: build_model(toy_config(head="loc_head"), seed=7),
-        "loc_head_swp": lambda: build_model(toy_config(head="loc_head"), seed=7,
-                                            swp_spec=SWPSpec(3, extent, extent), fc_nodes=16),
-        "plain_attach": lambda: attach_swp_head(build_model(toy_config(), seed=7),
+        "plain": lambda: Model(toy_config(), seed=7),
+        "swp_head": lambda: Model(toy_config(head="swp_head"), seed=7,
+                                  swp_spec=SWPSpec(4, extent, extent), fc_nodes=16),
+        "loc_head": lambda: Model(toy_config(head="loc_head"), seed=7),
+        "loc_head_swp": lambda: Model(toy_config(head="loc_head"), seed=7,
+                                      swp_spec=SWPSpec(3, extent, extent), fc_nodes=16),
+        "plain_attach": lambda: attach_swp_head(Model(toy_config(), seed=7),
                                                 SWPSpec(4, extent, extent), fc_nodes=16),
     }
 
@@ -449,8 +482,8 @@ class TestSharedInference:
     def assert_two_threads_match_single_thread(self, batch):
         layers._window_index.cache_clear()
         extent = feature_map_extent(toy_config())
-        model = build_model(toy_config(head="swp_head"), seed=12,
-                            swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
+        model = Model(toy_config(head="swp_head"), seed=12,
+                      swp_spec=SWPSpec(4, extent, extent), fc_nodes=16)
         model.forward(rand_images(4, 64, seed=1), train=True)   # non-trivial running stats
         inputs = [rand_images(batch, 64, seed=20 + i) for i in range(6)]
         expected = [model.forward(x, train=False).data.tobytes() for x in inputs]

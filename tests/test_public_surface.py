@@ -1,6 +1,7 @@
 """Every public function, class and method in src/swpnet has a caller
 outside the unit tests: a reference in the package itself, in the benchmark
-scripts or in the acceptance suite.  An import alone is not a caller."""
+scripts or in the acceptance suite.  An import alone is not a caller.  And
+no public function is only a second name for another."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,27 @@ def test_every_public_name_has_a_caller_outside_unit_tests():
     assert not unused, f"only unit tests reach {unused}: delete them or call them from the program"
     stale = sorted(set(ALLOWED) - uncalled)
     assert not stale, f"{stale} now have callers or are gone: drop them from ALLOWED"
+
+
+def is_pass_through(fn: ast.FunctionDef) -> bool:
+    """Whether fn's body, after its docstring, is one `return f(...)` that
+    hands on fn's own parameters unchanged and in order."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call, args = body[0].value, fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+              if a is not None]
+    passed = [getattr(v.value if isinstance(v, ast.Starred) else v, "id", None) for v in call.args]
+    passed += [k.value.id if isinstance(k.value, ast.Name) and k.arg in (None, k.value.id) else None
+               for k in call.keywords]
+    return passed == params
+
+
+def test_no_public_function_only_forwards_its_arguments():
+    forwarding = sorted(
+        f"{path.stem}.{node.name}"
+        for path in (ROOT / "src" / "swpnet").glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and is_pass_through(node))
+    assert not forwarding, f"{forwarding} only pass their arguments on: call what they call instead"

@@ -14,8 +14,8 @@ from conftest import STREAM_IMAGE_BYTES, peak_growth, tiny_cls_config, tiny_loc_
 from swpnet.binning import BoundingBox, encode_box
 from swpnet.datasynth import generate_dataset
 from swpnet.models import (
+    Model,
     ModelBuildError,
-    build_model,
     save_checkpoint,
 )
 from swpnet.training import (
@@ -57,6 +57,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_max_epochs_below_one_rejected_by_name(self, epochs):
+        with pytest.raises(ValueError, match=f"^max_epochs must be at least 1, got {epochs}$"):
+            TrainConfig(max_epochs=epochs)
+
     def test_step_decay_schedule(self):
         cfg = TrainConfig(lr=0.1, max_epochs=100)
         assert lr_at_epoch(cfg, 0) == pytest.approx(0.1)
@@ -82,7 +87,7 @@ class TestTrainConfig:
 
 class TestTrainClassifier:
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_dataset):
-        model = build_model(tiny_cls_config(), seed=1)
+        model = Model(tiny_cls_config(), seed=1)
         before = params_bytes(model)
         train_classifier(model, tiny_dataset, TrainConfig(lr=0.0, max_epochs=1, seed=0),
                          tiny_preprocess())
@@ -92,7 +97,7 @@ class TestTrainClassifier:
     def test_same_seed_identical_checkpoints(self, tiny_dataset, tmp_path):
         files = []
         for run in range(2):
-            model = build_model(tiny_cls_config(), seed=3)
+            model = Model(tiny_cls_config(), seed=3)
             train_classifier(model, tiny_dataset, TrainConfig(lr=0.02, max_epochs=2, seed=5),
                              tiny_preprocess())
             path = tmp_path / f"run{run}.ckpt"
@@ -101,7 +106,7 @@ class TestTrainClassifier:
         assert files[0] == files[1]
 
     def test_history_shape_and_csv(self, tiny_dataset, tmp_path):
-        model = build_model(tiny_cls_config(), seed=2)
+        model = Model(tiny_cls_config(), seed=2)
         history = train_classifier(model, tiny_dataset, TrainConfig(max_epochs=2, seed=1),
                                    tiny_preprocess())
         assert [h.epoch for h in history] == [0, 1]
@@ -158,12 +163,12 @@ class TestTrainClassifier:
             read_history(ckpt)
 
     def test_class_count_mismatch(self, tiny_dataset):
-        model = build_model(tiny_cls_config(num_classes=5), seed=1)
+        model = Model(tiny_cls_config(num_classes=5), seed=1)
         with pytest.raises(ModelBuildError):
             train_classifier(model, tiny_dataset, TrainConfig(max_epochs=1), tiny_preprocess())
 
     def test_divergence_reports_epoch(self, tiny_dataset):
-        model = build_model(tiny_cls_config(), seed=1)
+        model = Model(tiny_cls_config(), seed=1)
         with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as exc:
             warnings.simplefilter("always")
             train_classifier(model, tiny_dataset,
@@ -179,7 +184,7 @@ class TestTrainClassifier:
         of a 1-epoch run by less than one record's decoded image (about 2.5 KB
         here; 334 KiB when every image was decoded before the first step)."""
         def run(manifest):
-            train_classifier(build_model(tiny_cls_config(), seed=1), manifest,
+            train_classifier(Model(tiny_cls_config(), seed=1), manifest,
                              TrainConfig(batch_size=4, max_epochs=1, seed=1), tiny_preprocess())
 
         assert peak_growth(run, stream_manifests) < STREAM_IMAGE_BYTES
@@ -187,7 +192,7 @@ class TestTrainClassifier:
 
 class TestTrainLocaliser:
     def test_zero_weight_heads_receive_no_update(self, tiny_dataset):
-        model = build_model(tiny_loc_config(), seed=4)
+        model = Model(tiny_loc_config(), seed=4)
         before = params_bytes(model)
         train_localiser(model, tiny_dataset,
                         TrainConfig(max_epochs=1, seed=2, loss_weights=(1, 1, 0, 0)),
@@ -204,18 +209,17 @@ class TestTrainLocaliser:
         # every box is identical, so the localiser only has to learn constants
         manifest = generate_dataset(2, 5, 32, tmp_path, seed=21,
                                     scale_range=(0.6, 0.6), center_jitter=0.0, clutter=0)
-        model = build_model(tiny_loc_config(), seed=6)
+        model = Model(tiny_loc_config(), seed=6)
         cfg = TrainConfig(lr=0.05, max_epochs=30, seed=3, early_stop_accuracy=100.0)
         pre = tiny_preprocess(crop=32, eval_scale=36, scale_range=(1.0, 1.0))
         history = train_localiser(model, manifest, cfg, pre)
         assert history[-1].accuracy == pytest.approx(100.0)
 
     def test_encode_targets_match_binning(self):
-        t = encode_box(BoundingBox(84, 84, 140, 140))
-        assert (t.bx, t.by, t.bw, t.bh) == (12, 12, 20, 20)
+        assert encode_box(BoundingBox(84, 84, 140, 140)) == (12, 12, 20, 20)
 
     def test_needs_loc_head(self, tiny_dataset):
-        model = build_model(tiny_cls_config(), seed=1)
+        model = Model(tiny_cls_config(), seed=1)
         with pytest.raises(ModelBuildError):
             train_localiser(model, tiny_dataset, TrainConfig(max_epochs=1), tiny_preprocess())
 
@@ -227,10 +231,10 @@ import hashlib
 import swpnet
 import numpy as np
 from swpnet.autodiff import Tensor
-from swpnet.models import ModelConfig, build_model
+from swpnet.models import Model, ModelConfig
 from swpnet.training import MomentumSGD, _step
-model = build_model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
-                                input_size=64), seed=0)
+model = Model(ModelConfig(depth_variant=18, num_classes=10, width_multiplier=1 / 8,
+                          input_size=64), seed=0)
 opt = MomentumSGD([t for _, t in model.parameters()], momentum=0.9, weight_decay=1e-4)
 rng = np.random.default_rng(1)
 batch = Tensor(rng.uniform(size=(8, 3, 64, 64)).astype(np.float32))
