@@ -116,8 +116,8 @@ def _taps(start: int, count: int, src: int, out: int):
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int,
                     window: tuple[int, int, int, int] | None = None) -> np.ndarray:
-    """Separable bilinear resample, rows then columns, in float32; uint8
-    input comes back rounded to uint8.
+    """Separable bilinear resample of a uint8 RGB image, rows then columns,
+    in float32, rounded back to uint8.
 
     window=(top, left, rows, cols) returns only that block of the
     out_h x out_w result, read from just the source rows and columns it
@@ -125,8 +125,8 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int,
     """
     if image.size == 0:
         raise ValueError("empty image")
-    if image.ndim not in (2, 3):
-        raise ValueError(f"expected an [H, W] or [H, W, C] image, got shape {image.shape}")
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
+        raise ValueError(f"expected an [H, W, 3] uint8 image, got shape {image.shape} dtype {image.dtype}")
     out_h, out_w = _integer(out_h, "output height"), _integer(out_w, "output width")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bad output size {out_h}x{out_w}")
@@ -145,28 +145,20 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int,
     # value is src[y0] * (1 - wy) + src[y1] * wy rounded as float32.
     c0 = int(x0[0])
     src = image[:, c0:int(x1[-1]) + 1]
-    if src.ndim == 2:
-        src = src[:, :, None]
-    taps = np.take(src, np.concatenate((y0, y1)), axis=0).astype(np.float32, copy=False)
+    taps = np.take(src, np.concatenate((y0, y1)), axis=0).astype(np.float32)
     near, far = taps[:rows], taps[rows:]
     near *= (1 - wy)[:, None, None]
     far *= wy[:, None, None]
     near += far
 
-    # Column pass: the weights repeat over channels, so each multiply runs
-    # over whole contiguous (column, channel) rows.
-    channels = src.shape[2]
-    out = np.take(near, x0 - c0, axis=1).reshape(rows, cols * channels)
-    right = np.take(near, x1 - c0, axis=1).reshape(rows, cols * channels)
-    out *= np.repeat(1 - wx, channels)
-    right *= np.repeat(wx, channels)
+    # Column pass over whole contiguous (column, channel) rows; each value is
+    # a convex combination of bytes, so rint alone lands it in [0, 255].
+    out = np.take(near, x0 - c0, axis=1).reshape(rows, cols * 3)
+    right = np.take(near, x1 - c0, axis=1).reshape(rows, cols * 3)
+    out *= np.repeat(1 - wx, 3)
+    right *= np.repeat(wx, 3)
     out += right
-    out = out.reshape((rows, cols) + image.shape[2:])
-    if image.dtype == np.uint8:
-        np.rint(out, out=out)
-        np.clip(out, 0, 255, out=out)
-        return out.astype(np.uint8)
-    return out.astype(image.dtype, copy=False)
+    return np.rint(out, out=out).astype(np.uint8).reshape(rows, cols, 3)
 
 
 def largest_side_size(h: int, w: int, target: int) -> tuple[int, int]:
@@ -177,16 +169,12 @@ def largest_side_size(h: int, w: int, target: int) -> tuple[int, int]:
     return max(1, round(h * target / w)), target
 
 
-def resize_largest_side(image: np.ndarray, target: int = 224) -> np.ndarray:
-    """Aspect-preserving resize so the largest side equals `target`, then
-    zero-pad (bottom/right) to a target x target square."""
+def resize_largest_side(image: np.ndarray, target: int) -> np.ndarray:
+    """Aspect-preserving resize of a uint8 RGB image so its largest side
+    equals `target`, then zero-pad (bottom/right) to a target x target square."""
     if image.size == 0:
         raise ValueError("empty image")
     new_h, new_w = largest_side_size(*image.shape[:2], target)
-    resized = bilinear_resize(image, new_h, new_w)
-    if (new_h, new_w) == (target, target):
-        return resized
-    pad_shape = (target, target) + image.shape[2:]
-    out = np.zeros(pad_shape, dtype=image.dtype)
-    out[:new_h, :new_w] = resized
+    out = np.zeros((target, target, 3), dtype=np.uint8)
+    out[:new_h, :new_w] = bilinear_resize(image, new_h, new_w)
     return out

@@ -321,6 +321,8 @@ def load_manifest(path) -> DatasetManifest:
 def _write_dataset(items, n_classes: int, out_dir, split: str) -> DatasetManifest:
     """Write each (image, class_id, box) of items as a PPM under
     out_dir/images, then the split's manifest, and return the manifest."""
+    if not split or any(c.isspace() or c in (",", "/", os.sep) for c in split):   # unreadable by load_manifest
+        raise DataSynthError(f"split tag {split!r} is empty or holds whitespace, a comma or a path separator")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     records, real_dirs = [], {}
@@ -373,6 +375,8 @@ class PreprocessConfig:
             raise DataSynthError(f"eval scale {self.eval_scale} below crop size {self.crop_size}")
         if not 0 < self.scale_range[0] <= self.scale_range[1]:
             raise DataSynthError(f"bad scale range {self.scale_range}")
+        if not math.isfinite(self.scale_range[1]):   # the check above rules out the rest
+            raise DataSynthError(f"scale_range must be finite, got {self.scale_range}")
 
 
 def transform_box(box: BoundingBox, sx: float, sy: float, ox: float, oy: float) -> BoundingBox:

@@ -70,13 +70,12 @@ def swp_forward(features: Tensor, state: SWPLayer) -> Tensor:
     return record((features, state.masks), out.astype(features.data.dtype), bwd, "swp")
 
 
-def swp_heatmap_export(values, layout: tuple[int, int], path) -> np.ndarray:
-    """Min-max normalise a vector to [0, 255] and write it as a binary PGM.
+def swp_heatmap_export(values: np.ndarray, layout: tuple[int, int], path) -> np.ndarray:
+    """Min-max normalise an array to [0, 255] and write it as a binary PGM.
 
     A constant vector maps to uniform mid-gray 128.  Returns the pixel grid.
     """
-    data = values.data if isinstance(values, Tensor) else np.asarray(values)
-    vec = np.asarray(data, dtype=np.float64).reshape(-1)
+    vec = np.asarray(values, dtype=np.float64).reshape(-1)
     rows, cols = int(layout[0]), int(layout[1])
     if rows * cols != vec.size:
         raise ValueError(f"layout {rows}x{cols} cannot hold {vec.size} values")

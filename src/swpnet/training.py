@@ -13,7 +13,7 @@ from .autodiff import GradTape, Tensor
 from .binning import LOC_OUTPUTS, encode_box
 from .datasynth import DatasetManifest, PreprocessConfig, load_image, preprocess_train, to_network_input
 from .layers import softmax_cross_entropy
-from .models import Model, ModelBuildError
+from .models import Model, ModelBuildError, feature_map_extent
 
 
 class TrainingDiverged(RuntimeError):
@@ -38,9 +38,10 @@ class TrainConfig:
     early_stop_accuracy: float | None = None
 
     def __post_init__(self):
-        for name in ("lr", "momentum", "weight_decay"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lr", "momentum", "weight_decay", "early_stop_accuracy"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # lr == 0 is allowed as a degenerate no-op (useful for harness checks)
         if self.lr < 0:
             raise ValueError(f"lr must not be negative, got {self.lr}")
@@ -51,6 +52,8 @@ class TrainConfig:
         if len(self.loss_weights) != len(LOC_OUTPUTS):
             raise ValueError(f"loss weights need one value per localiser output "
                              f"({len(LOC_OUTPUTS)}), got {len(self.loss_weights)}")
+        if not np.isfinite(self.loss_weights).all():
+            raise ValueError(f"loss_weights must be finite, got {self.loss_weights}")
         if any(w < 0 for w in self.loss_weights) or not any(w > 0 for w in self.loss_weights):
             raise ValueError("loss weights must be non-negative with at least one positive")
 
@@ -184,21 +187,26 @@ def _run_epochs(model: Model, manifest: DatasetManifest, config: TrainConfig,
     Each batch decodes its own images, so no more than one batch of them is
     held; an image that does not decode fails the step that reads it."""
     records = manifest.records
+    n, b = len(records), config.batch_size
+    lone = ("the SWP head's batch norm" if model.head.swp is not None else
+            "the final batch norm over a 1x1 feature map" if feature_map_extent(model.config) == 1 else "")
+    if lone and (b == 1 or n % b == 1):   # these see one value per channel of a lone image
+        raise ValueError(f"{n} images in batches of {b} leave a batch of one image, "
+                         f"and {lone} needs at least two")
     class_ids = np.array([r.class_id for r in records], dtype=np.int64)
     rng = np.random.default_rng(config.seed)
     params = [t for _, t in model.parameters()]
     opt = MomentumSGD(params, config.momentum, config.weight_decay)
     history: list[EpochStats] = []
     steps = 0
-    n = len(records)
     epoch_base = model.trained_epochs  # resumed runs continue the numbering
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config, epoch)
         order = rng.permutation(n)
         epoch_loss = 0.0
         hits = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, b):
+            idx = order[start:start + b]
             crops, crop_boxes = [], []
             for i in idx:
                 crop, box = preprocess_train(load_image(records[i]), records[i].box, preprocess, rng)

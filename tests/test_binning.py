@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -152,10 +154,10 @@ class TestResizeLargestSide:
         npt.assert_array_equal(resize_largest_side(img, 224), img)
 
     def test_upscales_small_images(self):
-        img = np.full((10, 10), 77, dtype=np.uint8)
+        img = np.full((10, 10, 3), 77, dtype=np.uint8)
         out = resize_largest_side(img, 224)
-        assert out.shape == (224, 224)
-        npt.assert_array_equal(out, np.full((224, 224), 77, dtype=np.uint8))
+        assert out.shape == (224, 224, 3)
+        npt.assert_array_equal(out, np.full((224, 224, 3), 77, dtype=np.uint8))
 
     def test_bilinear_constant_preserved(self):
         img = np.full((13, 31, 3), 99, dtype=np.uint8)
@@ -163,9 +165,10 @@ class TestResizeLargestSide:
                                np.full((7, 50, 3), 99, dtype=np.uint8))
 
     def test_bilinear_gradient_monotone(self):
-        ramp = np.linspace(0, 255, 64, dtype=np.float32).reshape(1, 64).repeat(4, axis=0)
-        out = bilinear_resize(ramp, 4, 16)
-        assert (np.diff(out[0]) > 0).all()
+        ramp = np.zeros((4, 64, 3), dtype=np.uint8)
+        ramp[:] = np.linspace(0, 255, 64).astype(np.uint8)[:, None]
+        out = bilinear_resize(ramp, 4, 16).astype(np.int64)
+        assert (np.diff(out, axis=1) > 0).all()
 
 
 def reference_bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -174,8 +177,6 @@ def reference_bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.n
         raise ValueError(f"bad output size {out_h}x{out_w}")
     h, w = image.shape[:2]
     src = image.astype(np.float32)
-    if src.ndim == 2:
-        src = src[:, :, None]
 
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
@@ -188,11 +189,7 @@ def reference_bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.n
 
     rows = src[y0] * (1 - wy) + src[y1] * wy
     out = rows[:, x0] * (1 - wx) + rows[:, x1] * wx
-    if image.ndim == 2:
-        out = out[:, :, 0]
-    if image.dtype == np.uint8:
-        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out.astype(image.dtype)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 def edge_windows(out_h: int, out_w: int) -> list[tuple[int, int, int, int]]:
@@ -216,8 +213,11 @@ def oracle_image(dtype, shape, seed: int) -> np.ndarray:
 
 
 class TestBilinearResizeOracle:
-    """Every output pixel, windowed or not, equals the reference's bit for
-    bit; the bytes are compared, so a last-digit rounding change fails."""
+    """Every output pixel of a uint8 RGB image, windowed or not, equals the
+    reference's bit for bit; the bytes are compared, so a last-digit
+    rounding change fails.  The reference clips to [0, 255] before its cast
+    and the resampler does not, so the all-0 and all-255 images pin that
+    rint alone keeps every value in range."""
 
     SIZES = [((9, 13), (20, 31)),      # upscale
              ((40, 37), (11, 9)),      # downscale
@@ -233,6 +233,21 @@ class TestBilinearResizeOracle:
     def test_windows_match_full_reference_slice(self, dtype, channels, src, out):
         shape = src if channels is None else src + (channels,)
         image = oracle_image(dtype, shape, seed=sum(shape))
+        if channels is None or dtype != np.uint8:
+            # only uint8 RGB is resampled; a 2-D or float image is refused by name
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape} dtype {image.dtype}")):
+                bilinear_resize(image, *out)
+            return
+        self.check_windows(image, out)
+
+    @pytest.mark.parametrize("fill", [0, 255])
+    @pytest.mark.parametrize("src, out", SIZES, ids=[f"{s[0]}x{s[1]}-{o[0]}x{o[1]}" for s, o in SIZES])
+    def test_extreme_bytes_match_reference(self, fill, src, out):
+        # three of these all-255 resizes reach 255.00002-255.00003 in float32
+        self.check_windows(np.full(src + (3,), fill, dtype=np.uint8), out)
+
+    @staticmethod
+    def check_windows(image, out):
         full = reference_bilinear_resize(image, *out)
         for top, left, rows, cols in edge_windows(*out):
             got = bilinear_resize(image, *out, window=(top, left, rows, cols))
@@ -242,10 +257,10 @@ class TestBilinearResizeOracle:
         assert bilinear_resize(image, *out).tobytes() == full.tobytes()
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 40), st.integers(1, 40),
-           st.sampled_from([np.uint8, np.float32]), st.integers(0, 2**32 - 1), st.data())
+           st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_random_windows_match_reference(self, h, w, out_h, out_w, dtype, seed, data):
-        image = oracle_image(dtype, (h, w, 3), seed)
+    def test_random_windows_match_reference(self, h, w, out_h, out_w, seed, data):
+        image = oracle_image(np.uint8, (h, w, 3), seed)
         top = data.draw(st.integers(0, out_h - 1))
         left = data.draw(st.integers(0, out_w - 1))
         rows = data.draw(st.integers(1, out_h - top))
@@ -253,19 +268,22 @@ class TestBilinearResizeOracle:
         want = reference_bilinear_resize(image, out_h, out_w)[top:top + rows, left:left + cols]
         assert bilinear_resize(image, out_h, out_w, (top, left, rows, cols)).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("window", [None, (2, 2, 4, 4)])
-    def test_in_place_arithmetic_leaves_a_float32_input_alone(self, window):
-        image = oracle_image(np.float32, (8, 8, 3), seed=1)
-        before = image.copy()
-        out = bilinear_resize(image, 8, 8, window)
-        assert out.flags.c_contiguous and not np.shares_memory(out, image)
-        assert image.tobytes() == before.tobytes()
-
 
 class TestBilinearResizeRejects:
     def test_empty_image(self):
         with pytest.raises(ValueError, match="empty image"):
             bilinear_resize(np.zeros((0, 5, 3), dtype=np.uint8), 4, 4)
+
+    @pytest.mark.parametrize("shape, dtype", [((4, 4, 4), np.uint8), ((4, 4, 1), np.uint8),
+                                              ((4, 4, 3), np.uint16), ((4, 4, 3), np.float64),
+                                              ((2, 4, 4, 3), np.uint8)])
+    def test_other_kinds_named(self, shape, dtype):
+        image = np.zeros(shape, dtype=dtype)
+        message = re.escape(f"expected an [H, W, 3] uint8 image, got shape {shape} dtype {image.dtype}")
+        with pytest.raises(ValueError, match=message):
+            bilinear_resize(image, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            resize_largest_side(image, 3)
 
     @pytest.mark.parametrize("size", [(2.5, 3), (3, 2.0), ("3", 3)])
     def test_non_integer_output_size(self, size):

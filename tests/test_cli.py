@@ -1,5 +1,7 @@
+import dataclasses
 import errno
 import hashlib
+import inspect
 import re
 import shlex
 import warnings
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cls_config, tiny_loc_config
-from swpnet import models, training
+from swpnet import datasynth, evaluation, models, swp, training
 from swpnet.binning import BoundingBox
 from swpnet.cli import build_parser, main
 from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest, save_manifest
@@ -474,6 +476,17 @@ class TestCountFlags:
         assert "usage:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("split", ["my split", "a,b", "", "a/b"])
+    def test_unloadable_split_is_usage_error_and_writes_nothing(self, tmp_path, capsys, split):
+        assert main(["gen-data", "--out-dir", str(tmp_path / "out"), "--per-class", "1",
+                     "--split", split]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: split tag {split!r} is empty or holds "
+                                       f"whitespace, a comma or a path separator\n")
+        assert "usage: swpnet" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRejectedFlagValues:
     """A flag value the library rejects is a usage error for every command."""
@@ -486,7 +499,11 @@ class TestRejectedFlagValues:
         ("train", "--width", "2"),
         ("train", "--input-size", "8"),
         ("train", "--scale-min", "0"),
+        ("train", "--scale-max", "inf"),
+        ("train", "--early-stop", "nan"),
+        ("train", "--early-stop", "inf"),
         ("analyze-bins", "--scale-min", "0"),
+        ("analyze-bins", "--scale-max", "inf"),
         ("analyze-bins", "--crop", "4"),
         ("bench", "--batches", "1,ab"),
         ("bench", "--batches", "0"),
@@ -506,6 +523,30 @@ class TestRejectedFlagValues:
         assert captured.err.startswith("usage error: ") and "usage: swpnet" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestLoneBatch:
+    """Six images in batches of five leave a batch of one, which a 1x1
+    feature map or an SWP head cannot train on: the run fails before its
+    first step and writes nothing."""
+
+    @pytest.mark.parametrize("size, extra, reason", [
+        ("32", [], "the final batch norm over a 1x1 feature map"),
+        ("64", ["--swp"], "the SWP head's batch norm"),
+    ])
+    def test_fails_before_writing(self, tmp_path, capsys, size, extra, reason):
+        assert main(["gen-data", "--classes", "2", "--per-class", "3", "--canvas", "64",
+                     "--out-dir", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--arch", "18", "--width", "0.0625", "--batch-size", "5",
+                     "--input-size", size, "--epochs", "1", *extra,
+                     "--manifest", str(tmp_path / "d" / "train.txt"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: 6 images in batches of 5 leave a batch of one image, "
+                                f"and {reason} needs at least two\n")
+        assert captured.out == ""
+        assert not out.exists() and not Path(str(out) + ".history.csv").exists()
 
 
 class TestHeaderOnlyManifest:
@@ -618,6 +659,50 @@ class TestHelpContract:
         main(["gen-data", "--help"])
         text = capsys.readouterr().out
         assert "default: 99" in text
+
+    def test_flag_defaults_equal_the_library_defaults(self):
+        """A flag that feeds a library setting declares that setting's own
+        default, so the CLI and the library do not drift apart."""
+        parse = build_parser().parse_args
+        gen = parse(["gen-data", "--out-dir", "d"])
+        train = parse(["train", "--manifest", "m", "--out", "o"])
+        bins = parse(["analyze-bins", "--manifest", "m", "--out-prefix", "p"])
+        ev = parse(["eval", "--ckpt", "c", "--manifest", "m"])
+        pipe = parse(["pipeline", "--cls", "c", "--manifest", "m"])
+        bench = parse(["bench", "--ckpt", "c"])
+        config, pre = training.TrainConfig(), datasynth.PreprocessConfig()
+        model = {f.name: f.default for f in dataclasses.fields(models.ModelConfig)}
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        pairs = {
+            "train --lr": (train.lr, config.lr),
+            "train --momentum": (train.momentum, config.momentum),
+            "train --weight-decay": (train.weight_decay, config.weight_decay),
+            "train --batch-size": (train.batch_size, config.batch_size),
+            "train --epochs": (train.epochs, config.max_epochs),
+            "train --scale-min/max": ((train.scale_min, train.scale_max), pre.scale_range),
+            "analyze-bins --scale-min/max": ((bins.scale_min, bins.scale_max), pre.scale_range),
+            "analyze-bins --crop": (bins.crop, pre.crop_size),
+            "gen-data --margin": (gen.margin, default(datasynth.generate_dataset, "similarity_margin")),
+            "gen-data --scale-min/max": ((gen.scale_min, gen.scale_max),
+                                         default(datasynth.generate_dataset, "scale_range")),
+            "gen-data --jitter": (gen.jitter, default(datasynth.generate_dataset, "center_jitter")),
+            "gen-data --clutter": (gen.clutter, default(datasynth.generate_dataset, "clutter")),
+            "gen-data --split": (gen.split, default(datasynth.generate_dataset, "split")),
+            "train --swp-masks": (train.swp_masks, swp.SWPSpec().num_masks),
+            "train --fc-nodes": (train.fc_nodes, default(models.Model, "fc_nodes")),
+            "train --width": (train.width, model["width_multiplier"]),
+            "train --input-size": (train.input_size, model["input_size"]),
+            "eval --batch-size": (ev.batch_size, default(evaluation.evaluate_topk, "batch_size")),
+            "eval --batch-size (localiser)": (ev.batch_size,
+                                              default(evaluation.evaluate_localisation, "batch_size")),
+            "pipeline --batch-size": (pipe.batch_size, default(evaluation.evaluate_topk, "batch_size")),
+            "bench --images": (bench.images, default(evaluation.bench_fps_paired, "n_images")),
+            "bench --batches": (bench.batches, default(evaluation.bench_fps_paired, "batch_sizes")),
+        }
+        assert {name: pair for name, pair in pairs.items() if pair[0] != pair[1]} == {}
 
 
 def readme_commands() -> list[list[str]]:

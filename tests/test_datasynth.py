@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,21 @@ class TestManifests:
         with pytest.raises(DataSynthError, match=r"train\.txt:1: class count must be at least 1"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("split", ["val", "test-2", "eval.v1", "séance"])
+    def test_split_tags_round_trip(self, tmp_path, split):
+        manifest = generate_dataset(2, 1, 64, tmp_path, seed=1, split=split)
+        loaded = load_manifest(manifest_path(tmp_path, split))
+        assert loaded.split == split
+        assert [(r.path, r.class_id, r.box) for r in loaded.records] == \
+            [(r.path, r.class_id, r.box) for r in manifest.records]
+
+    @pytest.mark.parametrize("split", ["", "my split", "a\tb", "a,b", "a/b", "val\n"])
+    def test_unloadable_split_tag_raises_and_writes_nothing(self, tmp_path, split):
+        message = f"split tag {split!r} is empty or holds whitespace, a comma or a path separator"
+        with pytest.raises(DataSynthError, match=f"^{re.escape(message)}$"):
+            generate_dataset(2, 1, 64, tmp_path / "out", seed=1, split=split)
+        assert not (tmp_path / "out").exists()
+
     def test_single_class_subset_round_trips(self, tmp_path):
         manifest = generate_dataset(2, 2, 64, tmp_path / "src", seed=1)
         one = [ManifestRecord(r.path, 0, r.box) for r in manifest.records if r.class_id == 1]
@@ -578,6 +594,11 @@ class TestPreprocessTrain:
             cfg = PreprocessConfig(crop_size=32, eval_scale=32, scale_range=(1.0, 1.0), seed=0)
             crop, adj = preprocess_train(img, box, cfg, np.random.default_rng(seed))
             assert adj.w >= 2 and adj.h >= 2
+
+    @pytest.mark.parametrize("scale_range", [(0.8, float("inf")), (float("inf"), float("inf"))])
+    def test_infinite_scale_range_rejected_by_name(self, scale_range):
+        with pytest.raises(DataSynthError, match=re.escape(f"scale_range must be finite, got {scale_range}")):
+            PreprocessConfig(scale_range=scale_range)
 
     def test_rescale_below_crop_rejected(self):
         img = np.zeros((64, 64, 3), dtype=np.uint8)

@@ -16,8 +16,10 @@ from swpnet.datasynth import generate_dataset
 from swpnet.models import (
     Model,
     ModelBuildError,
+    feature_map_extent,
     save_checkpoint,
 )
+from swpnet.swp import SWPSpec
 from swpnet.training import (
     EpochStats,
     MomentumSGD,
@@ -51,11 +53,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="one value per localiser output"):
             TrainConfig(loss_weights=weights)
 
-    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay", "early_stop_accuracy"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_loss_weight_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"loss_weights must be finite, got (1, 1, {value}, 1)")):
+            TrainConfig(loss_weights=(1, 1, value, 1))
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_max_epochs_below_one_rejected_by_name(self, epochs):
@@ -188,6 +195,40 @@ class TestTrainClassifier:
                              TrainConfig(batch_size=4, max_epochs=1, seed=1), tiny_preprocess())
 
         assert peak_growth(run, stream_manifests) < STREAM_IMAGE_BYTES
+
+
+class TestLoneBatch:
+    """A batch of one image fails a train-mode batch norm that sees one value
+    per channel: an SWP head's, or the final one over a 1x1 feature map.
+    Such a run is refused before its first step."""
+
+    @pytest.mark.parametrize("kind, batch_size, reason", [
+        ("plain", 11, "the final batch norm over a 1x1 feature map"),
+        ("plain", 1, "the final batch norm over a 1x1 feature map"),
+        ("swp", 11, "the SWP head's batch norm"),
+        ("loc", 11, "the final batch norm over a 1x1 feature map"),
+    ])
+    def test_refused_by_name_before_the_first_step(self, tiny_dataset, kind, batch_size, reason):
+        model, train = {
+            "plain": (Model(tiny_cls_config(), seed=1), train_classifier),
+            "swp": (Model(tiny_cls_config(input_size=40, head="swp_head"), seed=1,
+                          swp_spec=SWPSpec(2, 2, 2), fc_nodes=8), train_classifier),
+            "loc": (Model(tiny_loc_config(), seed=1), train_localiser),
+        }[kind]
+        before = params_bytes(model)
+        pre = tiny_preprocess(crop=model.config.input_size, eval_scale=44, scale_range=(0.9, 1.0))
+        with pytest.raises(ValueError, match=f"^12 images in batches of {batch_size} leave a batch "
+                                             f"of one image, and {reason} needs at least two$"):
+            train(model, tiny_dataset, TrainConfig(batch_size=batch_size, max_epochs=1), pre)
+        assert params_bytes(model) == before and model.trained_epochs == 0
+
+    def test_plain_head_over_a_larger_map_trains(self, tiny_dataset):
+        model = Model(tiny_cls_config(input_size=40), seed=1)
+        # README: a final map is 1x1 for inputs of 16 to 36 px
+        assert [feature_map_extent(tiny_cls_config(input_size=s)) for s in (16, 36, 37, 40)] == [1, 1, 2, 2]
+        history = train_classifier(model, tiny_dataset, TrainConfig(batch_size=11, max_epochs=1),
+                                   tiny_preprocess(crop=40, eval_scale=44, scale_range=(0.9, 1.0)))
+        assert history[-1].steps == 2
 
 
 class TestTrainLocaliser:
