@@ -251,6 +251,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = models.load_checkpoint(args.ckpt)
+    if args.raw and model.config.head != "loc_head":
+        raise UsageError(f"--raw needs a localiser checkpoint; {args.ckpt} has head {model.config.head!r}")
     manifest = datasynth.load_manifest(args.manifest)
     if model.config.head == "loc_head":
         mode = "none" if args.raw else "center"
@@ -267,6 +269,8 @@ def cmd_eval(args) -> int:
 def cmd_pipeline(args) -> int:
     if not args.oracle and args.loc is None:
         raise UsageError("pipeline needs --loc, or --oracle to crop to ground-truth boxes")
+    if args.oracle and args.loc is not None:
+        raise UsageError("--oracle crops to ground-truth boxes and takes no --loc")
     loc_model = None if args.oracle else models.load_checkpoint(args.loc)
     cls_model = models.load_checkpoint(args.cls)
     manifest = datasynth.load_manifest(args.manifest)

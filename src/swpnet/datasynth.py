@@ -232,26 +232,6 @@ class DatasetManifest:
         return len(self.records)
 
 
-def save_manifest(manifest: DatasetManifest, path) -> None:
-    """Each record's path is written relative to the manifest's directory,
-    with one relpath per image directory."""
-    path = Path(path)
-    lines = [f"classes={manifest.n_classes} split={manifest.split}"]
-    rel_dirs: dict[str, str] = {}
-    for rec in manifest.records:
-        head, name = os.path.split(rec.path)
-        if name in ("", ".", ".."):
-            rel = os.path.relpath(rec.path, path.parent)
-        else:
-            rel_dir = rel_dirs.get(head)
-            if rel_dir is None:
-                rel_dir = rel_dirs[head] = os.path.relpath(head or os.curdir, path.parent)
-            rel = name if rel_dir == os.curdir else os.path.join(rel_dir, name)
-        b = rec.box
-        lines.append(f"{rel},{rec.class_id},{b.cx!r},{b.cy!r},{b.w!r},{b.h!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _resolve_image(base: Path, rel: str, real_dirs: dict[str, str]) -> str:
     """str((base / rel).resolve()) for a manifest record's image, or a
     DataSynthError when the image is missing.  real_dirs caches each
@@ -318,22 +298,27 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(records, n_classes, header.get("split", "train"))
 
 
+def _check_split(split: str) -> None:
+    """Reject a split tag load_manifest could not read back, before any
+    image is rendered, cropped or written."""
+    if not split or any(c.isspace() or c in (",", "/", os.sep) for c in split):
+        raise DataSynthError(f"split tag {split!r} is empty or holds whitespace, a comma or a path separator")
+
+
 def _write_dataset(items, n_classes: int, out_dir, split: str) -> DatasetManifest:
     """Write each (image, class_id, box) of items as a PPM under
-    out_dir/images, then the split's manifest, and return the manifest."""
-    if not split or any(c.isspace() or c in (",", "/", os.sep) for c in split):   # unreadable by load_manifest
-        raise DataSynthError(f"split tag {split!r} is empty or holds whitespace, a comma or a path separator")
+    out_dir/images, and the split's manifest naming it images/<file>; return
+    what load_manifest reads back from that manifest."""
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    records, real_dirs = [], {}
+    lines = [f"classes={n_classes} split={split}"]
     for idx, (image, class_id, box) in enumerate(items):
-        rel = os.path.join("images", f"{split}_{idx:05d}_c{class_id}.ppm")
+        rel = f"images/{split}_{idx:05d}_c{class_id}.ppm"
         write_ppm(out_dir / rel, image)
-        # the reader's rule, so a record's path is the one load_manifest gives
-        records.append(ManifestRecord(_resolve_image(out_dir, rel, real_dirs), class_id, box))
-    manifest = DatasetManifest(records, n_classes, split)
-    save_manifest(manifest, manifest_path(out_dir, split))
-    return manifest
+        lines.append(f"{rel},{class_id},{box.cx!r},{box.cy!r},{box.w!r},{box.h!r}")
+    path = manifest_path(out_dir, split)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_manifest(path)
 
 
 def generate_dataset(n_classes: int, per_class: int, canvas: int, out_dir,
@@ -341,7 +326,9 @@ def generate_dataset(n_classes: int, per_class: int, canvas: int, out_dir,
                      scale_range: tuple[float, float] = (0.45, 0.70),
                      center_jitter: float = 0.10, clutter: int = 3) -> DatasetManifest:
     """Render, then write PPM images plus a manifest file, and return the
-    manifest.  Bad arguments raise DataSynthError before anything is written."""
+    manifest.  Bad arguments raise DataSynthError before anything is
+    rendered or written."""
+    _check_split(split)
     samples = synthesize(n_classes, per_class, canvas, similarity_margin, seed,
                          scale_range, center_jitter, clutter)
     return _write_dataset(((s.image, s.class_id, s.box) for s in samples), n_classes, out_dir, split)
@@ -511,10 +498,15 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
 
     Every record is cropped, and its crop (target_size² × 3 bytes) held,
     before anything is written: a box that misses its image raises
-    DataSynthError naming the record, and writes nothing.
+    DataSynthError naming the record, and writes nothing.  An empty manifest
+    or an unloadable split tag raises before the first crop.
     """
     from .evaluation import box_crop   # evaluation imports this module
 
+    split = f"{manifest.split}_boxcrop"
+    _check_split(split)
+    if not manifest.records:
+        raise DataSynthError("manifest has no records to crop")
     full = BoundingBox(target_size / 2.0, target_size / 2.0, float(target_size), float(target_size))
     items = []
     for rec in manifest.records:
@@ -525,4 +517,4 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
         except ValueError as err:
             raise DataSynthError(f"{rec.path}: box {rec.box} gives no crop: {err}") from None
         items.append((crop, rec.class_id, full))
-    return _write_dataset(items, manifest.n_classes, out_dir, f"{manifest.split}_boxcrop")
+    return _write_dataset(items, manifest.n_classes, out_dir, split)

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from pathlib import Path
 
 import swpnet  # noqa: F401  (first: it pins BLAS to one thread before numpy loads, as the CLI does)
 
@@ -23,6 +24,15 @@ def tiny_loc_config(input_size=32, depth=18, width=1 / 16):
 def tiny_preprocess(crop=32, eval_scale=36, scale_range=(0.70, 0.80), seed=0):
     return PreprocessConfig(crop_size=crop, eval_scale=eval_scale,
                             scale_range=scale_range, seed=seed)
+
+
+def write_manifest(manifest: DatasetManifest, path) -> None:
+    """A manifest file for records a test built, each line naming its image
+    by the record's own path."""
+    lines = [f"classes={manifest.n_classes} split={manifest.split}"]
+    lines += [f"{r.path},{r.class_id},{r.box.cx!r},{r.box.cy!r},{r.box.w!r},{r.box.h!r}"
+              for r in manifest.records]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def traced_peak(fn) -> int:

@@ -4,17 +4,18 @@ import hashlib
 import inspect
 import re
 import shlex
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import tiny_cls_config, tiny_loc_config
+from conftest import tiny_cls_config, tiny_loc_config, write_manifest
 from swpnet import datasynth, evaluation, models, swp, training
 from swpnet.binning import BoundingBox
 from swpnet.cli import build_parser, main
-from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest, save_manifest
+from swpnet.datasynth import DatasetManifest, ManifestRecord, load_manifest
 from swpnet.models import Model, load_checkpoint, save_checkpoint
 
 
@@ -70,6 +71,25 @@ class TestGenData:
 
     def test_unknown_flag_exits_2(self, tmp_path):
         assert main(["gen-data", "--does-not-exist", "1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_tree_under_a_symlinked_directory_moves_whole(self, tmp_path, capsys):
+        """Each manifest line names images/<file>, so a copy of the tree
+        loads after the tree it was copied from is gone."""
+        (tmp_path / "real").mkdir()
+        (tmp_path / "lnk").symlink_to(tmp_path / "real", target_is_directory=True)
+        assert main(["gen-data", "--classes", "2", "--per-class", "1", "--canvas", "64",
+                     "--out-dir", str(tmp_path / "lnk" / "ds")]) == 0
+        lines = (tmp_path / "real" / "ds" / "train.txt").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["images/train_00000_c0.ppm",
+                                                          "images/train_00001_c1.ppm"]
+        shutil.copytree(tmp_path / "real" / "ds", tmp_path / "copy")
+        shutil.rmtree(tmp_path / "real")
+        capsys.readouterr()
+        assert main(["analyze-bins", "--manifest", str(tmp_path / "copy" / "train.txt"),
+                     "--out-prefix", str(tmp_path / "hist")]) == 0
+        assert "(total 2)" in capsys.readouterr().out
+        assert [r.path for r in load_manifest(tmp_path / "copy" / "train.txt").records] == \
+            [str((tmp_path / "copy" / line.split(",")[0]).resolve()) for line in lines]
 
 
 class TestTrain:
@@ -325,6 +345,26 @@ class TestEvalAndPipeline:
         assert code == 0
         assert "top-1" in capsys.readouterr().out
 
+    def test_raw_on_a_classifier_is_usage_error(self, tmp_path, swp_run, capsys):
+        manifest, ckpt = swp_run
+        assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--raw"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: --raw needs a localiser checkpoint; {ckpt} "
+                                       "has head 'swp_head'\n")
+        assert captured.out == ""
+        # the head is known only once the checkpoint loads
+        assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--manifest", str(manifest),
+                     "--raw"]) == 1
+
+    def test_oracle_with_loc_is_usage_error(self, tmp_path, swp_run, capsys):
+        manifest, ckpt = swp_run
+        assert main(["pipeline", "--cls", str(ckpt), "--manifest", str(manifest), "--oracle",
+                     "--loc", str(tmp_path / "none.ckpt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --oracle crops to ground-truth boxes "
+                                       "and takes no --loc\n")
+        assert captured.out == ""
+
     def test_pipeline_without_loc_or_oracle_is_usage_error(self, tmp_path, capsys):
         # the flags are checked before any file is read
         assert main(["pipeline", "--cls", str(tmp_path / "c.ckpt"),
@@ -440,8 +480,7 @@ class TestCountFlags:
             "train": ["--manifest", str(manifest), "--out", str(out), "--arch", "18",
                       "--width", "0.0625", "--input-size", "32"],
             "eval": ["--ckpt", str(ckpt), "--manifest", str(manifest)],
-            "pipeline": ["--loc", str(ckpt), "--cls", str(ckpt), "--manifest", str(manifest),
-                         "--oracle"],
+            "pipeline": ["--cls", str(ckpt), "--manifest", str(manifest), "--oracle"],
             "heatmap": ["--ckpt", str(ckpt), "--manifest", str(manifest), "--out-dir", str(out)],
             "gen-data": ["--out-dir", str(out)],
             "analyze-bins": ["--manifest", str(manifest), "--out-prefix", str(out), "--preprocess"],
@@ -579,7 +618,7 @@ class TestTruncatedImage:
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(Path(rec.path).read_bytes()[:-3])
         manifest.records[0] = ManifestRecord(str(bad), rec.class_id, rec.box)
-        save_manifest(manifest, tmp_path / "bad.txt")
+        write_manifest(manifest, tmp_path / "bad.txt")
         return tmp_path / "bad.txt", len(manifest.records)
 
     @pytest.mark.parametrize("command", ["eval", "pipeline"])
@@ -600,7 +639,7 @@ class TestTruncatedImage:
         first = load_manifest(bad_manifest[0])
         recs = first.records
         last = tmp_path / "bad_last.txt"
-        save_manifest(DatasetManifest([*recs[1:], recs[0]], first.n_classes, first.split), last)
+        write_manifest(DatasetManifest([*recs[1:], recs[0]], first.n_classes, first.split), last)
         for manifest, name, steps_run in ((bad_manifest[0], "first.ckpt", 0), (last, "last.ckpt", 2)):
             out = tmp_path / name
             steps.clear()
@@ -622,7 +661,7 @@ class TestUnencodableBox:
         manifest = load_manifest(swp_run[0])
         rec = manifest.records[3]
         manifest.records[3] = ManifestRecord(rec.path, rec.class_id, BoundingBox(-5.0, 20.0, 4.0, 6.0))
-        save_manifest(manifest, tmp_path / "m.txt")
+        write_manifest(manifest, tmp_path / "m.txt")
         loc = tmp_path / "loc.ckpt"
         save_checkpoint(Model(tiny_loc_config(), seed=2), loc)
         args = {"eval": ["--ckpt", str(loc), "--raw"],

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import re
 from pathlib import Path
 
@@ -8,8 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import traced_peak
-from swpnet import datasynth
+from conftest import traced_peak, write_manifest
+from swpnet import datasynth, evaluation
 from swpnet.binning import BoundingBox
 from swpnet.datasynth import (
     DataSynthError,
@@ -27,7 +26,6 @@ from swpnet.datasynth import (
     preprocess_train,
     render_glyph,
     save_histograms,
-    save_manifest,
     synthesize,
     to_network_input,
     transform_box,
@@ -372,16 +370,24 @@ class TestManifests:
             [(r.path, r.class_id, r.box) for r in manifest.records]
 
     @pytest.mark.parametrize("split", ["", "my split", "a\tb", "a,b", "a/b", "val\n"])
-    def test_unloadable_split_tag_raises_and_writes_nothing(self, tmp_path, split):
+    def test_unloadable_split_tag_raises_and_writes_nothing(self, tmp_path, monkeypatch, split):
+        monkeypatch.setattr(datasynth, "synthesize", lambda *a, **k: pytest.fail("rendered"))
         message = f"split tag {split!r} is empty or holds whitespace, a comma or a path separator"
         with pytest.raises(DataSynthError, match=f"^{re.escape(message)}$"):
             generate_dataset(2, 1, 64, tmp_path / "out", seed=1, split=split)
         assert not (tmp_path / "out").exists()
 
+    def test_returned_manifest_is_what_the_reader_reads(self, tmp_path):
+        manifest = generate_dataset(3, 2, 64, tmp_path / "src", seed=1, split="val")
+        assert manifest == load_manifest(manifest_path(tmp_path / "src", "val"))
+        derived = crop_dataset_to_boxes(manifest, tmp_path / "dst", 32, quantize_boxes=True)
+        assert derived == load_manifest(manifest_path(tmp_path / "dst", "val_boxcrop"))
+        assert (len(derived), derived.n_classes, derived.split) == (6, 3, "val_boxcrop")
+
     def test_single_class_subset_round_trips(self, tmp_path):
         manifest = generate_dataset(2, 2, 64, tmp_path / "src", seed=1)
         one = [ManifestRecord(r.path, 0, r.box) for r in manifest.records if r.class_id == 1]
-        save_manifest(DatasetManifest(one, 1, manifest.split), tmp_path / "one.txt")
+        write_manifest(DatasetManifest(one, 1, manifest.split), tmp_path / "one.txt")
         loaded = load_manifest(tmp_path / "one.txt")
         assert loaded.n_classes == 1
         assert [r.class_id for r in loaded.records] == [0, 0]
@@ -459,9 +465,9 @@ class TestManifestPaths:
 
 
 class TestWrittenPaths:
-    """generate_dataset records each image under the reader's rule: the path
-    load_manifest gives, str(path.resolve()), with one resolve of the images
-    directory and a full resolve only for a symlinked image."""
+    """generate_dataset returns what load_manifest reads back: each image's
+    path is str(path.resolve()), with one resolve of the images directory
+    and a full resolve only for a symlinked image."""
 
     @staticmethod
     def count_resolves(monkeypatch) -> list:
@@ -493,7 +499,7 @@ class TestWrittenPaths:
         assert all(Path(r.path).parent == real.resolve() for r in manifest.records)
         self.check(tmp_path / "out", manifest)
         rel = manifest_path(tmp_path / "out", "train").read_text().splitlines()[1].split(",")[0]
-        assert rel == os.path.join("..", "elsewhere", "pool", "train_00000_c0.ppm")
+        assert rel == "images/train_00000_c0.ppm"
 
     def test_reused_out_dir_with_a_symlinked_image(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -510,36 +516,6 @@ class TestWrittenPaths:
         assert manifest.records[1].path == str(target.resolve())
         assert load_image(manifest.records[1]).shape == (48, 48, 3)   # written through the link
         self.check(out, manifest)
-
-
-class TestSavedPaths:
-    """save_manifest writes each record's path relative to the manifest's
-    directory, as os.path.relpath gives it, with one relpath per image
-    directory."""
-
-    @staticmethod
-    def count_relpaths(monkeypatch) -> list:
-        calls = []
-        real = os.path.relpath
-        monkeypatch.setattr(os.path, "relpath", lambda *a: calls.append(a) or real(*a))
-        return calls
-
-    def test_one_relpath_per_image_directory(self, tmp_path, monkeypatch):
-        calls = self.count_relpaths(monkeypatch)
-        generate_dataset(2, 3, 48, tmp_path / "out", seed=1)
-        assert calls == [(str((tmp_path / "out" / "images").resolve()), tmp_path / "out")]
-
-    def test_bytes_equal_a_relpath_per_record(self, tmp_path):
-        box = BoundingBox(1.0, 2.0, 3.0, 4.0)
-        paths = [str(tmp_path / "m" / "own.ppm"), str(tmp_path / "m" / "sub" / "a.ppm"),
-                 str(tmp_path / "other" / "b.ppm"), str(tmp_path / "m" / "sub" / "c.ppm"),
-                 "relative.ppm", "dir/./d.ppm", str(tmp_path / "m" / "sub" / ".."), "/e.ppm"]
-        path = tmp_path / "m" / "manifest.txt"
-        path.parent.mkdir()
-        save_manifest(DatasetManifest([ManifestRecord(p, 0, box) for p in paths], 1, "t"), path)
-        assert path.read_text().splitlines()[1:] == [
-            f"{os.path.relpath(p, path.parent)},0,1.0,2.0,3.0,4.0" for p in paths]
-        assert path.read_text().splitlines()[1].startswith("own.ppm,")
 
 
 class TestPreprocessTrain:
@@ -834,3 +810,16 @@ class TestBoxCropDataset:
         assert bad.path in str(err.value)
         assert str(records[2].box) in str(err.value)
         assert not (tmp_path / "dst").exists()   # no PPM, no manifest, no directory
+
+    @pytest.mark.parametrize("split, n_records, message", [
+        ("a b", 2, "split tag 'a b_boxcrop' is empty or holds whitespace"),
+        ("train", 0, "manifest has no records to crop"),
+    ])
+    def test_refused_before_the_first_crop(self, tmp_path, monkeypatch, split, n_records, message):
+        source = generate_dataset(2, 1, 48, tmp_path / "src", seed=1)
+        monkeypatch.setattr(evaluation, "box_crop", lambda *a, **k: pytest.fail("cropped"))
+        (tmp_path / "dst").mkdir()
+        with pytest.raises(DataSynthError, match=f"^{message}"):
+            crop_dataset_to_boxes(DatasetManifest(source.records[:n_records], 2, split),
+                                  tmp_path / "dst", target_size=32)
+        assert list((tmp_path / "dst").iterdir()) == []

@@ -21,3 +21,18 @@ def test_lane_scaling_reports_the_host_gemms_and_forwards():
         assert batch["ms_1_lane"] > 0 and batch["ms_lanes"] > 0
         assert 0 <= batch["lanes_faster_rounds"] <= 2
         assert batch["byte_equal"]
+
+
+def test_artifact_digest_covers_the_recipe():
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), "--root", str(ROOT)],
+                         capture_output=True, text=True, timeout=600, check=True)
+    report = json.loads(run.stdout)
+    assert [line.split()[0] for line in report["commands"]] == [
+        "gen-data", "gen-data", "train", "train", "train", "eval", "eval", "pipeline", "pipeline",
+        "heatmap", "analyze-bins"]
+    assert all(c["exit"] == 0 and len(c["stdout_sha256"]) == 64 for c in report["commands"].values())
+    files = report["files"]
+    for name in ("data/train.txt", "data/eval.txt", "data/images/train_00000_c0.ppm", "cls.ckpt",
+                 "swp.ckpt", "loc.ckpt.history.csv", "bins/train_cx.csv"):
+        assert len(files[name]) == 64
+    assert sum(name.startswith("heat/") for name in files) == 2
