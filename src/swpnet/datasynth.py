@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -292,10 +293,14 @@ def load_manifest(path) -> DatasetManifest:
         records.append(ManifestRecord(img_path, class_id, box))
     if not records:
         raise DataSynthError(f"{path}: manifest has no records")
+    _check_class_ids(records, n_classes)
+    return DatasetManifest(records, n_classes, header.get("split", "train"))
+
+
+def _check_class_ids(records: list[ManifestRecord], n_classes: int) -> None:
     ids = {r.class_id for r in records}
     if min(ids) < 0 or max(ids) >= n_classes:
         raise DataSynthError(f"class ids {sorted(ids)} not dense in [0, {n_classes})")
-    return DatasetManifest(records, n_classes, header.get("split", "train"))
 
 
 def _check_split(split: str) -> None:
@@ -308,14 +313,21 @@ def _check_split(split: str) -> None:
 def _write_dataset(items, n_classes: int, out_dir, split: str) -> DatasetManifest:
     """Write each (image, class_id, box) of items as a PPM under
     out_dir/images, and the split's manifest naming it images/<file>; return
-    what load_manifest reads back from that manifest."""
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    lines = [f"classes={n_classes} split={split}"]
+    what load_manifest reads back from that manifest.  The split's images
+    that an earlier write left and this one did not rewrite are removed;
+    other splits' images stay."""
+    images = Path(out_dir) / "images"
+    images.mkdir(parents=True, exist_ok=True)
+    lines, written = [f"classes={n_classes} split={split}"], set()
     for idx, (image, class_id, box) in enumerate(items):
-        rel = f"images/{split}_{idx:05d}_c{class_id}.ppm"
-        write_ppm(out_dir / rel, image)
-        lines.append(f"{rel},{class_id},{box.cx!r},{box.cy!r},{box.w!r},{box.h!r}")
+        name = f"{split}_{idx:05d}_c{class_id}.ppm"
+        write_ppm(images / name, image)
+        written.add(name)
+        lines.append(f"images/{name},{class_id},{box.cx!r},{box.cy!r},{box.w!r},{box.h!r}")
+    earlier = re.compile(rf"{re.escape(split)}_\d{{5,}}_c\d+\.ppm")
+    for old in images.iterdir():
+        if earlier.fullmatch(old.name) and old.name not in written:
+            old.unlink()
     path = manifest_path(out_dir, split)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return load_manifest(path)
@@ -498,8 +510,9 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
 
     Every record is cropped, and its crop (target_size² × 3 bytes) held,
     before anything is written: a box that misses its image raises
-    DataSynthError naming the record, and writes nothing.  An empty manifest
-    or an unloadable split tag raises before the first crop.
+    DataSynthError naming the record, and writes nothing.  An empty manifest,
+    an unloadable split tag, or a class id outside [0, n_classes) raises
+    before the first crop.
     """
     from .evaluation import box_crop   # evaluation imports this module
 
@@ -507,6 +520,7 @@ def crop_dataset_to_boxes(manifest: DatasetManifest, out_dir, target_size: int,
     _check_split(split)
     if not manifest.records:
         raise DataSynthError("manifest has no records to crop")
+    _check_class_ids(manifest.records, manifest.n_classes)
     full = BoundingBox(target_size / 2.0, target_size / 2.0, float(target_size), float(target_size))
     items = []
     for rec in manifest.records:

@@ -6,9 +6,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import queue
-import threading
 
 import numpy as np
 
@@ -58,9 +55,9 @@ class Conv2d:
 @functools.cache
 def _window_index(channels: int, hp: int, wp: int, kh: int, kw: int, s: int) -> np.ndarray:
     """Flat offsets of every kh x kw window at stride s of a flattened
-    `[C, hp, wp]` image, `[oh·ow, C·kh·kw]`, built once per shape and shared
-    by every thread.  It stays writeable, as np.take copies any other index
-    on every call; its one reader, _gather_windows, never writes it."""
+    `[C, hp, wp]` image, `[oh·ow, C·kh·kw]`, built once per shape and
+    cached.  It stays writeable, as np.take copies any other index on every
+    call; its one reader, _gather_windows, never writes it."""
     oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
     pixel = (np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s).reshape(-1)
     offset = (np.arange(channels)[:, None, None] * (hp * wp)
@@ -90,77 +87,6 @@ IM2COL_BYTES = 2 << 20
 SMALL_GEMM_MACS = 100 ** 3
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Lanes a conv that no tape keeps spreads its chunks over: one per core this
-# process may run on, when BLAS runs one thread per GEMM (swpnet/__init__.py
-# asks for that before numpy loads).  A BLAS left to thread its own GEMMs
-# gets one lane, so the two never contend for the cores.
-LANES = _usable_cores() if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1
-
-# Work for the threads that run lanes 1, 2, ... of a conv, each a tuple
-# (work, lane, done): the threads are started on first use, and a forked
-# child, which inherits none of them, starts its own.
-_LANE_TASKS: queue.SimpleQueue | None = None
-_LANE_LOCK = threading.Lock()
-
-
-def _forget_lanes() -> None:
-    global _LANE_TASKS, _LANE_LOCK
-    _LANE_TASKS, _LANE_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_lanes)
-
-
-def _serve_lanes(tasks: queue.SimpleQueue) -> None:
-    while True:
-        _run_lane(*tasks.get())
-
-
-def _run_lane(work, lane: int, done: queue.SimpleQueue) -> None:
-    """One lane's work, whose error goes to the conv's caller.  A call of
-    its own, so that nothing of the conv (its buffers, its output) outlives
-    the task in the lane thread's locals."""
-    try:
-        work(lane)
-    except BaseException as err:
-        done.put((lane, err))
-    else:
-        done.put((lane, None))
-
-
-def _run_lanes(work, lanes: int) -> None:
-    """work(0) on this thread and work(1), ..., work(lanes - 1) on the lane
-    threads.  Returns once every lane has finished, raising the error of the
-    lowest lane that failed."""
-    global _LANE_TASKS
-    if lanes == 1:
-        return work(0)
-    with _LANE_LOCK:
-        if _LANE_TASKS is None:
-            _LANE_TASKS = queue.SimpleQueue()
-            for n in range(1, LANES):
-                threading.Thread(target=_serve_lanes, args=(_LANE_TASKS,),
-                                 name=f"swpnet-lane-{n}", daemon=True).start()
-        tasks = _LANE_TASKS
-    done = queue.SimpleQueue()
-    for lane in range(1, lanes):
-        tasks.put((work, lane, done))
-    try:
-        work(0)
-    finally:
-        outcomes = sorted(done.get() for _ in range(1, lanes))
-    for _, err in outcomes:
-        if err is not None:
-            raise err
-
-
 def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"conv2d expects [batch, C, H, W], got {x.shape}")
@@ -181,19 +107,17 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     # offset); the same matrix np.tensordot would build.  A conv that a tape
     # will keep builds it whole, for backward.  Any other conv splits its
     # batch into balanced chunks of whole images, each chunk's columns at
-    # most IM2COL_BYTES (or one image), and into at least one chunk per lane,
-    # unless that would make a GEMM small enough for OpenBLAS's small-matrix
-    # kernel.  Chunk c runs on lane c % lanes, which pads, gathers and
-    # multiplies it into its images of `out`.  The blocked kernel sums each
-    # output row over the same columns in the same order whatever the GEMM's
-    # row count or the columns' layout, so neither the chunking nor the
-    # lanes change a byte of what the whole matrix gives.
-    chunks = lanes = 1
+    # most IM2COL_BYTES (or one image), unless that would make a GEMM small
+    # enough for OpenBLAS's small-matrix kernel, and pads, gathers and
+    # multiplies one chunk at a time into its images of `out`.  The blocked
+    # kernel sums each output row over the same columns in the same order
+    # whatever the GEMM's row count or the columns' layout, so the chunking
+    # changes no byte of what the whole matrix gives.
+    chunks = 1
     if batch > 1 and (active_tape() is None or not any(t.requires_grad for t in inputs)):
         per_chunk = max(1, IM2COL_BYTES // (pixels * depth * x.data.itemsize))
         most = batch // (SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1)
-        lanes = max(1, min(LANES, most))
-        chunks = max(lanes, min(-(-batch // per_chunk), most))
+        chunks = max(1, min(-(-batch // per_chunk), most))
     # A 1x1 stride-1 unpadded conv reads the input in place: for one image
     # this is a transposed view, and at batch 1, where the GEMM may be small,
     # OpenBLAS sums a contiguous copy differently.
@@ -212,34 +136,27 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     else:
         out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
         largest = -(-batch // chunks)
-        # each lane's pad, column and product buffers, made here so that a
-        # lane allocates nothing large; a pad's border stays zero, as only
-        # the interior is rewritten
-        buffers = [(np.zeros((largest, channels, hp, wp), dtype=dtype) if p else None,
-                    np.empty((largest * pixels, depth), dtype=dtype),
-                    np.empty((largest * pixels, spec.out_channels), dtype=dtype))
-                   for _ in range(lanes)]
-
-        def run_lane(lane):
-            xp, col_buf, prod_buf = buffers[lane]
-            for c in range(lane, chunks, lanes):
-                lo, hi = batch * c // chunks, batch * (c + 1) // chunks
-                n, part = hi - lo, x.data[lo:hi]
-                cols = col_buf[:n * pixels]
-                if pointwise and n == 1:
-                    cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
-                elif pointwise:
-                    cols.reshape(n, oh, ow, channels)[...] = part.transpose(0, 2, 3, 1)
-                else:
-                    if p:
-                        xp[:n, :, p:p + h, p:p + w] = part
-                        part = xp[:n]
-                    _gather_windows(part.reshape(n, -1), channels, hp, wp, kh, kw, s,
-                                    out=cols.reshape(n, pixels, depth))
-                prod = np.matmul(cols, wmat.T, out=prod_buf[:n * pixels])
-                out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
-
-        _run_lanes(run_lane, lanes)
+        # one pad, column and product buffer, reused by every chunk; a pad's
+        # border stays zero, as only the interior is rewritten
+        xp = np.zeros((largest, channels, hp, wp), dtype=dtype) if p else None
+        col_buf = np.empty((largest * pixels, depth), dtype=dtype)
+        prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
+        for c in range(chunks):
+            lo, hi = batch * c // chunks, batch * (c + 1) // chunks
+            n, part = hi - lo, x.data[lo:hi]
+            cols = col_buf[:n * pixels]
+            if pointwise and n == 1:
+                cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
+            elif pointwise:
+                cols.reshape(n, oh, ow, channels)[...] = part.transpose(0, 2, 3, 1)
+            else:
+                if p:
+                    xp[:n, :, p:p + h, p:p + w] = part
+                    part = xp[:n]
+                _gather_windows(part.reshape(n, -1), channels, hp, wp, kh, kw, s,
+                                out=cols.reshape(n, pixels, depth))
+            prod = np.matmul(cols, wmat.T, out=prod_buf[:n * pixels])
+            out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 

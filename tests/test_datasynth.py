@@ -384,6 +384,20 @@ class TestManifests:
         assert derived == load_manifest(manifest_path(tmp_path / "dst", "val_boxcrop"))
         assert (len(derived), derived.n_classes, derived.split) == (6, 3, "val_boxcrop")
 
+    def test_a_rewritten_split_leaves_only_its_manifests_images(self, tmp_path):
+        source = generate_dataset(2, 3, 64, tmp_path, seed=1)
+        crop_dataset_to_boxes(source, tmp_path, target_size=32)
+        generate_dataset(2, 1, 64, tmp_path, seed=2, split="test")
+        images = tmp_path / "images"
+        others = {p.name: p.read_bytes() for p in images.iterdir()
+                  if p.name.startswith(("test_", "train_boxcrop_"))}
+        assert len(others) == 2 + 6
+        rewritten = generate_dataset(2, 1, 64, tmp_path, seed=1)
+        names = {Path(r.path).name for r in rewritten.records}
+        assert len(names) == 2
+        assert {p.name for p in images.iterdir()} == names | set(others)
+        assert {name: (images / name).read_bytes() for name in others} == others
+
     def test_single_class_subset_round_trips(self, tmp_path):
         manifest = generate_dataset(2, 2, 64, tmp_path / "src", seed=1)
         one = [ManifestRecord(r.path, 0, r.box) for r in manifest.records if r.class_id == 1]
@@ -822,4 +836,13 @@ class TestBoxCropDataset:
         with pytest.raises(DataSynthError, match=f"^{message}"):
             crop_dataset_to_boxes(DatasetManifest(source.records[:n_records], 2, split),
                                   tmp_path / "dst", target_size=32)
+        assert list((tmp_path / "dst").iterdir()) == []
+
+    def test_class_id_outside_the_class_count_refused_before_the_first_crop(self, tmp_path, monkeypatch):
+        source = generate_dataset(2, 1, 48, tmp_path / "src", seed=1)
+        monkeypatch.setattr(evaluation, "box_crop", lambda *a, **k: pytest.fail("cropped"))
+        records = [ManifestRecord(r.path, 5, r.box) for r in source.records]
+        (tmp_path / "dst").mkdir()
+        with pytest.raises(DataSynthError, match=re.escape("class ids [5] not dense in [0, 2)")):
+            crop_dataset_to_boxes(DatasetManifest(records, 2, "train"), tmp_path / "dst", target_size=32)
         assert list((tmp_path / "dst").iterdir()) == []

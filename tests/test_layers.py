@@ -1,21 +1,14 @@
 import gc
 import itertools
 import math
-import os
-import signal
-import subprocess
-import sys
 import threading
-import time
 import weakref
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-import swpnet
 from conftest import traced_peak
 from swpnet import autodiff as ad
 from swpnet import layers
@@ -191,9 +184,6 @@ class TestGatherIndexCache:
             backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32)),
                                               train=True)))
         assert_cached_index_matches_reference(conv_shapes)
-        monkeypatch.setattr(layers, "LANES", 2)
-        model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
-        assert_cached_index_matches_reference(conv_shapes)
         assert all(layers._window_index(*shape) is idx for shape, idx in after_b1.items())
 
     def test_a_gather_into_out_allocates_no_copy_of_its_index(self):
@@ -207,11 +197,6 @@ class TestGatherIndexCache:
         layers._gather_windows(rows, *shape, out=out)       # the index is built here, not traced
         assert traced_peak(lambda: layers._gather_windows(rows, *shape, out=out)) < index.nbytes // 20
         assert np.array_equal(out, rows[:, index])
-
-
-# the src directory this swpnet was imported from, for a subprocess's PYTHONPATH
-SRC = str(Path(swpnet.__file__).resolve().parents[1])
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def desk_model():
@@ -277,15 +262,6 @@ class TestChunkedConv:
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
         assert_chunks_match_reference(gather_spy(monkeypatch), kernel, stride, padding, channels)
 
-    @pytest.mark.parametrize("lanes", [1, 2, 3])
-    def test_small_budget_in_lanes_bit_equal_to_tensordot_reference(self, monkeypatch, lanes):
-        monkeypatch.setattr(layers, "LANES", lanes)
-        monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
-        calls = gather_spy(monkeypatch)
-        for kernel, stride, padding in CONV_GEOMETRIES:
-            for channels in ((5, 6), (16, 32)):
-                assert_chunks_match_reference(calls, kernel, stride, padding, channels)
-
     def test_wide_small_budget_splits_the_batch(self, monkeypatch):
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
         calls = gather_spy(monkeypatch)
@@ -319,6 +295,32 @@ class TestChunkedConv:
         assert len(calls) > 1
         assert max(cols.nbytes for cols in calls) <= layers.IM2COL_BYTES
         assert sum(cols.nbytes for cols in calls) == 32 * STEM_COLUMN_BYTES
+
+    def test_chunks_at_the_real_budget_run_in_order_on_the_calling_thread(self, monkeypatch):
+        seen, gather = [], layers._gather_windows
+
+        def spy(rows, *args, **kwargs):
+            seen.append((threading.get_ident(), len(rows)))
+            return gather(rows, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "_gather_windows", spy)
+        caller = threading.get_ident()
+        # the desk stem at batch 32: 11 chunks of at most 3 images at the real budget
+        rng = np.random.default_rng(9)
+        spec = Conv2d(3, 8, kernel=7, stride=2, padding=3, bias=False, rng=rng)
+        x = Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        assert seen == [(caller, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(11)]
+        # a stage-0 desk conv's columns fit the budget: one gather of the batch
+        seen.clear()
+        spec = Conv2d(8, 8, kernel=3, padding=1, bias=False, rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(2).normal(size=(32, 8, 15, 15)).astype(np.float32))
+        out = spec(x)
+        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
+        assert np.array_equal(out.data, ref_out)
+        assert seen == [(caller, 32)]
 
     def test_tape_free_forward_gathers_at_most_the_budget(self, monkeypatch):
         calls = gather_spy(monkeypatch)
@@ -361,130 +363,6 @@ def forward_peaks(model, batches, seed):
         model.forward(x, train=False)       # fills the gather-index cache
         peaks[batch] = traced_peak(lambda: model.forward(x, train=False))
     return peaks
-
-
-def lane_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("swpnet-lane")}
-
-
-def on_lane_thread() -> bool:
-    return threading.current_thread().name.startswith("swpnet-lane")
-
-
-class LaneFault(RuntimeError):
-    pass
-
-
-def desk_stem(seed=9):
-    """The desk stem conv and a batch of 32 for it: 11 chunks of at most 3
-    images each at the real IM2COL_BYTES."""
-    rng = np.random.default_rng(seed)
-    spec = Conv2d(3, 8, kernel=7, stride=2, padding=3, bias=False, rng=rng)
-    return spec, Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32))
-
-
-class TestLanes:
-    """An untaped conv runs chunk c of its batch on lane c % lanes: lane 0
-    on the calling thread, the others on swpnet-lane threads."""
-
-    def test_two_lanes_run_alternate_chunks_on_two_threads(self, monkeypatch):
-        monkeypatch.setattr(layers, "LANES", 2)
-        lanes, gather = [], layers._gather_windows
-
-        def spy(rows, *args, **kwargs):
-            lanes.append((on_lane_thread(), len(rows)))
-            return gather(rows, *args, **kwargs)
-
-        monkeypatch.setattr(layers, "_gather_windows", spy)
-        spec, x = desk_stem()
-        out = spec(x)
-        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
-        assert np.array_equal(out.data, ref_out)
-        # chunks 0, 2, ..., 10 here, chunks 1, 3, ..., 9 on a lane thread
-        assert sorted(lanes) == sorted([(False, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(0, 11, 2)]
-                                       + [(True, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(1, 11, 2)])
-        # a stage-0 desk conv fits one chunk, and still splits in two
-        lanes.clear()
-        spec = Conv2d(8, 8, kernel=3, padding=1, bias=False, rng=np.random.default_rng(1))
-        x = Tensor(np.random.default_rng(2).normal(size=(32, 8, 15, 15)).astype(np.float32))
-        out = spec(x)
-        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
-        assert np.array_equal(out.data, ref_out)
-        assert sorted(lanes) == [(False, 16), (True, 16)]
-
-    def test_a_lane_error_reaches_the_caller_and_the_next_forward_succeeds(self, monkeypatch):
-        monkeypatch.setattr(layers, "LANES", 2)
-        spec, x = desk_stem()
-        expected = spec(x).data.tobytes()
-        gather = layers._gather_windows
-
-        def failing(*args, **kwargs):
-            if on_lane_thread():          # lane 1's first chunk: the second chunk
-                raise LaneFault("chunk 1")
-            return gather(*args, **kwargs)
-
-        monkeypatch.setattr(layers, "_gather_windows", failing)
-        with pytest.raises(LaneFault, match="chunk 1"):
-            spec(x)
-        monkeypatch.setattr(layers, "_gather_windows", gather)
-        assert spec(x).data.tobytes() == expected
-
-    def test_the_caller_raises_only_after_every_lane_has_finished(self, monkeypatch):
-        monkeypatch.setattr(layers, "LANES", 2)
-        spec, x = desk_stem()
-        finished, gather = [], layers._gather_windows
-
-        def slow_lane(*args, **kwargs):
-            if not on_lane_thread():
-                raise LaneFault("chunk 0")
-            time.sleep(0.01)
-            cols = gather(*args, **kwargs)
-            finished.append(cols)
-            return cols
-
-        monkeypatch.setattr(layers, "_gather_windows", slow_lane)
-        with pytest.raises(LaneFault, match="chunk 0"):
-            spec(x)
-        assert len(finished) == 5         # chunks 1, 3, 5, 7 and 9
-
-    def test_a_taped_step_and_a_batch_1_forward_start_no_lane_thread(self, monkeypatch):
-        monkeypatch.setattr(layers, "LANES", 2)
-        monkeypatch.setattr(layers, "_LANE_TASKS", None)
-        before = lane_threads()
-        model = desk_model()
-        rng = np.random.default_rng(11)
-        model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
-        with GradTape():
-            backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(8, 3, 64, 64)).astype(np.float32)),
-                                              train=True)))
-        assert layers._LANE_TASKS is None
-        assert lane_threads() == before
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-    def test_a_child_forked_after_a_laned_forward_runs_its_own_lanes(self, monkeypatch):
-        monkeypatch.setattr(layers, "LANES", 2)
-        model = desk_model()
-        x = Tensor(np.random.default_rng(12).uniform(size=(32, 3, 64, 64)).astype(np.float32))
-        expected = model.forward(x, train=False).data.tobytes()
-        assert lane_threads()
-        pid = os.fork()
-        if pid == 0:   # the child exits 0 on equal bytes; SIGALRM ends a forward that hangs
-            try:
-                signal.alarm(20)
-                os._exit(0 if model.forward(x, train=False).data.tobytes() == expected else 1)
-            finally:
-                os._exit(2)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    @pytest.mark.parametrize("threads, lanes", [("1", layers._usable_cores()), ("2", 1)])
-    def test_a_blas_that_threads_its_own_gemms_gets_one_lane(self, threads, lanes):
-        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
-        script = "import swpnet.layers as layers; print(layers.LANES)"
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                             timeout=60, check=True)
-        assert int(run.stdout) == lanes
 
 
 class TestBatchNorm:

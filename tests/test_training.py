@@ -284,13 +284,29 @@ print(hashlib.sha256(b"".join(t.data.tobytes() for _, t in model.parameters())).
 """
 
 
-def desk_step_digest(**blas_env) -> str:
+def run_without_blas_settings(script: str, **blas_env) -> str:
+    """stdout of `script` in a fresh interpreter whose environment sets none
+    of the BLAS thread variables but `blas_env`."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(blas_env, PYTHONPATH=str(Path(swpnet.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", DESK_STEP], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return run.stdout.strip()
+
+
+# prints each warning issued while importing numpy and swpnet in `{order}`
+IMPORT_WARNINGS = """
+import warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for name in {order}:
+        __import__(name)
+for w in caught:
+    print(w.category.__name__, w.message)
+"""
+UNPINNED_WARNING = ("RuntimeWarning numpy was imported before swpnet with BLAS threads unpinned; "
+                    "checkpoint bytes depend on the core count")
 
 
 class TestBlasThreads:
@@ -299,7 +315,16 @@ class TestBlasThreads:
         weight gradients sum in the same order whatever the core count: a
         step left to OpenBLAS's default, one thread per core, wrote other
         parameter bytes on a 2-core host."""
-        assert desk_step_digest() == desk_step_digest(OPENBLAS_NUM_THREADS="1")
+        assert (run_without_blas_settings(DESK_STEP)
+                == run_without_blas_settings(DESK_STEP, OPENBLAS_NUM_THREADS="1"))
+
+    @pytest.mark.parametrize("order, blas_env, printed", [
+        (("numpy", "swpnet"), {}, UNPINNED_WARNING),
+        (("swpnet", "numpy"), {}, ""),
+        (("numpy", "swpnet"), {"OPENBLAS_NUM_THREADS": "1"}, ""),
+    ], ids=["numpy-first-unpinned", "swpnet-first", "numpy-first-pinned"])
+    def test_numpy_loaded_first_with_blas_unpinned_warns(self, order, blas_env, printed):
+        assert run_without_blas_settings(IMPORT_WARNINGS.format(order=order), **blas_env) == printed
 
 
 class TestMomentumSGD:
