@@ -18,6 +18,7 @@ import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -175,14 +176,10 @@ class Sample:
     glyph_mask: np.ndarray
 
 
-def synthesize(n_classes: int, per_class: int, canvas: int, similarity_margin: float = 0.25,
-               seed: int = 0, scale_range: tuple[float, float] = (0.45, 0.70),
-               center_jitter: float = 0.10, clutter: int = 3) -> list[Sample]:
-    """Render the full sample list in memory, reproducibly from the seed.
-
-    Glyph width is drawn from scale_range (fractions of the canvas side) and
-    the centre is jittered by up to center_jitter * canvas in each axis.
-    """
+def _glyph_specs(n_classes: int, per_class: int, canvas: int, similarity_margin: float,
+                 scale_range: tuple[float, float], center_jitter: float) -> list[GlyphClassSpec]:
+    """The class specs of a sample set, once every argument has been checked:
+    bad ones raise DataSynthError before anything is rendered."""
     if per_class < 1:
         raise DataSynthError("per_class must be at least 1")
     if not math.isfinite(center_jitter):
@@ -194,9 +191,14 @@ def synthesize(n_classes: int, per_class: int, canvas: int, similarity_margin: f
     if scale_range[0] * canvas / max_aspect < 10:
         raise DataSynthError(f"canvas {canvas} too small: min-scale glyph height "
                              f"{scale_range[0] * canvas / max_aspect:.1f} px is unrenderable")
+    return specs
 
-    streams = np.random.SeedSequence(seed).spawn(n_classes * per_class)
-    samples = []
+
+def _render_samples(specs: list[GlyphClassSpec], per_class: int, canvas: int, seed: int,
+                    scale_range: tuple[float, float], center_jitter: float, clutter: int
+                    ) -> Iterator[Sample]:
+    """Render the samples one at a time, one rng stream each, in class order."""
+    streams = np.random.SeedSequence(seed).spawn(len(specs) * per_class)
     for idx, stream in enumerate(streams):
         spec = specs[idx // per_class]
         rng = np.random.default_rng(stream)
@@ -210,8 +212,19 @@ def synthesize(n_classes: int, per_class: int, canvas: int, similarity_margin: f
         cx = float(np.clip(canvas / 2.0 + rng.uniform(-jit, jit), lo_x, hi_x))
         cy = float(np.clip(canvas / 2.0 + rng.uniform(-jit, jit), lo_y, hi_y))
         box, mask = render_glyph(image, spec, cx, cy, gh)
-        samples.append(Sample(image, spec.class_id, box, mask))
-    return samples
+        yield Sample(image, spec.class_id, box, mask)
+
+
+def synthesize(n_classes: int, per_class: int, canvas: int, similarity_margin: float = 0.25,
+               seed: int = 0, scale_range: tuple[float, float] = (0.45, 0.70),
+               center_jitter: float = 0.10, clutter: int = 3) -> list[Sample]:
+    """Render the full sample list in memory, reproducibly from the seed.
+
+    Glyph width is drawn from scale_range (fractions of the canvas side) and
+    the centre is jittered by up to center_jitter * canvas in each axis.
+    """
+    specs = _glyph_specs(n_classes, per_class, canvas, similarity_margin, scale_range, center_jitter)
+    return list(_render_samples(specs, per_class, canvas, seed, scale_range, center_jitter, clutter))
 
 
 # -- manifests ----------------------------------------------------------------
@@ -337,12 +350,12 @@ def generate_dataset(n_classes: int, per_class: int, canvas: int, out_dir,
                      similarity_margin: float = 0.25, seed: int = 0, split: str = "train",
                      scale_range: tuple[float, float] = (0.45, 0.70),
                      center_jitter: float = 0.10, clutter: int = 3) -> DatasetManifest:
-    """Render, then write PPM images plus a manifest file, and return the
-    manifest.  Bad arguments raise DataSynthError before anything is
-    rendered or written."""
+    """Write PPM images plus a manifest file, rendering and writing one
+    image at a time, and return the manifest.  Bad arguments raise
+    DataSynthError before anything is rendered or written."""
     _check_split(split)
-    samples = synthesize(n_classes, per_class, canvas, similarity_margin, seed,
-                         scale_range, center_jitter, clutter)
+    specs = _glyph_specs(n_classes, per_class, canvas, similarity_margin, scale_range, center_jitter)
+    samples = _render_samples(specs, per_class, canvas, seed, scale_range, center_jitter, clutter)
     return _write_dataset(((s.image, s.class_id, s.box) for s in samples), n_classes, out_dir, split)
 
 

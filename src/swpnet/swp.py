@@ -65,9 +65,9 @@ def swp_forward(features: Tensor, state: SWPLayer) -> Tensor:
         g3 = g.reshape(batch, k, channels)
         gf = np.einsum("bkc,khw->bchw", g3, state.masks.data) if need_f else None
         gm = np.einsum("bkc,bchw->khw", g3, features.data)
-        return gf, gm.astype(state.masks.data.dtype)
+        return gf, gm.astype(state.masks.data.dtype, copy=False)
 
-    return record((features, state.masks), out.astype(features.data.dtype), bwd, "swp")
+    return record((features, state.masks), out.astype(features.data.dtype, copy=False), bwd, "swp")
 
 
 def swp_heatmap_export(values: np.ndarray, layout: tuple[int, int], path) -> np.ndarray:

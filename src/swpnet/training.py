@@ -33,7 +33,7 @@ class TrainConfig:
     batch_size: int = 8
     max_epochs: int = 30
     seed: int = 0
-    # per-output weights for the localiser loss, one per LOC_OUTPUTS entry
+    # positive per-output weights for the localiser loss, one per LOC_OUTPUTS entry
     loss_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     early_stop_accuracy: float | None = None
 
@@ -54,8 +54,8 @@ class TrainConfig:
                              f"({len(LOC_OUTPUTS)}), got {len(self.loss_weights)}")
         if not np.isfinite(self.loss_weights).all():
             raise ValueError(f"loss_weights must be finite, got {self.loss_weights}")
-        if any(w < 0 for w in self.loss_weights) or not any(w > 0 for w in self.loss_weights):
-            raise ValueError("loss weights must be non-negative with at least one positive")
+        if not all(w > 0 for w in self.loss_weights):
+            raise ValueError(f"loss weights must be positive, got {self.loss_weights}")
 
 
 @dataclass
@@ -157,10 +157,10 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 def _step(model: Model, opt: MomentumSGD, batch: Tensor, targets, weights, lr: float
           ) -> tuple[float, float]:
     """One optimiser step on the weighted sum of one softmax cross-entropy
-    per head output; an output with zero weight is skipped entirely, so its
-    Dense layer gets no gradient.  Returns (loss, hits): a single output's count
-    of correct rows, or the mean over outputs of their hit rates times the
-    batch size.  The step's graph is freed when this call returns."""
+    per head output, added left to right.  Returns (loss, hits): a single
+    output's count of correct rows, or the mean over outputs of their hit
+    rates times the batch size.  The step's graph is freed when this call
+    returns."""
     # an overflow surfaces as this step's NumericsError, not as numpy warnings ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
         with GradTape():
@@ -168,8 +168,6 @@ def _step(model: Model, opt: MomentumSGD, batch: Tensor, targets, weights, lr: f
             outputs = out if isinstance(out, list) else [out]
             total = None
             for output, target, w in zip(outputs, targets, weights):
-                if w == 0.0:
-                    continue
                 part = softmax_cross_entropy(output, target)
                 part = part if w == 1.0 else ad.scale(part, w)
                 total = part if total is None else ad.add(total, part)

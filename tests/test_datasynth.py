@@ -75,6 +75,14 @@ class TestGeneration:
         generate_dataset(2, 2, 64, b, seed=2)
         assert tree_digest(a) != tree_digest(b)
 
+    def test_holds_one_image_at_a_time(self, tmp_path):
+        # four times the images grow the peak by less than one 128 px image:
+        # each is written before the next is rendered
+        generate_dataset(2, 4, 128, tmp_path / "warm", seed=3)
+        small = traced_peak(lambda: generate_dataset(2, 4, 128, tmp_path / "small", seed=3))
+        large = traced_peak(lambda: generate_dataset(2, 16, 128, tmp_path / "large", seed=3))
+        assert large - small < 128 * 128 * 3
+
     def test_record_count(self, tmp_path):
         manifest = generate_dataset(4, 10, 128, tmp_path, seed=3)
         assert len(manifest) == 40
@@ -371,7 +379,7 @@ class TestManifests:
 
     @pytest.mark.parametrize("split", ["", "my split", "a\tb", "a,b", "a/b", "val\n"])
     def test_unloadable_split_tag_raises_and_writes_nothing(self, tmp_path, monkeypatch, split):
-        monkeypatch.setattr(datasynth, "synthesize", lambda *a, **k: pytest.fail("rendered"))
+        monkeypatch.setattr(datasynth, "_render_samples", lambda *a, **k: pytest.fail("rendered"))
         message = f"split tag {split!r} is empty or holds whitespace, a comma or a path separator"
         with pytest.raises(DataSynthError, match=f"^{re.escape(message)}$"):
             generate_dataset(2, 1, 64, tmp_path / "out", seed=1, split=split)

@@ -11,8 +11,10 @@ import pytest
 
 import swpnet
 from conftest import STREAM_IMAGE_BYTES, peak_growth, tiny_cls_config, tiny_loc_config, tiny_preprocess
-from swpnet.binning import BoundingBox, encode_box
+from swpnet.autodiff import Tensor
+from swpnet.binning import LOC_OUTPUTS, BoundingBox, encode_box
 from swpnet.datasynth import generate_dataset
+from swpnet.layers import softmax_cross_entropy
 from swpnet.models import (
     Model,
     ModelBuildError,
@@ -26,6 +28,7 @@ from swpnet.training import (
     TrainConfig,
     HistoryError,
     TrainingDiverged,
+    _step,
     history_path,
     lr_at_epoch,
     read_history,
@@ -63,6 +66,11 @@ class TestTrainConfig:
     def test_non_finite_loss_weight_rejected_by_name(self, value):
         with pytest.raises(ValueError, match=re.escape(f"loss_weights must be finite, got (1, 1, {value}, 1)")):
             TrainConfig(loss_weights=(1, 1, value, 1))
+
+    @pytest.mark.parametrize("weights", [(1, 1, 0, 0), (1, -1, 1, 1)])
+    def test_non_positive_loss_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match=re.escape(f"loss weights must be positive, got {weights}")):
+            TrainConfig(loss_weights=weights)
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_max_epochs_below_one_rejected_by_name(self, epochs):
@@ -232,18 +240,18 @@ class TestLoneBatch:
 
 
 class TestTrainLocaliser:
-    def test_zero_weight_heads_receive_no_update(self, tiny_dataset):
-        model = Model(tiny_loc_config(), seed=4)
-        before = params_bytes(model)
-        train_localiser(model, tiny_dataset,
-                        TrainConfig(max_epochs=1, seed=2, loss_weights=(1, 1, 0, 0)),
-                        tiny_preprocess())
-        after = params_bytes(model)
-        for name in after:
-            if name.startswith("head.w.") or name.startswith("head.h."):
-                assert after[name] == before[name], f"{name} moved despite zero loss weight"
-        changed = [n for n in after if after[n] != before[n]]
-        assert any(n.startswith("head.cx.") for n in changed)
+    def test_step_loss_is_the_left_to_right_sum_of_the_four_cross_entropies(self):
+        cfg = tiny_loc_config()
+        stepped, reference = Model(cfg, seed=4), Model(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        batch = Tensor(rng.uniform(size=(4, 3, 32, 32)).astype(np.float32))
+        targets = [rng.integers(0, spec.n_bins, size=4) for _, spec in LOC_OUTPUTS]
+        opt = MomentumSGD([t for _, t in stepped.parameters()], momentum=0.9, weight_decay=1e-4)
+        loss, _ = _step(stepped, opt, batch, targets, (1.0, 1.0, 1.0, 1.0), 0.1)
+        parts = [softmax_cross_entropy(o, t).data
+                 for o, t in zip(reference.forward(batch, train=True), targets)]
+        assert parts[0].dtype == np.float32
+        assert loss == float(((parts[0] + parts[1]) + parts[2]) + parts[3])
 
     def test_constant_boxes_reach_full_accuracy(self, tmp_path):
         # classes 0 and 1 share glyph geometry (hue differs), placement fixed:
@@ -318,8 +326,21 @@ class TestBlasThreads:
         assert (run_without_blas_settings(DESK_STEP)
                 == run_without_blas_settings(DESK_STEP, OPENBLAS_NUM_THREADS="1"))
 
+    def test_a_step_after_numpy_was_imported_first_writes_the_one_thread_bytes(self):
+        """Importing numpy first lets OpenBLAS start one thread per core;
+        importing swpnet after it pins the loaded OpenBLAS to one thread."""
+        assert (run_without_blas_settings("import numpy\n" + DESK_STEP)
+                == run_without_blas_settings(DESK_STEP))
+
+    def test_numpy_loaded_first_without_a_blas_setter_warns(self):
+        # a build record naming another BLAS leaves no setter to call
+        script = ("import numpy\n"
+                  "numpy.show_config = lambda mode=None: {'Build Dependencies': {'blas': {'name': 'mkl'}}}\n"
+                  + IMPORT_WARNINGS.format(order=("swpnet",)))
+        assert run_without_blas_settings(script) == UNPINNED_WARNING
+
     @pytest.mark.parametrize("order, blas_env, printed", [
-        (("numpy", "swpnet"), {}, UNPINNED_WARNING),
+        (("numpy", "swpnet"), {}, ""),
         (("swpnet", "numpy"), {}, ""),
         (("numpy", "swpnet"), {"OPENBLAS_NUM_THREADS": "1"}, ""),
     ], ids=["numpy-first-unpinned", "swpnet-first", "numpy-first-pinned"])
