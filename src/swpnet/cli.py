@@ -39,12 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _flag_values():
-    """Wraps a command's step from flags to library settings: a ValueError
-    raised there is a flag value the library rejects, so a usage error."""
+def _flag_values(rejects=ValueError):
+    """Wraps a command's step from flags to library settings: a `rejects`
+    error raised there is a flag value the library rejects, so a usage
+    error."""
     try:
         yield
-    except ValueError as err:
+    except rejects as err:
         raise UsageError(str(err)) from None
 
 
@@ -261,7 +262,8 @@ def cmd_eval(args) -> int:
         print(report.summary())
         print(stats.summary())
     else:
-        report = evaluation.evaluate_topk(model, manifest, batch_size=args.batch_size)
+        with _flag_values(models.ModelBuildError):   # a head that does not fit the manifest
+            report = evaluation.evaluate_topk(model, manifest, batch_size=args.batch_size)
         print(report.summary())
     return 0
 
@@ -274,8 +276,10 @@ def cmd_pipeline(args) -> int:
     loc_model = None if args.oracle else models.load_checkpoint(args.loc)
     cls_model = models.load_checkpoint(args.cls)
     manifest = datasynth.load_manifest(args.manifest)
-    pipeline = evaluation.TwoStagePipeline(loc_model, cls_model)
-    report = evaluation.evaluate_topk(pipeline, manifest, batch_size=args.batch_size)
+    # a checkpoint of the wrong head kind, or a head that does not fit the manifest
+    with _flag_values(models.ModelBuildError):
+        pipeline = evaluation.TwoStagePipeline(loc_model, cls_model)
+        report = evaluation.evaluate_topk(pipeline, manifest, batch_size=args.batch_size)
     print(report.summary())
     return 0
 
@@ -283,7 +287,9 @@ def cmd_pipeline(args) -> int:
 def cmd_bench(args) -> int:
     target = models.load_checkpoint(args.ckpt)
     if args.loc_ckpt:
-        target = evaluation.TwoStagePipeline(models.load_checkpoint(args.loc_ckpt), target)
+        loc_model = models.load_checkpoint(args.loc_ckpt)
+        with _flag_values():   # checkpoints of the wrong head kind
+            target = evaluation.TwoStagePipeline(loc_model, target)
     report = evaluation.bench_fps_paired({"target": target}, batch_sizes=args.batches,
                                          n_images=args.images, seed=args.seed)["target"]
     print(report.summary())

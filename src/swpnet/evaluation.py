@@ -181,7 +181,12 @@ def evaluate_topk(target, manifest: DatasetManifest, batch_size: int = 32) -> Me
     """Top-1 and top-5 accuracy of a classification model (central-crop
     preprocessing) or a TwoStagePipeline (its own preprocessing).  A record
     whose image does not decode, or whose box an oracle pipeline cannot
-    encode, is skipped and counted in the report's `skipped`."""
+    encode, is skipped and counted in the report's `skipped`.  A classifier
+    whose class count is not the manifest's is a ModelBuildError, raised
+    before any image is decoded."""
+    classes = (target.cls_model if isinstance(target, TwoStagePipeline) else target).config.num_classes
+    if classes != manifest.n_classes:
+        raise ModelBuildError(f"model head has {classes} classes, manifest has {manifest.n_classes}")
     fallbacks = []
     if isinstance(target, TwoStagePipeline):
         def prepare(rec, image):

@@ -78,6 +78,66 @@ def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, 
     return rows.take(_window_index(channels, hp, wp, kh, kw, s), axis=1, out=out, mode="wrap")
 
 
+def _row_floats(kw: int) -> int:
+    """A kernel row of kw floats read as whole 16-byte items of 4 floats."""
+    return -(-kw // 4) * 4
+
+
+def _wide_layout(wp: int, kw: int, s: int) -> tuple[int, int]:
+    """How a wide gather lays out padded rows of wp columns: (wq, copies).
+    Each phase copy has rows of wq floats, a multiple of 4 that holds the
+    last window's _row_floats(kw) floats, so no item straddles two rows.  A
+    window starting at column s·x reads the copy shifted left by s·x mod 4,
+    which takes `copies` values, 4 // gcd(s, 4): copy k is shifted by
+    4k / copies."""
+    ow = (wp - kw) // s + 1
+    return -(-(s * (ow - 1) + _row_floats(kw)) // 4) * 4, 4 // math.gcd(s, 4)
+
+
+@functools.cache
+def _wide_index(channels: int, hp: int, wp: int, kh: int, kw: int, s: int) -> np.ndarray:
+    """Item offsets of every kh x kw window at stride s in the flattened
+    `[copies, C, hp, wq]` phase copies of a `[C, hp, wp]` padded image (see
+    _wide_layout): `[oh·ow, C·kh·kq/4]` for kq = _row_floats(kw), built
+    once per shape and cached, and writeable for the reason _window_index
+    gives."""
+    wq, copies = _wide_layout(wp, kw, s)
+    oh, ow, items = (hp - kh) // s + 1, (wp - kw) // s + 1, wq // 4
+    x = np.arange(ow) * s
+    copy = x % 4 * copies // 4
+    pixel = ((np.arange(oh)[:, None] * s + copy * (channels * hp)) * items + x // 4).reshape(-1)
+    offset = ((np.arange(channels)[:, None, None] * hp + np.arange(kh)[:, None]) * items
+              + np.arange(_row_floats(kw) // 4)).reshape(-1)
+    return pixel[:, None] + offset
+
+
+def _gather_wide(images: np.ndarray, phases: np.ndarray, p: int, kh: int, kw: int, s: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """_gather_windows for float32 images `[N, C, h, w]` padded by p, with
+    each kernel row read as kq = _row_floats(kw) floats: `[N, oh·ow,
+    C·kh·kq]`, the columns past kw of each row being the floats that follow
+    it, written into `out` when one is given.
+
+    `phases` is a zeroed `[N, copies, C, h + 2p, wq]` float32 buffer, or one
+    that only earlier calls of the same shape wrote.  Each phase copy gets
+    the image columns some window reads, shifted by its phase, and nothing
+    else: the padding, and every column past the last window's reach, stay
+    zero.  np.take copies the 4-float items as complex128 values, which
+    moves their bits unchanged."""
+    n, channels, h, w = images.shape
+    hp, wp = h + 2 * p, w + 2 * p
+    reach = s * ((wp - kw) // s) + kw - p      # image columns that some window reads
+    copies = phases.shape[1]
+    for k in range(copies):
+        shift = 4 * k // copies
+        lo, hi = max(0, shift - p), min(w, reach)
+        phases[:, k, :, p:p + h, lo + p - shift:hi + p - shift] = images[..., lo:hi]
+    rows = phases.reshape(n, -1).view(np.complex128)
+    index = _wide_index(channels, hp, wp, kh, kw, s)
+    items = None if out is None else out.view(np.complex128)
+    return rows.take(index, axis=1, out=items, mode="wrap").view(np.float32)
+
+
 # Cap on the bytes of one chunk's im2col columns in a conv that no tape
 # will keep; see conv2d.
 IM2COL_BYTES = 2 << 20
@@ -85,6 +145,10 @@ IM2COL_BYTES = 2 << 20
 # kernel that sums in another order than its blocked kernel does, so a conv
 # splits its batch only into chunks whose GEMMs are larger.
 SMALL_GEMM_MACS = 100 ** 3
+# OpenBLAS's blocked sgemm sums a GEMM's depth in one block up to this many
+# columns and splits a deeper one where the depth sets, so zero columns
+# leave every sum unchanged only while the padded depth stays within it.
+SGEMM_K_BLOCK = 448
 
 
 def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
@@ -102,6 +166,8 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
     wmat = spec.weight.data.reshape(spec.out_channels, -1)
     pixels, depth = oh * ow, channels * kh * kw
+    dtype = x.data.dtype
+    untaped = active_tape() is None or not any(t.requires_grad for t in inputs)
 
     # im2col: one row per output pixel, one column per (channel, kernel
     # offset); the same matrix np.tensordot would build.  A conv that a tape
@@ -113,33 +179,61 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     # kernel sums each output row over the same columns in the same order
     # whatever the GEMM's row count or the columns' layout, so the chunking
     # changes no byte of what the whole matrix gives.
+    #
+    # A float32 conv that no tape keeps gathers each kernel row as whole
+    # 4-float items (_gather_wide) when that adds at most a quarter more
+    # columns, and multiplies a weight matrix with a zero column for each
+    # added one.  Such a column reads padding, a zero past the last window's
+    # reach, or a value that some window reads (at a stride of at most kw
+    # the windows leave no column between them), so on a finite input each
+    # zero product adds +-0 and leaves the blocked kernel's sums as they
+    # were, as long as the unpadded GEMM is too large for the small-matrix
+    # kernel and the padded depth stays within SGEMM_K_BLOCK.
+    kq = _row_floats(kw)
+    wide = (4 * kq <= 5 * kw and s <= kw and dtype == np.float32 and untaped
+            and pixels * depth * spec.out_channels > SMALL_GEMM_MACS
+            and channels * kh * kq <= SGEMM_K_BLOCK)
+    gemm_w = wmat
+    if wide:
+        gemm_w = np.zeros((spec.out_channels, channels, kh, kq), dtype=dtype)
+        gemm_w[..., :kw] = spec.weight.data
+        gemm_w = gemm_w.reshape(spec.out_channels, -1)
+        wq, copies = _wide_layout(wp, kw, s)
+        phase_shape = (copies, channels, hp, wq)
+    width = gemm_w.shape[1]
     chunks = 1
-    if batch > 1 and (active_tape() is None or not any(t.requires_grad for t in inputs)):
-        per_chunk = max(1, IM2COL_BYTES // (pixels * depth * x.data.itemsize))
+    if batch > 1 and untaped:
+        per_chunk = max(1, IM2COL_BYTES // (pixels * width * x.data.itemsize))
         most = batch // (SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1)
         chunks = max(1, min(-(-batch // per_chunk), most))
     # A 1x1 stride-1 unpadded conv reads the input in place: for one image
     # this is a transposed view, and at batch 1, where the GEMM may be small,
     # OpenBLAS sums a contiguous copy differently.
     pointwise = kh == kw == 1 and s == 1 and not p
-    dtype = x.data.dtype
     if chunks == 1:
         if pointwise:
             cols = x.data.transpose(0, 2, 3, 1).reshape(-1, channels)
+        elif wide:
+            cols = _gather_wide(x.data, np.zeros((batch, *phase_shape), dtype=dtype),
+                                p, kh, kw, s).reshape(-1, width)
         else:
             xp = x.data
             if p:
                 xp = np.zeros((batch, channels, hp, wp), dtype=dtype)
                 xp[:, :, p:p + h, p:p + w] = x.data
             cols = _gather_windows(xp.reshape(batch, -1), channels, hp, wp, kh, kw, s).reshape(-1, depth)
-        out = np.ascontiguousarray((cols @ wmat.T).reshape(batch, oh, ow, -1).transpose(0, 3, 1, 2))
+        out = np.ascontiguousarray((cols @ gemm_w.T).reshape(batch, oh, ow, -1).transpose(0, 3, 1, 2))
     else:
         out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
         largest = -(-batch // chunks)
         # one pad, column and product buffer, reused by every chunk; a pad's
         # border stays zero, as only the interior is rewritten
-        xp = np.zeros((largest, channels, hp, wp), dtype=dtype) if p else None
-        col_buf = np.empty((largest * pixels, depth), dtype=dtype)
+        xp = None
+        if wide:
+            xp = np.zeros((largest, *phase_shape), dtype=dtype)
+        elif p:
+            xp = np.zeros((largest, channels, hp, wp), dtype=dtype)
+        col_buf = np.empty((largest * pixels, width), dtype=dtype)
         prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
         for c in range(chunks):
             lo, hi = batch * c // chunks, batch * (c + 1) // chunks
@@ -149,13 +243,15 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
                 cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
             elif pointwise:
                 cols.reshape(n, oh, ow, channels)[...] = part.transpose(0, 2, 3, 1)
+            elif wide:
+                _gather_wide(part, xp[:n], p, kh, kw, s, out=cols.reshape(n, pixels, width))
             else:
                 if p:
                     xp[:n, :, p:p + h, p:p + w] = part
                     part = xp[:n]
                 _gather_windows(part.reshape(n, -1), channels, hp, wp, kh, kw, s,
                                 out=cols.reshape(n, pixels, depth))
-            prod = np.matmul(cols, wmat.T, out=prod_buf[:n * pixels])
+            prod = np.matmul(cols, gemm_w.T, out=prod_buf[:n * pixels])
             out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)

@@ -373,6 +373,36 @@ class TestEvalAndPipeline:
         assert "usage error: pipeline needs --loc" in captured.err and captured.out == ""
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+
+
+class TestCheckpointsThatDoNotFit:
+    """A checkpoint of the wrong head kind, or a classifier whose class count
+    is not the manifest's, is a flag value the library rejects: exit 2 with
+    the command's usage line, and no report."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("pipeline", ["--loc", "cls.ckpt", "--cls", "cls.ckpt"], "needs a loc_head localiser"),
+        ("pipeline", ["--loc", "loc.ckpt", "--cls", "loc.ckpt"], "needs a classification second stage"),
+        ("bench", ["--ckpt", "cls.ckpt", "--loc-ckpt", "cls.ckpt", "--images", "1"],
+         "needs a loc_head localiser"),
+        ("eval", ["--ckpt", "cls.ckpt"], "model head has 10 classes, manifest has 2"),
+        ("pipeline", ["--oracle", "--cls", "cls.ckpt"], "model head has 10 classes, manifest has 2"),
+        ("pipeline", ["--loc", "loc.ckpt", "--cls", "cls.ckpt"], "model head has 10 classes, manifest has 2"),
+    ])
+    def test_is_usage_error(self, tmp_path, capsys, command, flags, message):
+        manifest = gen_tiny(tmp_path)
+        capsys.readouterr()
+        args = [str(FIXTURES / f) if f.endswith(".ckpt") else f for f in flags]
+        if command != "bench":
+            args += ["--manifest", str(manifest)]
+        assert main([command, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and message in captured.err
+        assert f"usage: swpnet {command}" in captured.err
+        assert captured.out == ""
+
+
 class TestBenchHeatmapBins:
     def test_bench_prints_fps_lines(self, tmp_path, capsys):
         manifest = gen_tiny(tmp_path)

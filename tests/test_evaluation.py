@@ -26,7 +26,7 @@ from swpnet.evaluation import (
     topk_predictions,
 )
 from swpnet.imgio import write_ppm
-from swpnet.models import Model
+from swpnet.models import Model, ModelBuildError
 
 
 class TestTopK:
@@ -89,6 +89,18 @@ class TestEvaluateEndToEnd:
         report = evaluate_topk(model, tiny_dataset)
         assert report.sample_count == len(tiny_dataset)
         assert 0.0 <= report.top1 <= report.top5 <= 100.0
+
+    def test_a_head_that_does_not_fit_the_manifest_fails_before_any_decode(self, tiny_dataset,
+                                                                          monkeypatch):
+        def no_decode(_record):
+            raise AssertionError("an image was decoded")
+
+        monkeypatch.setattr("swpnet.evaluation.load_image", no_decode)
+        model = Model(tiny_cls_config(num_classes=3), seed=1)
+        for target in (model, TwoStagePipeline(None, model),
+                       TwoStagePipeline(Model(tiny_loc_config(), seed=2), model)):
+            with pytest.raises(ModelBuildError, match="^model head has 3 classes, manifest has 2$"):
+                evaluate_topk(target, tiny_dataset)
 
     def test_localisation_report_consistent(self, tiny_dataset):
         model = Model(tiny_loc_config(), seed=2)

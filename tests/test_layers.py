@@ -156,9 +156,32 @@ def assert_cached_index_matches_reference(shapes):
     assert layers._window_index.cache_info().misses == info.misses
 
 
+def wide_index_reference(channels, hp, wp, kh, kw, s):
+    """Item offsets of every window of a 7-wide kernel in the phase copies
+    of _gather_wide, read off an array of the copies' own item offsets:
+    pixel (y, x) reads kernel row i of channel c as the two items from
+    column s·x of the copy shifted by the phase s·x mod 4."""
+    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    g = math.gcd(s, 4)
+    wq = -(-(s * (ow - 1) + 8) // 4) * 4
+    items = np.arange(4 // g * channels * hp * wq // 4).reshape(4 // g, channels, hp, wq // 4)
+    return np.array([items[s * x % 4 // g, :, y * s:y * s + kh, s * x // 4:s * x // 4 + 2].reshape(-1)
+                     for y in range(oh) for x in range(ow)])
+
+
+def assert_cached_wide_index_matches_reference(shapes):
+    """_wide_index caches exactly `shapes`, each entry still the reference."""
+    info = layers._wide_index.cache_info()
+    assert info.currsize == len(shapes)
+    for shape in shapes:
+        assert np.array_equal(layers._wide_index(*shape), wide_index_reference(*shape)), shape
+    assert layers._wide_index.cache_info().misses == info.misses
+
+
 class TestGatherIndexCache:
     def test_desk_model_one_entry_per_shape_independent_of_batch(self, monkeypatch):
         layers._window_index.cache_clear()
+        layers._wide_index.cache_clear()
         conv_shapes = set()
         conv2d = layers.conv2d
 
@@ -174,17 +197,27 @@ class TestGatherIndexCache:
                                   input_size=64), seed=0)
         rng = np.random.default_rng(0)
         model.forward(Tensor(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32)), train=False)
-        assert conv_shapes and layers._window_index.cache_info().currsize == len(conv_shapes)
-        after_b1 = {shape: layers._window_index(*shape) for shape in conv_shapes}
-        assert layers._window_index.cache_info().misses == len(conv_shapes)
+        # the untaped 7x7 stem gathers 16-byte items; every other conv, single floats
+        wide_shapes = {shape for shape in conv_shapes if shape[3] == 7}
+        float_shapes = conv_shapes - wide_shapes
+        assert wide_shapes and layers._wide_index.cache_info().currsize == len(wide_shapes)
+        assert float_shapes and layers._window_index.cache_info().currsize == len(float_shapes)
+        after_b1 = {shape: layers._window_index(*shape) for shape in float_shapes}
+        wide_after_b1 = {shape: layers._wide_index(*shape) for shape in wide_shapes}
+        assert layers._window_index.cache_info().misses == len(float_shapes)
+        assert layers._wide_index.cache_info().misses == len(wide_shapes)
         model.forward(Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32)), train=False)
-        assert_cached_index_matches_reference(conv_shapes)
-        # pooling, forward and backward, reads strided views and indexes nothing
+        assert_cached_index_matches_reference(float_shapes)
+        assert_cached_wide_index_matches_reference(wide_shapes)
+        # pooling, forward and backward, reads strided views and indexes
+        # nothing; the taped stem gathers single floats
         with GradTape():
             backward(ad.sum_all(model.forward(Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32)),
                                               train=True)))
         assert_cached_index_matches_reference(conv_shapes)
+        assert_cached_wide_index_matches_reference(wide_shapes)
         assert all(layers._window_index(*shape) is idx for shape, idx in after_b1.items())
+        assert all(layers._wide_index(*shape) is idx for shape, idx in wide_after_b1.items())
 
     def test_a_gather_into_out_allocates_no_copy_of_its_index(self):
         # the desk stem's 3-image chunk: 7x7 windows at stride 2 over 70 x 70
@@ -205,22 +238,24 @@ def desk_model():
                              input_size=64), seed=0)
 
 
-def gather_spy(monkeypatch):
-    """Record the output of every _gather_windows call."""
+def gather_spy(monkeypatch, name="_gather_windows"):
+    """Record the output of every call of the gather `name`."""
     calls = []
-    gather = layers._gather_windows
+    gather = getattr(layers, name)
 
     def spy(*args, **kwargs):
         cols = gather(*args, **kwargs)
         calls.append(cols)
         return cols
 
-    monkeypatch.setattr(layers, "_gather_windows", spy)
+    monkeypatch.setattr(layers, name, spy)
     return calls
 
 
 # the desk stem, 7x7/2 p3 over 3 channels of 64 px, gathers these bytes per image
 STEM_COLUMN_BYTES = 32 * 32 * 3 * 7 * 7 * 4
+# untaped, it reads each 7-float kernel row as two 16-byte items
+STEM_WIDE_COLUMN_BYTES = 32 * 32 * 3 * 7 * 8 * 4
 # and writes these: 8 channels of 32 x 32
 STEM_ACTIVATION_BYTES = 8 * 32 * 32 * 4
 
@@ -285,7 +320,7 @@ class TestChunkedConv:
         assert np.array_equal(out.data, ref_out)
 
     def test_stem_at_real_budget_equals_reference(self, monkeypatch):
-        calls = gather_spy(monkeypatch)
+        calls = gather_spy(monkeypatch, "_gather_wide")
         rng = np.random.default_rng(4)
         spec = Conv2d(3, 8, kernel=7, stride=2, padding=3, bias=False, rng=rng)
         x = Tensor(rng.uniform(size=(32, 3, 64, 64)).astype(np.float32))
@@ -294,16 +329,22 @@ class TestChunkedConv:
         assert np.array_equal(out.data, ref_out)
         assert len(calls) > 1
         assert max(cols.nbytes for cols in calls) <= layers.IM2COL_BYTES
-        assert sum(cols.nbytes for cols in calls) == 32 * STEM_COLUMN_BYTES
+        assert sum(cols.nbytes for cols in calls) == 32 * STEM_WIDE_COLUMN_BYTES
 
     def test_chunks_at_the_real_budget_run_in_order_on_the_calling_thread(self, monkeypatch):
-        seen, gather = [], layers._gather_windows
+        seen = []
 
-        def spy(rows, *args, **kwargs):
-            seen.append((threading.get_ident(), len(rows)))
-            return gather(rows, *args, **kwargs)
+        def spy_on(name):
+            gather = getattr(layers, name)
 
-        monkeypatch.setattr(layers, "_gather_windows", spy)
+            def spy(rows, *args, **kwargs):
+                seen.append((name, threading.get_ident(), len(rows)))
+                return gather(rows, *args, **kwargs)
+
+            monkeypatch.setattr(layers, name, spy)
+
+        spy_on("_gather_windows")
+        spy_on("_gather_wide")
         caller = threading.get_ident()
         # the desk stem at batch 32: 11 chunks of at most 3 images at the real budget
         rng = np.random.default_rng(9)
@@ -312,7 +353,7 @@ class TestChunkedConv:
         out = spec(x)
         ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
         assert np.array_equal(out.data, ref_out)
-        assert seen == [(caller, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(11)]
+        assert seen == [("_gather_wide", caller, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(11)]
         # a stage-0 desk conv's columns fit the budget: one gather of the batch
         seen.clear()
         spec = Conv2d(8, 8, kernel=3, padding=1, bias=False, rng=np.random.default_rng(1))
@@ -320,7 +361,7 @@ class TestChunkedConv:
         out = spec(x)
         ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
         assert np.array_equal(out.data, ref_out)
-        assert seen == [(caller, 32)]
+        assert seen == [("_gather_windows", caller, 32)]
 
     def test_tape_free_forward_gathers_at_most_the_budget(self, monkeypatch):
         calls = gather_spy(monkeypatch)
@@ -352,6 +393,101 @@ class TestChunkedConv:
         a forward that built each conv's whole matrix grew by ~0.7 MB."""
         peaks = forward_peaks(desk_model(), (32, 64), seed=7)
         assert (peaks[64] - peaks[32]) / 32 < STEM_COLUMN_BYTES / 2
+
+
+def wide_conv_case(channels, stride, padding, batch, odd_width, rng):
+    """A 7x7 conv and an input whose one-image GEMM exceeds SMALL_GEMM_MACS."""
+    h = 36 * stride + 4
+    spec = Conv2d(channels, 32, kernel=7, stride=stride, padding=padding, bias=False, rng=rng)
+    x = rng.normal(size=(batch, channels, h, h + odd_width)).astype(np.float32)
+    return spec, x
+
+
+def forward_reference(spec, x, out):
+    """conv_tensordot_reference's forward of x, for a conv output `out`."""
+    g = np.zeros(out.shape, dtype=out.dtype)
+    return conv_tensordot_reference(x, spec.weight.data, spec.stride, spec.padding, g)[0]
+
+
+class TestWideGather:
+    """A float32 7x7 conv that no tape keeps reads each kernel row as two
+    16-byte items and multiplies a zero column per row, with the bytes of
+    the single-float gather."""
+
+    # (input channels, batch): 1 to 8 channels, batches of 1 to 64
+    CASES = [(1, 64), (2, 1), (3, 32), (4, 2), (5, 9), (6, 1), (7, 5), (8, 3)]
+
+    @pytest.mark.parametrize("budget", ["real", "one_byte"])
+    @pytest.mark.parametrize("stride, padding", list(itertools.product((1, 2, 3), (0, 1, 3))))
+    def test_bit_equal_to_tensordot_reference(self, monkeypatch, stride, padding, budget):
+        if budget == "one_byte":
+            monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
+        wide, single = gather_spy(monkeypatch, "_gather_wide"), gather_spy(monkeypatch)
+        rng = np.random.default_rng(stride * 10 + padding)
+        for n, (channels, batch) in enumerate(self.CASES):
+            wide.clear()
+            spec, x = wide_conv_case(channels, stride, padding, batch, n % 2, rng)
+            out = spec(Tensor(x))
+            assert np.array_equal(out.data, forward_reference(spec, x, out.data)), (channels, batch)
+            assert sum(len(cols) for cols in wide) == batch and not single
+            assert all(cols.shape[2] == channels * 7 * 8 for cols in wide)
+
+    @pytest.mark.parametrize("case", ["3x3", "taped", "float64", "small_gemm", "deep", "gapped"])
+    def test_other_convs_gather_single_floats(self, monkeypatch, case):
+        wide, single = gather_spy(monkeypatch, "_gather_wide"), gather_spy(monkeypatch)
+        rng = np.random.default_rng(12)
+        kernel, channels, stride, size = 7, 3, 1, 40
+        if case == "3x3":
+            kernel, channels = 3, 16
+        elif case == "small_gemm":       # 12 x 12 pixels of 147 columns for 32 channels: 0.68M MACs
+            size = 18
+        elif case == "deep":             # 9 channels of 7 rows of 8 floats: 504 columns
+            channels = 9
+        elif case == "gapped":           # at stride 8 no window reads column 8x + 7
+            stride, size = 8, 320
+        dtype = np.float64 if case == "float64" else np.float32
+        spec = Conv2d(channels, 32, kernel=kernel, stride=stride, bias=False, rng=rng, dtype=dtype)
+        x = Tensor(rng.normal(size=(4, channels, size, size)).astype(dtype), requires_grad=case == "taped")
+        if case == "small_gemm":
+            assert 12 * 12 * spec.weight.data.size <= layers.SMALL_GEMM_MACS
+        elif case == "deep":
+            assert channels * 7 * 8 > layers.SGEMM_K_BLOCK
+        elif case == "gapped":
+            x.data[..., 7::8] = np.inf
+        if case == "taped":
+            with GradTape():
+                out = spec(x)
+        else:
+            out = spec(x)
+        assert np.array_equal(out.data, forward_reference(spec, x.data, out.data))
+        assert single and not wide
+
+    def test_an_inf_no_window_reads_stays_out(self, monkeypatch):
+        # at stride 2 over 64 columns, the 29th window's last column is the
+        # 63rd: column 63 and row 63 are never read
+        wide = gather_spy(monkeypatch, "_gather_wide")
+        rng = np.random.default_rng(13)
+        spec = Conv2d(3, 16, kernel=7, stride=2, bias=False, rng=rng)
+        x = rng.normal(size=(4, 3, 64, 64)).astype(np.float32)
+        x[:, :, :, 63] = np.inf
+        x[:, :, 63, :] = -np.inf
+        out = spec(Tensor(x))
+        assert np.array_equal(out.data, forward_reference(spec, x, out.data)) and wide
+
+    def test_a_gather_into_out_allocates_no_copy_of_its_index(self):
+        # the desk stem's 3-image chunk: two phase copies of 3 x 70 x 72 floats,
+        # a [1024, 42] index of 0.34 MB
+        shape = (3, 70, 70, 7, 7, 2)
+        images = np.random.default_rng(4).uniform(size=(3, 3, 64, 64)).astype(np.float32)
+        phases = np.zeros((3, 2, 3, 70, 72), dtype=np.float32)
+        out = np.empty((3, 32 * 32, 3 * 7 * 8), dtype=np.float32)
+        index = wide_index_reference(*shape)
+        assert index.nbytes > 300_000
+        layers._gather_wide(images, phases, 3, 7, 7, 2, out=out)      # the index is built here, not traced
+        assert traced_peak(lambda: layers._gather_wide(images, phases, 3, 7, 7, 2, out=out)) < index.nbytes // 20
+        windows = sliding_window_view(np.pad(images, ((0, 0), (0, 0), (3, 3), (3, 5))), (7, 8),
+                                      axis=(2, 3))[:, :, ::2, :64:2]
+        assert np.array_equal(out, windows.transpose(0, 2, 3, 1, 4, 5).reshape(3, 32 * 32, -1))
 
 
 def forward_peaks(model, batches, seed):
