@@ -1,9 +1,13 @@
 """What logits do the committed checkpoints give, byte for byte?
 
 Loads `bench/fixtures/{cls,loc,boxcls}.ckpt` from a checkout, and the
-classifier once more with an SWP head attached, imports `swpnet` from that
-checkout's `src/`, and runs an inference forward of each model at batches 1,
-2, 5, 8, 16, 32 and 64 on the first images of one fixed-seed input set.
+classifier once more with an SWP head attached, builds a seeded ResNet-50
+classifier at width 1/8 (no fixture has bottleneck blocks), imports
+`swpnet` from that checkout's `src/`, and runs an inference forward of each
+model at batches 1, 2, 3, 4, 5, 8, 16, 32, 33 and 64 on the first images of
+one fixed-seed input set.  The batches take in both sides of each conv's
+switch between a row-major and a batch-innermost GEMM, and the 4-image
+tail of a 100-image evaluation at batch 32.
 
 Prints one JSON object that maps each model to the sha256 of its logit
 bytes at each batch size (a localiser's four outputs hashed in order).  Two
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-BATCHES = (1, 2, 5, 8, 16, 32, 64)
+BATCHES = (1, 2, 3, 4, 5, 8, 16, 32, 33, 64)
 SEED = 29
 SWP_MASKS = 9
 
@@ -40,6 +44,8 @@ def digest(root: Path) -> dict:
     extent = models.feature_map_extent(targets["cls"].config)
     targets["cls+swp"] = models.attach_swp_head(models.load_checkpoint(fixtures / "cls.ckpt"),
                                                 swp.SWPSpec(SWP_MASKS, extent, extent))
+    targets["d50"] = models.Model(models.ModelConfig(depth_variant=50, num_classes=10, width_multiplier=1 / 8,
+                                                     input_size=targets["cls"].config.input_size), seed=SEED)
     rng = np.random.default_rng(SEED)
     inputs = {}
     report = {}

@@ -170,8 +170,23 @@ def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
     return record((a, b), out, bwd, name)
 
 
+def _sum_in_layout(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y in x's memory layout, where numpy would fall back to row-major
+    when the two differ: a residual block's batch-innermost conv output
+    keeps its layout through an NCHW shortcut.  Such a y is copied into x's
+    layout and x added to it, which numpy does about five times faster
+    than one mixed-layout add, with the same bytes, as float addition
+    commutes."""
+    if x.strides == y.strides or x.flags.c_contiguous and y.flags.c_contiguous:
+        return x + y
+    out = np.empty_like(x)
+    out[...] = y
+    out += x
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g: g, lambda g: g, "add")
+    return _binary(a, b, _sum_in_layout, lambda g: g, lambda g: g, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

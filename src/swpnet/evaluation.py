@@ -183,8 +183,13 @@ def evaluate_topk(target, manifest: DatasetManifest, batch_size: int = 32) -> Me
     whose image does not decode, or whose box an oracle pipeline cannot
     encode, is skipped and counted in the report's `skipped`.  A classifier
     whose class count is not the manifest's is a ModelBuildError, raised
-    before any image is decoded."""
-    classes = (target.cls_model if isinstance(target, TwoStagePipeline) else target).config.num_classes
+    before any image is decoded, as is a localiser, whose outputs are
+    box bins, not class logits."""
+    config = (target.cls_model if isinstance(target, TwoStagePipeline) else target).config
+    if config.head == "loc_head":
+        raise ModelBuildError("a loc_head localiser has no class logits to score; "
+                              "evaluate it with evaluate_localisation")
+    classes = config.num_classes
     if classes != manifest.n_classes:
         raise ModelBuildError(f"model head has {classes} classes, manifest has {manifest.n_classes}")
     fallbacks = []

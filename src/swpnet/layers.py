@@ -52,16 +52,24 @@ class Conv2d:
         return conv2d(x, self)
 
 
+def _window_offsets(channels: int, hp: int, wp: int, kh: int, kw: int, s: int):
+    """(pixel, offset): the flat offset in a flattened `[C, hp, wp]` image of
+    each output pixel's window corner, `[oh·ow]`, and of each (c, i, j)
+    channel and kernel offset from it, `[C·kh·kw]`."""
+    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    pixel = (np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s).reshape(-1)
+    offset = (np.arange(channels)[:, None, None] * (hp * wp)
+              + np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1)
+    return pixel, offset
+
+
 @functools.cache
 def _window_index(channels: int, hp: int, wp: int, kh: int, kw: int, s: int) -> np.ndarray:
     """Flat offsets of every kh x kw window at stride s of a flattened
     `[C, hp, wp]` image, `[oh·ow, C·kh·kw]`, built once per shape and
     cached.  It stays writeable, as np.take copies any other index on every
     call; its one reader, _gather_windows, never writes it."""
-    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
-    pixel = (np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s).reshape(-1)
-    offset = (np.arange(channels)[:, None, None] * (hp * wp)
-              + np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1)
+    pixel, offset = _window_offsets(channels, hp, wp, kh, kw, s)
     return pixel[:, None] + offset
 
 
@@ -76,6 +84,27 @@ def _gather_windows(rows: np.ndarray, channels: int, hp: int, wp: int, kh: int, 
     per-offset bounds error path, which measured ~25% faster on the desk
     model's conv shapes."""
     return rows.take(_window_index(channels, hp, wp, kh, kw, s), axis=1, out=out, mode="wrap")
+
+
+@functools.cache
+def _window_columns(channels: int, hp: int, wp: int, kh: int, kw: int, s: int,
+                    chunks: int) -> tuple[np.ndarray, ...]:
+    """_window_index transposed, `[C·kh·kw, oh·ow]`, cut into `chunks`
+    balanced blocks of whole output pixels, each a contiguous array: block
+    c holds pixels oh·ow·c // chunks up to oh·ow·(c + 1) // chunks.  Built
+    once per shape and chunk count and cached, and writeable for the reason
+    _window_index gives."""
+    pixel, offset = _window_offsets(channels, hp, wp, kh, kw, s)
+    return tuple(offset[:, None] + pixel[pixel.size * c // chunks:pixel.size * (c + 1) // chunks]
+                 for c in range(chunks))
+
+
+def _gather_pixels(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The windows of a batch-innermost `[C·hp·wp, N]` padded input `rows`
+    at the output pixels of `index`, a block of _window_columns: `[C·kh·kw,
+    pixels, N]`, written into `out`.  Each offset copies the N floats of
+    one input pixel, one per image."""
+    return rows.take(index, axis=0, out=out, mode="wrap")
 
 
 def _row_floats(kw: int) -> int:
@@ -166,19 +195,32 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     inputs = (x, spec.weight) if spec.bias is None else (x, spec.weight, spec.bias)
     wmat = spec.weight.data.reshape(spec.out_channels, -1)
     pixels, depth = oh * ow, channels * kh * kw
+    macs = pixels * depth * spec.out_channels       # one image's GEMM
     dtype = x.data.dtype
     untaped = active_tape() is None or not any(t.requires_grad for t in inputs)
 
     # im2col: one row per output pixel, one column per (channel, kernel
-    # offset); the same matrix np.tensordot would build.  A conv that a tape
-    # will keep builds it whole, for backward.  Any other conv splits its
-    # batch into balanced chunks of whole images, each chunk's columns at
-    # most IM2COL_BYTES (or one image), unless that would make a GEMM small
-    # enough for OpenBLAS's small-matrix kernel, and pads, gathers and
-    # multiplies one chunk at a time into its images of `out`.  The blocked
-    # kernel sums each output row over the same columns in the same order
-    # whatever the GEMM's row count or the columns' layout, so the chunking
-    # changes no byte of what the whole matrix gives.
+    # offset); the same matrix np.tensordot would build, multiplied by the
+    # weight matrix in one row-major GEMM.  A conv that a tape will keep
+    # builds it whole, for backward, as do a float64 conv, a one-filter conv
+    # and any conv whose whole-batch GEMM is small enough for OpenBLAS's
+    # small-matrix kernel (every desk conv at batch 1).  Untaped, such a
+    # conv hands on a batch-innermost input's layout (see below).
+    #
+    # A float32 conv that no tape keeps, with two or more filters and a
+    # whole-batch GEMM above SMALL_GEMM_MACS, lays its input out
+    # batch-innermost: it pads it into one `[C, hp, wp, N]` buffer, gathers
+    # the columns `[C·kh·kw, pixels, N]` of a balanced chunk of output
+    # pixels at a time (_gather_pixels), each chunk's columns at most
+    # IM2COL_BYTES unless that would make its GEMM small, and multiplies
+    # `wmat @ cols` into that chunk's columns of one `[O, oh, ow, N]`
+    # product.  It returns the product as an `[N, O, oh, ow]` view, which
+    # batch norm, relu and add keep, so the next conv pads it with a plain
+    # copy.  Above SMALL_GEMM_MACS the blocked kernel sums each output over
+    # the columns in the same order whichever operand is transposed and
+    # whatever the GEMM's extents, so this changes no byte of what the
+    # row-major GEMM gives.  A one-filter GEMM is a matrix-vector product,
+    # which numpy hands to gemv, whose two orientations sum differently.
     #
     # A float32 conv that no tape keeps gathers each kernel row as whole
     # 4-float items (_gather_wide) when that adds at most a quarter more
@@ -188,33 +230,70 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
     # the windows leave no column between them), so on a finite input each
     # zero product adds +-0 and leaves the blocked kernel's sums as they
     # were, as long as the unpadded GEMM is too large for the small-matrix
-    # kernel and the padded depth stays within SGEMM_K_BLOCK.
+    # kernel and the padded depth stays within SGEMM_K_BLOCK.  It splits its
+    # batch into balanced chunks of whole images, each chunk's columns at
+    # most IM2COL_BYTES (or one image), and pads, gathers and multiplies one
+    # chunk at a time into its images of `out`.
     kq = _row_floats(kw)
     wide = (4 * kq <= 5 * kw and s <= kw and dtype == np.float32 and untaped
-            and pixels * depth * spec.out_channels > SMALL_GEMM_MACS
-            and channels * kh * kq <= SGEMM_K_BLOCK)
-    gemm_w = wmat
+            and macs > SMALL_GEMM_MACS and channels * kh * kq <= SGEMM_K_BLOCK)
+    inner = (not wide and untaped and dtype == np.float32 and spec.out_channels > 1
+             and batch * macs > SMALL_GEMM_MACS)
+    # A 1x1 stride-1 unpadded conv gathers nothing: its columns are the
+    # input, laid out channels-last, or batch-innermost as it is.
+    pointwise = kh == kw == 1 and s == 1 and not p
+    gemm_w, chunks = wmat, 1
     if wide:
         gemm_w = np.zeros((spec.out_channels, channels, kh, kq), dtype=dtype)
         gemm_w[..., :kw] = spec.weight.data
         gemm_w = gemm_w.reshape(spec.out_channels, -1)
         wq, copies = _wide_layout(wp, kw, s)
-        phase_shape = (copies, channels, hp, wq)
-    width = gemm_w.shape[1]
-    chunks = 1
-    if batch > 1 and untaped:
-        per_chunk = max(1, IM2COL_BYTES // (pixels * width * x.data.itemsize))
-        most = batch // (SMALL_GEMM_MACS // (pixels * depth * spec.out_channels) + 1)
-        chunks = max(1, min(-(-batch // per_chunk), most))
-    # A 1x1 stride-1 unpadded conv reads the input in place: for one image
-    # this is a transposed view, and at batch 1, where the GEMM may be small,
-    # OpenBLAS sums a contiguous copy differently.
-    pointwise = kh == kw == 1 and s == 1 and not p
-    if chunks == 1:
+        width = gemm_w.shape[1]
+        chunks = -(-batch // max(1, IM2COL_BYTES // (pixels * width * x.data.itemsize)))
+    if inner:
+        xt = x.data.transpose(1, 2, 3, 0)
+        if p:
+            xp = np.zeros((channels, hp, wp, batch), dtype=dtype)
+            xp[:, p:p + h, p:p + w] = xt
+        else:
+            xp = np.ascontiguousarray(xt)
+        prod = np.empty((spec.out_channels, pixels * batch), dtype=dtype)
+        if pointwise:
+            np.matmul(wmat, xp.reshape(channels, -1), out=prod)
+        else:
+            per_chunk = max(1, IM2COL_BYTES // (batch * depth * x.data.itemsize))
+            most = pixels // (SMALL_GEMM_MACS // (batch * depth * spec.out_channels) + 1)
+            chunks = max(1, min(-(-pixels // per_chunk), most))
+            col_buf = np.empty(depth * -(-pixels // chunks) * batch, dtype=dtype)
+            rows = xp.reshape(-1, batch)
+            for c, index in enumerate(_window_columns(channels, hp, wp, kh, kw, s, chunks)):
+                lo, hi = batch * (pixels * c // chunks), batch * (pixels * (c + 1) // chunks)
+                cols = _gather_pixels(rows, index, out=col_buf[:depth * (hi - lo)].reshape(depth, -1, batch))
+                np.matmul(wmat, cols.reshape(depth, -1), out=prod[:, lo:hi])
+        out = prod.reshape(-1, oh, ow, batch).transpose(3, 0, 1, 2)
+    elif chunks > 1:
+        out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
+        largest = -(-batch // chunks)
+        # one phase, column and product buffer, reused by every chunk; the
+        # padding stays zero, as only the columns windows read are rewritten
+        phases = np.zeros((largest, copies, channels, hp, wq), dtype=dtype)
+        col_buf = np.empty((largest * pixels, width), dtype=dtype)
+        prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
+        for c in range(chunks):
+            lo, hi = batch * c // chunks, batch * (c + 1) // chunks
+            n = hi - lo
+            cols = col_buf[:n * pixels]
+            _gather_wide(x.data[lo:hi], phases[:n], p, kh, kw, s, out=cols.reshape(n, pixels, width))
+            prod = np.matmul(cols, gemm_w.T, out=prod_buf[:n * pixels])
+            out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+    else:
+        # at batch 1 the pointwise columns are a transposed view of the
+        # input, and OpenBLAS sums a contiguous copy differently where the
+        # GEMM may be small
         if pointwise:
             cols = x.data.transpose(0, 2, 3, 1).reshape(-1, channels)
         elif wide:
-            cols = _gather_wide(x.data, np.zeros((batch, *phase_shape), dtype=dtype),
+            cols = _gather_wide(x.data, np.zeros((batch, copies, channels, hp, wq), dtype=dtype),
                                 p, kh, kw, s).reshape(-1, width)
         else:
             xp = x.data
@@ -222,37 +301,12 @@ def conv2d(x: Tensor, spec: Conv2d) -> Tensor:
                 xp = np.zeros((batch, channels, hp, wp), dtype=dtype)
                 xp[:, :, p:p + h, p:p + w] = x.data
             cols = _gather_windows(xp.reshape(batch, -1), channels, hp, wp, kh, kw, s).reshape(-1, depth)
-        out = np.ascontiguousarray((cols @ gemm_w.T).reshape(batch, oh, ow, -1).transpose(0, 3, 1, 2))
-    else:
-        out = np.empty((batch, spec.out_channels, oh, ow), dtype=dtype)
-        largest = -(-batch // chunks)
-        # one pad, column and product buffer, reused by every chunk; a pad's
-        # border stays zero, as only the interior is rewritten
-        xp = None
-        if wide:
-            xp = np.zeros((largest, *phase_shape), dtype=dtype)
-        elif p:
-            xp = np.zeros((largest, channels, hp, wp), dtype=dtype)
-        col_buf = np.empty((largest * pixels, width), dtype=dtype)
-        prod_buf = np.empty((largest * pixels, spec.out_channels), dtype=dtype)
-        for c in range(chunks):
-            lo, hi = batch * c // chunks, batch * (c + 1) // chunks
-            n, part = hi - lo, x.data[lo:hi]
-            cols = col_buf[:n * pixels]
-            if pointwise and n == 1:
-                cols = part.transpose(0, 2, 3, 1).reshape(-1, channels)
-            elif pointwise:
-                cols.reshape(n, oh, ow, channels)[...] = part.transpose(0, 2, 3, 1)
-            elif wide:
-                _gather_wide(part, xp[:n], p, kh, kw, s, out=cols.reshape(n, pixels, width))
-            else:
-                if p:
-                    xp[:n, :, p:p + h, p:p + w] = part
-                    part = xp[:n]
-                _gather_windows(part.reshape(n, -1), channels, hp, wp, kh, kw, s,
-                                out=cols.reshape(n, pixels, depth))
-            prod = np.matmul(cols, gemm_w.T, out=prod_buf[:n * pixels])
-            out[lo:hi] = prod.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+        prod = (cols @ gemm_w.T).reshape(batch, oh, ow, -1)
+        if batch > 1 and untaped and x.data.transpose(1, 2, 3, 0).flags.c_contiguous:
+            # the same transposing copy, into the batch-innermost layout it was given
+            out = np.ascontiguousarray(prod.transpose(3, 1, 2, 0)).transpose(3, 0, 1, 2)
+        else:
+            out = np.ascontiguousarray(prod.transpose(0, 3, 1, 2))
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1)
 
@@ -335,8 +389,11 @@ def batchnorm(x: Tensor, state: BatchNorm, train: bool, relu: bool = False) -> T
         n = int(np.prod([x.shape[a] for a in axes]))
         if n < 2:
             raise ValueError("batchnorm train mode needs at least 2 elements per channel")
-        mean = x.data.mean(axis=axes, keepdims=True)
-        out = x.data - mean
+        # reductions sum in memory order: take them over a row-major copy
+        # of a batch-innermost input
+        data = np.ascontiguousarray(x.data)
+        mean = data.mean(axis=axes, keepdims=True)
+        out = data - mean
         var = np.square(out).sum(axis=axes, keepdims=True) / n   # x.var's own formula
         m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1.0 - m) * mean.reshape(-1)).astype(state.running_mean.dtype)

@@ -261,7 +261,11 @@ class Model(Module):
         for blocks in self.stages:
             for block in blocks:
                 y = block.forward(y, train)
-        return self.final_bn(y, train, relu=True)
+        y = self.final_bn(y, train, relu=True)
+        # convs may hand on a batch-innermost map; the head's reductions sum
+        # in memory order, so they get it row-major
+        y.data = np.ascontiguousarray(y.data)
+        return y
 
     def forward(self, x: Tensor, train: bool = False):
         return self.head.forward(self.backbone(x, train), train)

@@ -102,6 +102,18 @@ class TestEvaluateEndToEnd:
             with pytest.raises(ModelBuildError, match="^model head has 3 classes, manifest has 2$"):
                 evaluate_topk(target, tiny_dataset)
 
+    def test_a_localiser_fails_before_any_decode(self, tiny_dataset, monkeypatch):
+        # its config's class count is the manifest's 2, so only its head
+        # tells that the first output holds centre-x bins, not class logits
+        def no_decode(_record):
+            raise AssertionError("an image was decoded")
+
+        monkeypatch.setattr("swpnet.evaluation.load_image", no_decode)
+        model = Model(tiny_loc_config(), seed=2)
+        assert model.config.num_classes == tiny_dataset.n_classes
+        with pytest.raises(ModelBuildError, match="loc_head localiser"):
+            evaluate_topk(model, tiny_dataset)
+
     def test_localisation_report_consistent(self, tiny_dataset):
         model = Model(tiny_loc_config(), seed=2)
         report, stats = evaluate_localisation(model, tiny_dataset)

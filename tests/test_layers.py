@@ -263,16 +263,19 @@ STEM_ACTIVATION_BYTES = 8 * 32 * 32 * 4
 CONV_GEOMETRIES = list(itertools.product((1, 3, 7), (1, 2), (0, 1, 3)))
 
 
-def assert_chunks_match_reference(calls, kernel, stride, padding, channels):
+def assert_chunks_match_reference(calls, pixel_calls, kernel, stride, padding, channels):
     """An untaped conv of 24 images equals the tensordot reference bit for
-    bit, and gathers whole images, each once, in chunks whose GEMMs stay
-    above the size OpenBLAS gives its small-matrix kernel; `calls` is a
-    gather_spy list."""
+    bit.  It gathers every column once: either every image in one
+    row-major gather, or, batch-innermost, every output pixel of all 24
+    images in chunks whose GEMMs stay above the size OpenBLAS gives its
+    small-matrix kernel.  `calls` and `pixel_calls` are gather_spy lists of
+    _gather_windows and _gather_pixels."""
     batch = 24
     rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
     spec = Conv2d(*channels, kernel=kernel, stride=stride, padding=padding, bias=False, rng=rng)
     for size in ((9, 9), (9, 11), (11, 9)):
         calls.clear()
+        pixel_calls.clear()
         x = Tensor(rng.normal(size=(batch, channels[0]) + size).astype(np.float32))
         out = spec(x)
         g = np.zeros(out.shape, dtype=np.float32)
@@ -280,26 +283,34 @@ def assert_chunks_match_reference(calls, kernel, stride, padding, channels):
         assert np.array_equal(out.data, ref_out), (kernel, stride, padding, channels, size)
         if (kernel, stride, padding) == (1, 1, 0):
             continue                  # reads the input in place: no gather
-        assert sum(len(cols) for cols in calls) == batch
-        macs_per_image = out.shape[2] * out.shape[3] * spec.weight.data.size
-        if len(calls) > 1:
-            assert min(len(cols) for cols in calls) * macs_per_image > layers.SMALL_GEMM_MACS
+        pixels = out.shape[2] * out.shape[3]
+        macs_per_column = batch * spec.weight.data.size    # one output pixel of every image
+        if pixels * macs_per_column > layers.SMALL_GEMM_MACS:
+            assert not calls and all(cols.shape[2] == batch for cols in pixel_calls)
+            assert sum(cols.shape[1] for cols in pixel_calls) == pixels
+            if len(pixel_calls) > 1:
+                assert min(cols.shape[1] for cols in pixel_calls) * macs_per_column > layers.SMALL_GEMM_MACS
+        else:
+            assert not pixel_calls and sum(len(cols) for cols in calls) == batch
 
 
 class TestChunkedConv:
     """A conv that no tape keeps gathers and multiplies its batch in chunks
-    of whole images; its output bytes do not depend on the chunking."""
+    of whole images (the 16-byte stem gather) or, batch-innermost, of whole
+    output pixels; its output bytes do not depend on the chunking."""
 
     @pytest.mark.parametrize("kernel, stride, padding", CONV_GEOMETRIES)
     @pytest.mark.parametrize("channels", [(5, 6), (16, 32)], ids=["narrow", "wide"])
     def test_small_budget_bit_equal_to_tensordot_reference(self, monkeypatch, kernel, stride,
                                                            padding, channels):
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
-        assert_chunks_match_reference(gather_spy(monkeypatch), kernel, stride, padding, channels)
+        assert_chunks_match_reference(gather_spy(monkeypatch), gather_spy(monkeypatch, "_gather_pixels"),
+                                      kernel, stride, padding, channels)
 
     def test_wide_small_budget_splits_the_batch(self, monkeypatch):
+        # batch-innermost, the batch's columns split into chunks of output pixels
         monkeypatch.setattr(layers, "IM2COL_BYTES", 1)
-        calls = gather_spy(monkeypatch)
+        calls = gather_spy(monkeypatch, "_gather_pixels")
         rng = np.random.default_rng(3)
         spec = Conv2d(16, 32, kernel=3, padding=1, bias=False, rng=rng)
         x = Tensor(rng.normal(size=(24, 16, 11, 9)).astype(np.float32))
@@ -332,19 +343,23 @@ class TestChunkedConv:
         assert sum(cols.nbytes for cols in calls) == 32 * STEM_WIDE_COLUMN_BYTES
 
     def test_chunks_at_the_real_budget_run_in_order_on_the_calling_thread(self, monkeypatch):
-        seen = []
+        seen, nbytes = [], []
 
         def spy_on(name):
             gather = getattr(layers, name)
 
             def spy(rows, *args, **kwargs):
-                seen.append((name, threading.get_ident(), len(rows)))
-                return gather(rows, *args, **kwargs)
+                cols = gather(rows, *args, **kwargs)
+                # images in a chunk, or output pixels in a batch-innermost one
+                seen.append((name, threading.get_ident(), cols.shape[name == "_gather_pixels"]))
+                nbytes.append(cols.nbytes)
+                return cols
 
             monkeypatch.setattr(layers, name, spy)
 
         spy_on("_gather_windows")
         spy_on("_gather_wide")
+        spy_on("_gather_pixels")
         caller = threading.get_ident()
         # the desk stem at batch 32: 11 chunks of at most 3 images at the real budget
         rng = np.random.default_rng(9)
@@ -354,14 +369,18 @@ class TestChunkedConv:
         ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 2, 3, np.zeros_like(out.data))
         assert np.array_equal(out.data, ref_out)
         assert seen == [("_gather_wide", caller, 32 * (c + 1) // 11 - 32 * c // 11) for c in range(11)]
-        # a stage-0 desk conv's columns fit the budget: one gather of the batch
-        seen.clear()
+        # a stage-0 desk conv's batch-innermost columns fit the budget at
+        # batch 32: one gather of its 225 pixels; at batch 64, two chunks
         spec = Conv2d(8, 8, kernel=3, padding=1, bias=False, rng=np.random.default_rng(1))
-        x = Tensor(np.random.default_rng(2).normal(size=(32, 8, 15, 15)).astype(np.float32))
-        out = spec(x)
-        ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
-        assert np.array_equal(out.data, ref_out)
-        assert seen == [("_gather_windows", caller, 32)]
+        for batch, chunks in ((32, [225]), (64, [112, 113])):
+            seen.clear()
+            nbytes.clear()
+            x = Tensor(np.random.default_rng(2).normal(size=(batch, 8, 15, 15)).astype(np.float32))
+            out = spec(x)
+            ref_out, _, _ = conv_tensordot_reference(x.data, spec.weight.data, 1, 1, np.zeros_like(out.data))
+            assert np.array_equal(out.data, ref_out)
+            assert seen == [("_gather_pixels", caller, n) for n in chunks]
+            assert max(nbytes) <= layers.IM2COL_BYTES
 
     def test_tape_free_forward_gathers_at_most_the_budget(self, monkeypatch):
         calls = gather_spy(monkeypatch)
@@ -434,7 +453,10 @@ class TestWideGather:
 
     @pytest.mark.parametrize("case", ["3x3", "taped", "float64", "small_gemm", "deep", "gapped"])
     def test_other_convs_gather_single_floats(self, monkeypatch, case):
+        # taped and float64 convs gather row-major; the others, whose
+        # 4-image GEMMs are large, gather batch-innermost
         wide, single = gather_spy(monkeypatch, "_gather_wide"), gather_spy(monkeypatch)
+        pixels = gather_spy(monkeypatch, "_gather_pixels")
         rng = np.random.default_rng(12)
         kernel, channels, stride, size = 7, 3, 1, 40
         if case == "3x3":
@@ -460,7 +482,8 @@ class TestWideGather:
         else:
             out = spec(x)
         assert np.array_equal(out.data, forward_reference(spec, x.data, out.data))
-        assert single and not wide
+        ran, idle = (single, pixels) if case in ("taped", "float64") else (pixels, single)
+        assert ran and not idle and not wide
 
     def test_an_inf_no_window_reads_stays_out(self, monkeypatch):
         # at stride 2 over 64 columns, the 29th window's last column is the
@@ -488,6 +511,86 @@ class TestWideGather:
         windows = sliding_window_view(np.pad(images, ((0, 0), (0, 0), (3, 3), (3, 5))), (7, 8),
                                       axis=(2, 3))[:, :, ::2, :64:2]
         assert np.array_equal(out, windows.transpose(0, 2, 3, 1, 4, 5).reshape(3, 32 * 32, -1))
+
+
+class TestBatchInnermost:
+    """An untaped float32 conv with a whole-batch GEMM above SMALL_GEMM_MACS
+    gathers from a batch-innermost copy of its input and hands that layout
+    on, with the bytes of the row-major GEMM."""
+
+    # (filters, depth, columns): every GEMM above SMALL_GEMM_MACS, from just
+    # past it to depths that the blocked kernel splits (over SGEMM_K_BLOCK)
+    GEMMS = ([(o, k, n) for o in (2, 8, 16, 32, 64, 256) for k in (3, 72, 147, 448, 449, 576, 2304)
+              for n in (1, 2, 7, 64, 225, 1000, 3000) if layers.SMALL_GEMM_MACS < o * k * n <= 60_000_000]
+             + [(10, 10, 10_001), (8, 72, 1737), (64, 576, 28)])
+
+    def test_gemm_orientation_sums_in_the_row_major_order(self):
+        rng = np.random.default_rng(30)
+        assert len(self.GEMMS) > 60
+        for filters, depth, columns in self.GEMMS:
+            wmat = rng.standard_normal((filters, depth)).astype(np.float32)
+            cols = rng.standard_normal((columns, depth)).astype(np.float32)
+            want = (cols @ wmat.T).T
+            wide = np.empty((filters, columns + 3), dtype=np.float32)     # a chunk's columns of the product
+            np.matmul(wmat, np.ascontiguousarray(cols.T), out=wide[:, 1:columns + 1])
+            assert np.array_equal(wide[:, 1:columns + 1], want), (filters, depth, columns)
+
+    @pytest.mark.parametrize("batch", [10, 11])
+    def test_a_gemm_at_the_threshold_stays_row_major(self, monkeypatch, batch):
+        # a 1x1 stride-2 conv of 10 filters over 10 channels, 40 x 25 output
+        # pixels: 10 images make a GEMM of exactly SMALL_GEMM_MACS
+        single, pixels = gather_spy(monkeypatch), gather_spy(monkeypatch, "_gather_pixels")
+        rng = np.random.default_rng(31)
+        spec = Conv2d(10, 10, kernel=1, stride=2, bias=False, rng=rng)
+        x = rng.normal(size=(batch, 10, 79, 49)).astype(np.float32)
+        out = spec(Tensor(x))
+        assert 40 * 25 * 10 * 10 * 10 == layers.SMALL_GEMM_MACS
+        assert np.array_equal(out.data, forward_reference(spec, x, out.data))
+        ran, idle = (single, pixels) if batch == 10 else (pixels, single)
+        assert ran and not idle
+        assert out.data.flags.c_contiguous == (batch == 10)
+
+    def test_a_one_filter_conv_stays_row_major(self, monkeypatch):
+        single, pixels = gather_spy(monkeypatch), gather_spy(monkeypatch, "_gather_pixels")
+        rng = np.random.default_rng(32)
+        spec = Conv2d(64, 1, kernel=3, padding=1, bias=False, rng=rng)
+        x = rng.normal(size=(8, 64, 16, 16)).astype(np.float32)
+        out = spec(Tensor(x))
+        assert 8 * 16 * 16 * spec.weight.data.size > layers.SMALL_GEMM_MACS
+        assert np.array_equal(out.data, forward_reference(spec, x, out.data))
+        assert single and not pixels
+
+    def test_desk_convs_after_the_first_block_take_batch_innermost_inputs(self, monkeypatch):
+        inputs = []
+        conv2d = layers.conv2d
+
+        def seen_conv(x, spec):
+            inputs.append(x.data)
+            return conv2d(x, spec)
+
+        monkeypatch.setattr(layers, "conv2d", seen_conv)
+        pixels = gather_spy(monkeypatch, "_gather_pixels")
+        model = desk_model()
+        x = Tensor(np.random.default_rng(33).uniform(size=(32, 3, 64, 64)).astype(np.float32))
+        feats = model.backbone(x)
+        # the stem and the first block's first conv read the row-major image
+        # and pool output; every later conv a batch-innermost map
+        assert len(inputs) == 20
+        assert all(data.flags.c_contiguous for data in inputs[:2])
+        assert all(data.transpose(1, 2, 3, 0).flags.c_contiguous for data in inputs[2:])
+        assert feats.data.flags.c_contiguous
+        assert pixels and max(cols.nbytes for cols in pixels) <= layers.IM2COL_BYTES
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_train_batchnorm_of_a_batch_innermost_input_equals_the_row_major_one(self, relu):
+        rng = np.random.default_rng(34)
+        bns = bn_pair(rng, 16)
+        x = rng.normal(1.0, 2.0, size=(32, 16, 8, 8)).astype(np.float32)
+        inner = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        outs = [bn(Tensor(data), train=True, relu=relu).data for bn, data in zip(bns, (x, inner))]
+        assert np.ascontiguousarray(outs[1]).tobytes() == outs[0].tobytes()
+        for a, b in zip(bns[0].buffers(), bns[1].buffers()):
+            assert a[1].tobytes() == b[1].tobytes()
 
 
 def forward_peaks(model, batches, seed):

@@ -29,7 +29,18 @@ def test_logits_digest_repeats_itself():
             for _ in range(2)]
     assert runs[0] == runs[1]
     report = json.loads(runs[0])
-    assert list(report) == ["cls", "loc", "boxcls", "cls+swp"]
+    assert list(report) == ["cls", "loc", "boxcls", "cls+swp", "d50"]
     for digests in report.values():
-        assert list(digests) == ["1", "2", "5", "8", "16", "32", "64"]
+        assert list(digests) == ["1", "2", "3", "4", "5", "8", "16", "32", "33", "64"]
         assert all(len(d) == 64 for d in digests.values())
+
+
+def test_forward_ab_of_a_checkout_against_itself():
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "forward_ab.py"), "--a", str(ROOT),
+                          "--b", str(ROOT), "--batch", "2", "--rounds", "2", "--calls", "1"],
+                         capture_output=True, text=True, timeout=600, check=True)
+    report = json.loads(run.stdout)
+    assert (report["batch"], report["rounds"], report["calls"]) == (2, 2, 1)
+    assert report["a_median_s"] > 0 and report["b_median_s"] > 0
+    assert report["ratio_b_over_a"] == report["b_median_s"] / report["a_median_s"]
+    assert 0 <= report["b_wins"] <= 2
